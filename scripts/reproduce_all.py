@@ -2,37 +2,25 @@
 """Run every committed example config and collect the CSVs under out/.
 
 Usage: python scripts/reproduce_all.py [outdir]
-Worker count comes from GEOPUMP_WORKERS or the machine default. The two
-momentum sweeps take a few seconds each; verify-cyclemap a few more.
+Runs each configs/*.json in name order, writing <config stem>.csv. The two
+momentum sweeps and verify-cyclemap take a few seconds each.
 """
 
+import json
 import pathlib
 import sys
 import time
 
 from geopump import cli
 
-CONFIGS = [
-    "sweep_k.json",
-    "sweep_eps0.json",
-    "sweep_amplitude.json",
-    "initial_states.json",
-    "ensemble.json",
-    "verify_cyclemap.json",
-    "thermal.json",
-    "fluence.json",
-    "unitarity_report.json",
-]
-
 
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parent.parent
     outdir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else root / "out"
     outdir.mkdir(parents=True, exist_ok=True)
-    for name in CONFIGS:
-        cfg_path = root / "configs" / name
+    for cfg_path in sorted((root / "configs").glob("*.json")):
         out_path = outdir / (cfg_path.stem + ".csv")
-        experiment = cfg_path.stem.replace("_", "-")
+        experiment = json.loads(cfg_path.read_text(encoding="utf-8"))["experiment"]
         t0 = time.perf_counter()
         rc = cli.main([experiment, "--config", str(cfg_path), "--out", str(out_path)])
         dt = time.perf_counter() - t0

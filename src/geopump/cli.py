@@ -3,10 +3,9 @@
 Each named experiment resolves a layered configuration (built-in defaults,
 then a JSON config file, then --set overrides), validates every field before
 any computation starts, dispatches to the owning module, and serializes one
-rectangular result table. Heavy momentum sweeps are split into fixed-size
-blocks handed to a thread pool; the block boundaries never depend on the
-worker count and the per-block results are reassembled in grid order, so a
-sweep emits byte-identical output at any parallelism.
+rectangular result table. Grid kernels run serially over CHUNK_POINTS-sized
+slices of the flattened grid, which bounds their working memory; the kernels
+work point by point, so the chunking never changes the output bytes.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import argparse
 import copy
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +27,9 @@ from .su2 import DegenerateSpectrum, eigensystem2
 from .thermo import ThermalModel
 from .units import DEFAULT_OMEGA
 
-BLOCK_POINTS = 256
+# Points per kernel call: large enough that per-call overhead is negligible,
+# small enough to bound the kernels' temporaries (peak RSS grows with it).
+CHUNK_POINTS = 2048
 
 QUARTER_PI = math.pi / 4.0
 
@@ -212,67 +211,75 @@ def _axis(grid, name):
     return np.linspace(lo, hi, count)
 
 
-def _drive_dict(cfg, **fixed):
-    d = dict(cfg["params"]["drive"])
-    omega = d.get("omega")
-    if omega is None:
-        omega = DEFAULT_OMEGA
-    d["omega"] = float(omega)
-    cfg["params"]["drive"]["omega"] = d["omega"]  # echo the resolved value
-    d.update(fixed)
+def _require_count(cfg, path):
+    value = _require_number(cfg, path)
+    if not value.is_integer() or value < 1:
+        raise ConfigError(f"field '{path}' must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _drive_params(where, **fields):
+    try:
+        return DriveParams(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _drive_dict(cfg):
+    drive = cfg["params"]["drive"]
+    d = {name: _require_number(cfg, f"params.drive.{name}", allow_none=name == "omega")
+         for name in drive}
+    if d["omega"] is None:
+        d["omega"] = DEFAULT_OMEGA
+    drive["omega"] = d["omega"]  # echo the resolved value
     return d
 
 
 def _trotter_config(cfg):
     t = cfg["params"]["trotter"]
+    ints = {name: _require_count(cfg, f"params.trotter.{name}")
+            for name in ("steps_per_cycle", "taylor_order", "n_cycles")}
+    offset = _require_number(cfg, "params.trotter.measure_offset")
     try:
-        return TrotterConfig(steps_per_cycle=int(t["steps_per_cycle"]),
-                             taylor_order=int(t["taylor_order"]),
-                             mode=str(t["mode"]),
-                             n_cycles=int(t["n_cycles"]),
-                             measure_offset=float(t["measure_offset"]))
-    except (ValueError, TypeError) as exc:
+        tcfg = TrotterConfig(mode=str(t["mode"]), measure_offset=offset, **ints)
+    except ValueError as exc:
         raise ConfigError(f"params.trotter: {exc}") from exc
+    if tcfg.mode == "taylor" and tcfg.taylor_order < 2:
+        raise ConfigError("params.trotter.taylor_order must be >= 2 in taylor mode "
+                          "(order 1 is for unitarity-report only)")
+    return tcfg
 
 
-def _blocked(n, workers, fn):
-    """Apply fn(lo, hi) over fixed-size index blocks, in grid order."""
-    spans = [(i, min(i + BLOCK_POINTS, n)) for i in range(0, n, BLOCK_POINTS)]
-    if workers <= 1 or len(spans) == 1:
-        parts = [fn(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda span: fn(*span), spans))
-    return np.concatenate(parts)
+def _chunked(n, fn):
+    """Apply fn(lo, hi) over CHUNK_POINTS-sized index ranges, in grid order."""
+    return np.concatenate([fn(lo, min(lo + CHUNK_POINTS, n))
+                           for lo in range(0, n, CHUNK_POINTS)])
 
 
-def _pump_grid(ks, eps0s, a_phs, omega, tcfg, workers, label):
+def _pump_grid(ks, eps0s, a_phs, omega, tcfg, label):
     ks, eps0s, a_phs = np.broadcast_arrays(ks, eps0s, a_phs)
     ks = ks.ravel(); eps0s = eps0s.ravel(); a_phs = a_phs.ravel()
 
-    def block(lo, hi):
+    def chunk(lo, hi):
         try:
             return propagator.p_g_numeric_grid(ks[lo:hi], eps0s[lo:hi],
                                                a_phs[lo:hi], omega, tcfg)
-        except propagator.DegenerateMeasurementBasis as exc:
+        except propagator.EvolutionError as exc:
+            i = lo + exc.indices[0]
             raise ComputeError(
-                f"{label}: {exc}; first point of block k={ks[lo]}, "
-                f"eps0={eps0s[lo]}, a_ph={a_phs[lo]}") from exc
+                f"{label}: {exc}; first failing grid index {i}: k={float(ks[i])}, "
+                f"eps0={float(eps0s[i])}, a_ph={float(a_phs[i])}") from exc
 
-    return _blocked(len(ks), workers, block)
+    return _chunked(len(ks), chunk)
 
 
-def _run_sweep_k(cfg, workers):
+def _run_sweep_k(cfg):
     drive = _drive_dict(cfg)
     tcfg = _trotter_config(cfg)
     ks = _axis(cfg["grid"], "k")
-    try:
-        DriveParams(eps0=drive["eps0"], a_ph=drive["a_ph"], k=float(ks[0]),
-                    omega=drive["omega"])
-    except ValueError as exc:
-        raise ConfigError(f"params.drive: {exc}") from exc
+    _drive_params("params.drive", k=float(ks[0]), **drive)
     p_g = _pump_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
-                     tcfg, workers, "sweep-k")
+                     tcfg, "sweep-k")
     rows = []
     for k, p in zip(ks, p_g):
         stats = bandmodel.gap_stats(DriveParams(eps0=drive["eps0"], a_ph=drive["a_ph"],
@@ -282,19 +289,15 @@ def _run_sweep_k(cfg, workers):
     return ("k", "p_g", "delta_int", "delta_min", "delta_avg"), rows
 
 
-def _run_sweep_eps0(cfg, workers):
+def _run_sweep_eps0(cfg):
     drive = _drive_dict(cfg)
     tcfg = _trotter_config(cfg)
     eps0s = _axis(cfg["grid"], "eps0")
     ks = _axis(cfg["grid"], "k")
-    try:
-        DriveParams(eps0=float(eps0s[0]), a_ph=drive["a_ph"], k=float(ks[0]),
-                    omega=drive["omega"])
-    except ValueError as exc:
-        raise ConfigError(f"params.drive: {exc}") from exc
+    _drive_params("params.drive", eps0=float(eps0s[0]), k=float(ks[0]), **drive)
     emesh, kmesh = np.meshgrid(eps0s, ks, indexing="ij")
     p_g = _pump_grid(kmesh.ravel(), emesh.ravel(), drive["a_ph"], drive["omega"],
-                     tcfg, workers, "sweep-eps0").reshape(len(eps0s), len(ks))
+                     tcfg, "sweep-eps0").reshape(len(eps0s), len(ks))
     p_max = p_g.max(axis=1)
     rows = []
     for e, p in zip(eps0s, p_max):
@@ -304,26 +307,22 @@ def _run_sweep_eps0(cfg, workers):
     return ("eps0", "p_g_max", "delta_min_k0"), rows
 
 
-def _run_sweep_amplitude(cfg, workers):
+def _run_sweep_amplitude(cfg):
     drive = _drive_dict(cfg)
     tcfg = _trotter_config(cfg)
     amps = _axis(cfg["grid"], "a_ph")
     ks = _axis(cfg["grid"], "k")
-    try:
-        DriveParams(eps0=drive["eps0"], a_ph=float(amps.min()), k=float(ks[0]),
-                    omega=drive["omega"])
-    except ValueError as exc:
-        raise ConfigError(f"params.drive/grid.a_ph: {exc}") from exc
+    _drive_params("params.drive/grid.a_ph", a_ph=float(amps.min()), k=float(ks[0]),
+                  **drive)
     amesh, kmesh = np.meshgrid(amps, ks, indexing="ij")
     p_g = _pump_grid(kmesh.ravel(), drive["eps0"], amesh.ravel(), drive["omega"],
-                     tcfg, workers, "sweep-amplitude")
+                     tcfg, "sweep-amplitude")
     rows = [(float(k), float(a), float(p))
             for (a, k, p) in zip(amesh.ravel(), kmesh.ravel(), p_g)]
     return ("k", "a_ph", "p_g"), rows
 
 
-def _run_initial_states(cfg, workers):
-    del workers  # a handful of single-point runs
+def _run_initial_states(cfg):
     drive = _drive_dict(cfg)
     tcfg = _trotter_config(cfg)
     weights = cfg["params"]["initial_weights"]
@@ -335,8 +334,7 @@ def _run_initial_states(cfg, workers):
             raise ConfigError(f"params.initial_weights entry {w!r} is not a numeric pair")
         if w[0] < 0 or w[1] < 0 or abs(w[0] + w[1] - 1.0) > 1e-9:
             raise ConfigError(f"params.initial_weights entry {w!r} must be >= 0 and sum to 1")
-    p = DriveParams(eps0=drive["eps0"], a_ph=drive["a_ph"], k=drive["k"],
-                    omega=drive["omega"])
+    p = _drive_params("params.drive", **drive)
     try:
         _, _, g0, g1 = eigensystem2(bandmodel.hamiltonian(p, 0.0))
     except DegenerateSpectrum as exc:
@@ -357,13 +355,13 @@ def _run_initial_states(cfg, workers):
     return tuple(columns), rows
 
 
-def _run_ensemble(cfg, workers):
-    del workers
+def _run_ensemble(cfg):
     e = cfg["params"]["ensemble"]
+    n_systems = _require_count(cfg, "params.ensemble.n_systems")
     try:
         cycle = CycleParams(theta=float(e["theta"]), phi=float(e["phi"]),
                             omega_az=float(e["omega_az"]))
-        ecfg = ensemble.EnsembleConfig(n_systems=int(e["n_systems"]),
+        ecfg = ensemble.EnsembleConfig(n_systems=n_systems,
                                        dt_mismatch=float(e["dt_mismatch"]),
                                        tau_cycle=float(e["tau_cycle"]),
                                        t_max=float(e["t_max"]),
@@ -377,19 +375,15 @@ def _run_ensemble(cfg, workers):
     return ("t", "p_ens", "entropy", "p_first"), rows
 
 
-def _run_verify_cyclemap(cfg, workers):
+def _run_verify_cyclemap(cfg):
     thetas = _axis(cfg["grid"], "theta")
     phis = _axis(cfg["grid"], "phi")
-    n = cfg["params"]["n_cycles"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"params.n_cycles must be a positive integer, got {n!r}")
+    n = _require_count(cfg, "params.n_cycles")
     tmesh, pmesh = np.meshgrid(thetas, phis, indexing="ij")
     tflat, pflat = tmesh.ravel(), pmesh.ravel()
 
-    def block(lo, hi):
-        return cyclemap.p_series_mean_grid(tflat[lo:hi], pflat[lo:hi], n)
-
-    series = _blocked(len(tflat), workers, block)
+    series = _chunked(len(tflat), lambda lo, hi: cyclemap.p_series_mean_grid(
+        tflat[lo:hi], pflat[lo:hi], n))
     rows = []
     for th, ph, s in zip(tflat, pflat, series):
         closed = cyclemap.p_g_closed(CycleParams(theta=float(th), phi=float(ph)))
@@ -407,8 +401,7 @@ def _thermal_model(cfg):
         raise ConfigError(f"params.thermo: {exc}") from exc
 
 
-def _run_thermal(cfg, workers):
-    del workers
+def _run_thermal(cfg):
     model = _thermal_model(cfg)
     ts = _axis(cfg["grid"], "T")
     if np.any(ts < 0.0):
@@ -420,8 +413,7 @@ def _run_thermal(cfg, workers):
     return ("T", "q_gp", "q_fgr"), rows
 
 
-def _run_fluence(cfg, workers):
-    del workers
+def _run_fluence(cfg):
     model = _thermal_model(cfg)
     fs = _axis(cfg["grid"], "F")
     T = _require_number(cfg, "params.T")
@@ -439,16 +431,12 @@ def _run_fluence(cfg, workers):
     return ("F", "q_gp", "q_fgr"), rows
 
 
-def _run_unitarity_report(cfg, workers):
-    del workers
+def _run_unitarity_report(cfg):
     drive = _drive_dict(cfg)
-    n = cfg["params"]["n_cycles"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"params.n_cycles must be a positive integer, got {n!r}")
+    n = _require_count(cfg, "params.n_cycles")
     orders = _axis(cfg["grid"], "taylor_order")
     steps = _axis(cfg["grid"], "steps_per_cycle")
-    p = DriveParams(eps0=drive["eps0"], a_ph=drive["a_ph"], k=drive["k"],
-                    omega=drive["omega"])
+    p = _drive_params("params.drive", **drive)
     for name, axis in (("taylor_order", orders), ("steps_per_cycle", steps)):
         for v in axis:
             if v != int(v):
@@ -520,7 +508,11 @@ def resolve_config(experiment: str, file_config: dict | None = None,
 
 
 def run(config: dict, workers: int = 1) -> ResultTable:
-    """Validate a resolved config, dispatch the experiment, return its table."""
+    """Validate a resolved config, dispatch the experiment, return its table.
+
+    Execution is serial; `workers` is accepted for compatibility and ignored.
+    """
+    del workers
     if "experiment" not in config:
         raise ConfigError("field 'experiment' is missing")
     name = config["experiment"]
@@ -529,7 +521,7 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     if not isinstance(config.get("output_path"), str) or not config["output_path"]:
         raise ConfigError("field 'output_path' must be a non-empty string")
     try:
-        columns, rows = _RUNNERS[name](config, max(1, int(workers)))
+        columns, rows = _RUNNERS[name](config)
     except (GapClosedOnLoop, DegenerateSpectrum) as exc:
         raise ComputeError(f"{name}: {exc}") from exc
     return ResultTable(columns=tuple(columns), rows=tuple(rows),
@@ -566,19 +558,6 @@ def parse_table(data: bytes, format: str = "csv") -> ResultTable:
     raise ConfigError(f"unknown output format '{format}'")
 
 
-def _default_workers() -> int:
-    env = os.environ.get("GEOPUMP_WORKERS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"GEOPUMP_WORKERS must be an integer, got '{env}'")
-        if n < 1:
-            raise ConfigError(f"GEOPUMP_WORKERS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="geopump",
@@ -589,7 +568,8 @@ def main(argv=None) -> int:
                         metavar="KEY=VALUE", help="override a config field (dotted path)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="output path; '-' writes data to stdout")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; execution is serial")
     args = parser.parse_args(argv)
 
     try:
@@ -605,13 +585,11 @@ def main(argv=None) -> int:
         config = resolve_config(args.experiment, file_config, args.overrides)
         if args.out is not None:
             config["output_path"] = args.out
-        workers = args.workers if args.workers is not None else _default_workers()
-        if workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 
-        print(f"geopump: running {args.experiment} with {workers} worker(s)",
-              file=sys.stderr)
-        table = run(config, workers=workers)
+        print(f"geopump: running {args.experiment}", file=sys.stderr)
+        table = run(config)
         data = emit(table, args.format)
 
         out = config["output_path"]

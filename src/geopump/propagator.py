@@ -6,25 +6,25 @@ one-cycle product once and then applies 2x2 powers per cycle, which turns an
 O(n_cycles * steps_per_cycle) walk into O(steps_per_cycle + n_cycles).
 Sweeps over momentum/offset grids use the same algebra on flat component
 arrays (p_g_numeric_grid), one vectorized operation per step for the whole
-grid; the scalar and batched routes are cross-checked in the tests.
+grid; both routes enforce the same guards and are cross-checked in the tests.
 
-Because H^2 = |d|^2 I, the order-m Taylor truncation of exp(-i H dt)
-collapses to cA(r) I - i dt cB(r) H with r = |d| dt, where cA and cB are the
-truncated cos(r) and sin(r)/r series. Truncation at odd/even order controls
-how fast the step's non-unitarity r^(order+1)-scale defect accumulates; the
-exact mode replaces cA, cB by cos and sinc and is unitary to rounding.
+Because H^2 = |d|^2 I, every step is ca I - i kappa H with r = |d| dt, and
+_step_coeffs alone decides (ca, kappa): the order-m Taylor truncation of
+exp(-i H dt) gives truncated cos(r) and dt sin(r)/r series, whose odd/even
+order controls how fast the r^(order+1)-scale non-unitarity accumulates;
+the exact mode uses cos and dt sinc, bit-identical to su2.exact_step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import su2
 from .bandmodel import DriveParams, bloch_vector, hamiltonian
-from .su2 import DegenerateSpectrum, eigensystem2, exact_step
+from .su2 import DegenerateSpectrum, eigensystem2
 
 UNITARITY_BUDGET = 0.05
 PROBABILITY_TOL = 1e-6
@@ -32,11 +32,20 @@ PROBABILITY_TOL = 1e-6
 MODES = ("taylor", "exact")
 
 
-class DegenerateMeasurementBasis(Exception):
+class EvolutionError(Exception):
+    """An evolution was rejected; `indices` are the failing positions of a
+    p_g_numeric_grid call (empty for a single-point evolve)."""
+
+    def __init__(self, message: str, indices=()):
+        super().__init__(message)
+        self.indices = tuple(int(i) for i in indices)
+
+
+class DegenerateMeasurementBasis(EvolutionError):
     """Instantaneous gap at the measurement time is below the degeneracy tolerance."""
 
 
-class NonUnitaryEvolution(Exception):
+class NonUnitaryEvolution(EvolutionError):
     """Accumulated truncation defect exceeded the budget, or probabilities left [0, 1]."""
 
 
@@ -71,8 +80,14 @@ class PumpTrace:
     unitarity_defect: float
 
 
-def _taylor_coeffs(r: np.ndarray, order: int):
-    """Truncated cos(r) and sin(r)/r series up to the r^order term of exp."""
+def _step_coeffs(r, dt: float, mode: str, order: int):
+    """(ca, kappa) of the step ca*I - i*kappa*(d . sigma), with r = |d| dt.
+
+    exact: cos(r) and dt sin(r)/r; taylor: their series up to the r^order
+    term of exp.
+    """
+    if mode == "exact":
+        return np.cos(r), dt * np.sinc(r / np.pi)  # np.sinc is sin(pi x)/(pi x)
     r2 = r * r
     ca = np.zeros_like(r)
     cb = np.zeros_like(r)
@@ -86,7 +101,14 @@ def _taylor_coeffs(r: np.ndarray, order: int):
         ca = ca + sign * ta
         if 2 * n + 1 <= order:
             cb = cb + sign * tb
-    return ca, cb
+    return ca, dt * cb
+
+
+def _step_matrix(d: np.ndarray, dt: float, mode: str, order: int) -> np.ndarray:
+    """One step under the Bloch vector d, as a 2x2 matrix."""
+    r = float(np.sqrt(d @ d)) * dt
+    ca, kappa = _step_coeffs(np.array(r), dt, mode, order)
+    return ca * su2.IDENTITY2 - 1.0j * kappa * su2.bloch_matrix(d)
 
 
 def trotter_step(p: DriveParams, t_j: float, dt: float, order: int) -> np.ndarray:
@@ -97,10 +119,7 @@ def trotter_step(p: DriveParams, t_j: float, dt: float, order: int) -> np.ndarra
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    d = bloch_vector(p, t_j)
-    r = float(np.sqrt(d @ d)) * dt
-    ca, cb = _taylor_coeffs(np.array(r), order)
-    return ca * su2.IDENTITY2 - 1.0j * dt * cb * su2.bloch_matrix(d)
+    return _step_matrix(bloch_vector(p, t_j), dt, "taylor", order)
 
 
 def _measurement_setup(p: DriveParams, cfg: TrotterConfig):
@@ -117,12 +136,6 @@ def _measurement_setup(p: DriveParams, cfg: TrotterConfig):
     return dt, extra, n0, n1
 
 
-def _step_matrix(p: DriveParams, t_mid: float, dt: float, cfg: TrotterConfig) -> np.ndarray:
-    if cfg.mode == "exact":
-        return exact_step(bloch_vector(p, t_mid), dt)
-    return trotter_step(p, t_mid, dt, cfg.taylor_order)
-
-
 def _evolve_impl(p: DriveParams, cfg: TrotterConfig, initial, enforce_budget: bool):
     dt, extra, n0, n1 = _measurement_setup(p, cfg)
     if initial is None:
@@ -137,7 +150,8 @@ def _evolve_impl(p: DriveParams, cfg: TrotterConfig, initial, enforce_budget: bo
     u_cycle = su2.IDENTITY2
     u_partial = su2.IDENTITY2
     for j in range(cfg.steps_per_cycle):
-        step = _step_matrix(p, (j + 0.5) * dt, dt, cfg)
+        step = _step_matrix(bloch_vector(p, (j + 0.5) * dt), dt, cfg.mode,
+                            cfg.taylor_order)
         u_cycle = step @ u_cycle
         if j + 1 == extra:
             u_partial = u_cycle.copy()
@@ -155,7 +169,7 @@ def _evolve_impl(p: DriveParams, cfg: TrotterConfig, initial, enforce_budget: bo
     if enforce_budget and cfg.mode == "taylor" and defect > UNITARITY_BUDGET:
         raise NonUnitaryEvolution(
             f"unitarity defect {defect:.3e} exceeds budget {UNITARITY_BUDGET}")
-    bad = (p_j < -PROBABILITY_TOL) | (p_j > 1.0 + PROBABILITY_TOL)
+    bad = ~((p_j >= -PROBABILITY_TOL) & (p_j <= 1.0 + PROBABILITY_TOL))
     if enforce_budget and np.any(bad):
         worst = p_j[np.argmax(np.abs(p_j - 0.5))]
         raise NonUnitaryEvolution(f"probability {worst} outside [0, 1] beyond tolerance")
@@ -193,14 +207,8 @@ def unitarity_report(p: DriveParams, cfg: TrotterConfig):
     Returns (defect_taylor, max_dev_vs_exact): the taylor mode's accumulated
     unitarity defect and the largest |p_n| discrepancy between modes.
     """
-    taylor_cfg = cfg if cfg.mode == "taylor" else TrotterConfig(
-        steps_per_cycle=cfg.steps_per_cycle, taylor_order=cfg.taylor_order,
-        mode="taylor", n_cycles=cfg.n_cycles, measure_offset=cfg.measure_offset)
-    exact_cfg = TrotterConfig(
-        steps_per_cycle=cfg.steps_per_cycle, taylor_order=cfg.taylor_order,
-        mode="exact", n_cycles=cfg.n_cycles, measure_offset=cfg.measure_offset)
-    trace_t = _evolve_impl(p, taylor_cfg, None, enforce_budget=False)
-    trace_e = _evolve_impl(p, exact_cfg, None, enforce_budget=False)
+    trace_t = _evolve_impl(p, replace(cfg, mode="taylor"), None, enforce_budget=False)
+    trace_e = _evolve_impl(p, replace(cfg, mode="exact"), None, enforce_budget=False)
     max_dev = float(np.max(np.abs(trace_t.p_n - trace_e.p_n)))
     return float(trace_t.unitarity_defect), max_dev
 
@@ -210,8 +218,8 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
     """Batched p_g_numeric over flat parameter arrays (ground-state start).
 
     All inputs broadcast to a common flat shape. Each grid point follows the
-    identical step algebra as evolve; points whose measurement basis is
-    degenerate raise DegenerateMeasurementBasis with the offending indices.
+    identical step algebra as evolve and raises the same exceptions under the
+    same guards, with the offending positions in the exception's `indices`.
     """
     k, eps0, a_ph = np.broadcast_arrays(
         np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
@@ -228,16 +236,11 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
 
     # measurement-time and start-time bases; both pristine-periodic instants
     s_meas = math.sin(omega * extra * dt)
-    gap_meas = 2.0 * np.hypot(d2, c3 - a_ph * s_meas)
-    if np.any(gap_meas < su2.DEGENERACY_TOL):
-        idx = np.nonzero(gap_meas < su2.DEGENERACY_TOL)[0]
-        raise DegenerateMeasurementBasis(
-            f"gap closed at measurement time for grid indices {idx.tolist()[:8]}")
-    gap_start = 2.0 * np.hypot(d2, c3)
-    if np.any(gap_start < su2.DEGENERACY_TOL):
-        idx = np.nonzero(gap_start < su2.DEGENERACY_TOL)[0]
-        raise DegenerateMeasurementBasis(
-            f"gap closed at the start time for grid indices {idx.tolist()[:8]}")
+    for when, d3 in (("measurement time", c3 - a_ph * s_meas), ("the start time", c3)):
+        closed = np.nonzero(2.0 * np.hypot(d2, d3) < su2.DEGENERACY_TOL)[0]
+        if closed.size:
+            raise DegenerateMeasurementBasis(
+                f"gap closed at {when} at {closed.size} grid point(s)", closed)
 
     one = np.ones_like(k, dtype=complex)
     zero = np.zeros_like(k, dtype=complex)
@@ -247,12 +250,7 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
         s = math.sin(omega * (j + 0.5) * dt)
         d3 = c3 - a_ph * s
         r = np.hypot(d2, d3) * dt
-        if cfg.mode == "exact":
-            ca = np.cos(r)
-            kappa = dt * np.sinc(r / np.pi)
-        else:
-            ca, cb = _taylor_coeffs(r, cfg.taylor_order)
-            kappa = dt * cb
+        ca, kappa = _step_coeffs(r, dt, cfg.mode, cfg.taylor_order)
         # step = ca*I - i*kappa*(d2*sigma2 + d3*sigma3)
         s00 = ca - 1.0j * kappa * d3
         s11 = ca + 1.0j * kappa * d3
@@ -269,15 +267,36 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
 
     c0, c1 = g0a.astype(complex), g0b.astype(complex)
     acc = np.zeros_like(k)
-    for _ in range(cfg.n_cycles):
-        c0, c1 = u00 * c0 + u01 * c1, u10 * c0 + u11 * c1
-        if extra:
-            m0 = q00 * c0 + q01 * c1
-            m1 = q10 * c0 + q11 * c1
-        else:
-            m0, m1 = c0, c1
-        amp = np.conj(m1a) * m0 + np.conj(m1b) * m1
-        acc += np.abs(amp) ** 2
+    p_max = np.zeros_like(k)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        for _ in range(cfg.n_cycles):
+            c0, c1 = u00 * c0 + u01 * c1, u10 * c0 + u11 * c1
+            if extra:
+                m0 = q00 * c0 + q01 * c1
+                m1 = q10 * c0 + q11 * c1
+            else:
+                m0, m1 = c0, c1
+            amp = np.conj(m1a) * m0 + np.conj(m1b) * m1
+            p = np.abs(amp) ** 2
+            acc += p
+            np.maximum(p_max, p, out=p_max)  # propagates NaN
+        if cfg.mode == "taylor":
+            # Each step is a real multiple of an SU(2) matrix, so M = Q U^m,
+            # measured after m cycles, has M^H M = det(M) I and the defect
+            # |det Q det(U)^m - 1|, monotone in m: largest at m = 1 or n_cycles.
+            det_q = np.abs(q00 * q11 - q01 * q10)
+            det_u = np.abs(u00 * u11 - u01 * u10)
+            defect = np.maximum(np.abs(det_q * det_u - 1.0),
+                                np.abs(det_q * det_u ** cfg.n_cycles - 1.0))
+            over = np.nonzero(~(defect <= UNITARITY_BUDGET))[0]
+            if over.size:
+                raise NonUnitaryEvolution(
+                    f"unitarity defect {defect[over[0]]:.3e} exceeds budget "
+                    f"{UNITARITY_BUDGET}", over)
+    bad = np.nonzero(~(p_max <= 1.0 + PROBABILITY_TOL))[0]
+    if bad.size:
+        raise NonUnitaryEvolution(
+            f"probability {p_max[bad[0]]} outside [0, 1] beyond tolerance", bad)
     return acc / cfg.n_cycles
 
 

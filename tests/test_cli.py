@@ -1,4 +1,4 @@
-"""Config resolution, emission formats, exit codes, worker determinism."""
+"""Config resolution, emission formats, exit codes, chunked execution."""
 
 import json
 import math
@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from geopump import cli
+from geopump import cli, propagator
 from geopump.cli import ConfigError, ResultTable, emit, parse_table, resolve_config, run
 
 FAST_OVERRIDES = ["grid.k.count=7", "params.trotter.steps_per_cycle=200",
@@ -107,11 +107,17 @@ def test_table_must_be_rectangular():
         ResultTable(columns=("a", "b"), rows=((1.0,),), metadata={})
 
 
-def test_deterministic_across_runs_and_workers():
-    # 300 grid points span two scheduling blocks
-    cfg = fast_sweep_config(**{"grid.k.count": 300})
-    blobs = {emit(run(cfg, workers=w), "csv") for w in (1, 1, 4)}
-    assert len(blobs) == 1
+def test_chunked_sweep_equals_one_kernel_call():
+    # more points than one chunk, so the sweep spans two kernel calls
+    cfg = resolve_config("sweep-k", None, [
+        f"grid.k.count={cli.CHUNK_POINTS + 52}",
+        "params.trotter.steps_per_cycle=100", "params.trotter.n_cycles=2"])
+    table = parse_table(emit(run(cfg), "csv"), "csv")
+    drive = cfg["params"]["drive"]
+    ks = np.array([r[0] for r in table.rows])
+    direct = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"],
+                                         drive["omega"], cli._trotter_config(cfg))
+    assert np.array_equal(np.array([r[1] for r in table.rows]), direct)
 
 
 def test_main_writes_file_and_exit_zero(tmp_path):
@@ -155,6 +161,54 @@ def test_main_exit_codes(tmp_path):
     assert rc == 4
 
 
+def test_compute_error_names_the_offending_point(capsys):
+    # 5 points across k = 0; only the middle one sits on the gap closing
+    rc = cli.main(["sweep-k", "--set", "params.drive.eps0=-1.0",
+                   "--set", "grid.k.min=-0.1", "--set", "grid.k.max=0.1",
+                   "--set", "grid.k.count=5",
+                   "--set", "params.trotter.steps_per_cycle=100",
+                   "--set", "params.trotter.n_cycles=2", "--out", "-"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "grid index 2: k=0.0, eps0=-1.0, a_ph=0.1" in err
+
+
+def test_taylor_sweep_overflow_is_compute_error(capsys):
+    rc = cli.main(["sweep-k", "--set", "params.trotter.mode=taylor",
+                   "--set", "params.trotter.taylor_order=2",
+                   "--set", "params.trotter.steps_per_cycle=100",
+                   "--set", "params.trotter.n_cycles=2000",
+                   "--set", "grid.k.count=5", "--out", "-"])
+    assert rc == 3
+    assert "unitarity defect" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, overrides", [
+    ("sweep-k", ['params.drive.eps0="x"']),
+    ("sweep-k", ['params.drive.eps0={"a":1}']),
+    ("sweep-k", ["params.drive.eps0=NaN"]),
+    ("sweep-k", ['params.drive.omega="x"']),
+    ("sweep-k", ["params.trotter.n_cycles=1.5"]),
+    ("sweep-k", ["params.trotter.steps_per_cycle=true"]),
+    ("sweep-k", ["params.trotter.measure_offset=NaN"]),
+    ("sweep-k", ["params.trotter.mode=taylor", "params.trotter.taylor_order=1"]),
+    ("initial-states", ["params.drive.a_ph=-1"]),
+    ("unitarity-report", ["params.n_cycles=2.5"]),
+    ("ensemble", ["params.ensemble.n_systems=1.5"]),
+])
+def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("p_g_numeric_grid", "evolve", "unitarity_report"):
+        monkeypatch.setattr(propagator, name, no_compute)
+    monkeypatch.setattr(cli.ensemble, "ensemble_average", no_compute)
+    argv = [experiment, "--out", "-"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+
+
 def test_no_output_file_on_config_error(tmp_path):
     out = tmp_path / "never.csv"
     rc = cli.main(["thermal", "--set", "grid.T.count=0", "--out", str(out)])
@@ -162,13 +216,15 @@ def test_no_output_file_on_config_error(tmp_path):
     assert not out.exists()
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("GEOPUMP_WORKERS", "2")
-    out = tmp_path / "w.csv"
-    assert cli.main(["thermal", "--set", "grid.T.count=4", "--out", str(out)]) == 0
-    assert out.exists()
-    monkeypatch.setenv("GEOPUMP_WORKERS", "zero")
-    assert cli.main(["thermal", "--set", "grid.T.count=4", "--out", "-"]) == 2
+def test_workers_flag_is_validated_and_ignored(capsysbinary):
+    assert cli.main(["fluence", "--set", "grid.F.count=3", "--workers", "0",
+                     "--out", "-"]) == 2
+    blobs = set()
+    for w in ("1", "4"):
+        assert cli.main(["fluence", "--set", "grid.F.count=3", "--workers", w,
+                         "--out", "-"]) == 0
+        blobs.add(capsysbinary.readouterr().out)
+    assert len(blobs) == 1
 
 
 def test_committed_example_configs_resolve():

@@ -50,6 +50,15 @@ def test_trotter_step_high_order_approaches_exact():
     assert np.max(np.abs(u12 - exact)) < 1e-15
 
 
+@pytest.mark.parametrize("d", [(0.0, 0.0, 0.0), (0.0, 0.02, -0.05),
+                               (0.3, -1.2, 0.7), (0.0, 0.707, 1.66)])
+def test_exact_mode_step_is_the_su2_reference(d):
+    d = np.array(d)
+    dt = TPT_POINT.tau_cycle / 2000
+    step = propagator._step_matrix(d, dt, "exact", 4)
+    assert np.array_equal(step, su2.exact_step(d, dt))
+
+
 def test_trotter_step_defect_scales_with_order():
     dt = 0.05
     d1 = su2.unitarity_defect(propagator.trotter_step(TPT_POINT, 0.0, dt, 1))
@@ -139,6 +148,23 @@ def test_taylor_mode_budget_enforced():
                         n_cycles=100)
     with pytest.raises(NonUnitaryEvolution):
         propagator.evolve(TPT_POINT, cfg)
+
+
+def test_grid_guards_match_evolve():
+    cfg = TrotterConfig(steps_per_cycle=1000, taylor_order=2, mode="taylor",
+                        n_cycles=5)
+    ks = np.array([0.02, 0.02, 0.3, 0.3, 0.785, 0.785])
+    eps0s = np.array([-0.95, -0.5] * 3)
+    failing = []
+    for i, (k, e) in enumerate(zip(ks, eps0s)):
+        try:
+            propagator.evolve(DriveParams(eps0=float(e), a_ph=0.1, k=float(k)), cfg)
+        except NonUnitaryEvolution:
+            failing.append(i)
+    assert 0 < len(failing) < len(ks)
+    with pytest.raises(NonUnitaryEvolution) as info:
+        propagator.p_g_numeric_grid(ks, eps0s, 0.1, TPT_POINT.omega, cfg)
+    assert list(info.value.indices) == failing
 
 
 def test_taylor_mode_below_second_order_rejected_by_evolve():
