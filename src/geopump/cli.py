@@ -1,11 +1,15 @@
 """Batch experiment runner with CSV/JSON emission.
 
 Each named experiment resolves a layered configuration (built-in defaults,
-then a JSON config file, then --set overrides), validates every field before
-any computation starts, dispatches to the owning module, and serializes one
-rectangular result table. Grid kernels run serially over CHUNK_POINTS-sized
-slices of the flattened grid, which bounds their working memory; the kernels
-work point by point, so the chunking never changes the output bytes.
+then a JSON config file, then --set overrides). `run` validates it in one pass
+before any computation starts: DEFAULTS is the schema, so every leaf must have
+its default's type, and the library objects the experiment builds are made
+with each grid axis at its min and at its max, so their constructors' range
+checks cover every point. It then dispatches to the owning module and
+serializes one rectangular result table. Grid kernels run serially over
+CHUNK_POINTS-sized slices of the flattened grid, which bounds their working
+memory; the kernels work point by point, so the chunking never changes the
+output bytes.
 """
 
 from __future__ import annotations
@@ -157,97 +161,154 @@ DEFAULTS = {
 
 
 def _merge(base, override, path=""):
-    """Deep-merge override into a copy of base; unknown keys are rejected."""
+    """Deep-merge override into a copy of base; unknown keys are rejected.
+
+    A grid axis takes either a `values` list or min/max/count; a layer that
+    names one form drops the other.
+    """
     if not isinstance(override, dict):
         raise ConfigError(f"expected a mapping at '{path or '<root>'}', got {type(override).__name__}")
     out = copy.deepcopy(base)
     for key, val in override.items():
         here = f"{path}.{key}" if path else key
-        if key not in base:
+        if path.startswith("grid.") and key in ("values", "min", "max", "count"):
+            out = {k: v for k, v in out.items() if (k == "values") == (key == "values")}
+        elif key not in base:
             raise ConfigError(f"unknown config field '{here}'")
-        if isinstance(base[key], dict):
+        if isinstance(base.get(key), dict):
             out[key] = _merge(base[key], val, here)
         else:
             out[key] = copy.deepcopy(val)
     return out
 
 
-def _require_number(cfg, path, allow_none=False):
-    node = cfg
-    for part in path.split("."):
-        node = node[part]
-    if node is None and allow_none:
+def _typed(value, default, path=""):
+    """A copy of value with the type that its DEFAULTS entry fixes: a float
+    default takes a finite number, an int default an integral one, a None
+    default a finite number or null, a str default a string, a list default a
+    non-empty list of its first element's type, a mapping default its keys."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"field '{path}' must be a mapping, got {value!r}")
+        if path.startswith("grid."):  # an axis, in the form it uses
+            x = default["values"][0] if "values" in default else default["min"]
+            default = ({"values": [x]} if "values" in value
+                       else {"min": x, "max": x, "count": 1})
+        typed = {}
+        for key, sub in default.items():
+            here = f"{path}.{key}" if path else key
+            if key not in value:
+                raise ConfigError(f"field '{here}' is missing")
+            typed[key] = _typed(value[key], sub, here)
+        return typed
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"field '{path}' must be a non-empty list, got {value!r}")
+        return [_typed(v, default[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"field '{path}' must be a string, got {value!r}")
+        return value
+    if value is None and default is None:
         return None
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"field '{path}' must be a number, got {node!r}")
-    if not math.isfinite(node):
-        raise ConfigError(f"field '{path}' must be finite, got {node!r}")
-    return float(node)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # also rejects NaN
+        raise ConfigError(f"field '{path}' must be a finite number, got {value!r}")
+    if isinstance(default, int):
+        if value != int(value):
+            raise ConfigError(f"field '{path}' must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
-def _axis(grid, name):
-    """Resolve one swept axis to an array, from values or min/max/count."""
-    axis = grid[name]
-    if not isinstance(axis, dict):
-        raise ConfigError(f"grid.{name} must be a mapping")
+def _points(axis, path):
+    """The points of a typed grid axis; an integer axis must land on integers."""
     if "values" in axis:
-        vals = axis["values"]
-        if not isinstance(vals, (list, tuple)) or len(vals) == 0:
-            raise ConfigError(f"grid.{name}.values must be a non-empty list")
-        for v in vals:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ConfigError(f"grid.{name}.values contains a non-finite entry {v!r}")
-        return np.asarray(vals, dtype=float)
-    for field in ("min", "max", "count"):
-        if field not in axis:
-            raise ConfigError(f"grid.{name}.{field} is missing")
-    count = axis["count"]
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ConfigError(f"grid.{name}.count must be a positive integer, got {count!r}")
-    lo = _require_number({"x": axis["min"]}, "x")
-    hi = _require_number({"x": axis["max"]}, "x")
-    if count == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, count)
-
-
-def _require_count(cfg, path):
-    value = _require_number(cfg, path)
-    if not value.is_integer() or value < 1:
-        raise ConfigError(f"field '{path}' must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _drive_params(where, **fields):
+        return np.asarray(axis["values"], dtype=float)
+    if axis["count"] < 1:
+        raise ConfigError(f"field '{path}.count' must be >= 1, got {axis['count']}")
     try:
-        return DriveParams(**fields)
-    except ValueError as exc:
+        points = np.linspace(axis["min"], axis["max"], axis["count"])
+    except (ValueError, MemoryError) as exc:  # more points than fit in memory
+        raise ConfigError(f"field '{path}.count' is too large: {exc}") from exc
+    if isinstance(axis["min"], int) and not np.array_equal(points, np.round(points)):
+        raise ConfigError(f"field '{path}' must hold integers, got {points.tolist()}")
+    return points
+
+
+def _checked(where, make, **fields):
+    """make(**fields); a ValueError or TypeError from it becomes a ConfigError
+    that names the config fields `where` they came from."""
+    try:
+        return make(**fields)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _drive_dict(cfg):
-    drive = cfg["params"]["drive"]
-    d = {name: _require_number(cfg, f"params.drive.{name}", allow_none=name == "omega")
-         for name in drive}
-    if d["omega"] is None:
-        d["omega"] = DEFAULT_OMEGA
-    drive["omega"] = d["omega"]  # echo the resolved value
-    return d
+def _ends(c, *axes):
+    """The named grid axes all at their min, then all at their max."""
+    return [{n: float(end(c["grid"][n])) for n in axes} for end in (np.min, np.max)]
 
 
-def _trotter_config(cfg):
-    t = cfg["params"]["trotter"]
-    ints = {name: _require_count(cfg, f"params.trotter.{name}")
-            for name in ("steps_per_cycle", "taylor_order", "n_cycles")}
-    offset = _require_number(cfg, "params.trotter.measure_offset")
-    try:
-        tcfg = TrotterConfig(mode=str(t["mode"]), measure_offset=offset, **ints)
-    except ValueError as exc:
-        raise ConfigError(f"params.trotter: {exc}") from exc
+def _trotter(**fields):
+    """TrotterConfig for evolve and p_g_numeric_grid, which reject taylor order 1."""
+    tcfg = TrotterConfig(**fields)
     if tcfg.mode == "taylor" and tcfg.taylor_order < 2:
-        raise ConfigError("params.trotter.taylor_order must be >= 2 in taylor mode "
-                          "(order 1 is for unitarity-report only)")
+        raise ValueError("taylor_order must be >= 2 in taylor mode (1 is for unitarity-report)")
     return tcfg
+
+
+def _ensemble_config(theta, phi, omega_az, **fields):
+    cycle = CycleParams(theta=theta, phi=phi, omega_az=omega_az)
+    return ensemble.EnsembleConfig(cycle=cycle, **fields)
+
+
+def _check_propagator(c, *axes):
+    """DriveParams at the ends of the swept drive axes, and the TrotterConfig."""
+    where = " and ".join(["params.drive", *(f"grid.{n}" for n in axes)])
+    for at in _ends(c, *axes):
+        _checked(where, DriveParams, **c["params"]["drive"], **at)
+    _checked("params.trotter", _trotter, **c["params"]["trotter"])
+
+
+def _check_initial_states(c):
+    _check_propagator(c)
+    for w in c["params"]["initial_weights"]:
+        if len(w) != 2 or min(w) < 0.0 or abs(w[0] + w[1] - 1.0) > 1e-9:
+            raise ConfigError(f"params.initial_weights entry {w!r} is not two weights >= 0 "
+                              "that sum to 1")
+
+
+def _check_verify_cyclemap(c):
+    for at in _ends(c, "theta", "phi"):
+        _checked("grid.theta and grid.phi", CycleParams, **at)
+    if c["params"]["n_cycles"] < 1:
+        raise ConfigError(f"field 'params.n_cycles' must be >= 1, got {c['params']['n_cycles']}")
+
+
+def _check_thermal(c):
+    _checked("params.thermo", ThermalModel, **c["params"]["thermo"])
+    if c["grid"]["T"].min() < 0.0:
+        raise ConfigError(f"field 'grid.T' must be >= 0, got {c['grid']['T'].min()}")
+
+
+def _check_fluence(c):
+    p, fs = c["params"], c["grid"]["F"]
+    _checked("params.thermo", ThermalModel, **p["thermo"])
+    if p["T"] < 0.0:
+        raise ConfigError(f"field 'params.T' must be >= 0, got {p['T']}")
+    if p["delta_nu"] not in (0, 1):
+        raise ConfigError(f"field 'params.delta_nu' must be 0 or 1, got {p['delta_nu']}")
+    if fs.min() < 0.0 or fs.max() == 0.0:
+        raise ConfigError(f"field 'grid.F' must be >= 0 with a maximum > 0, "
+                          f"got [{fs.min()}, {fs.max()}]")
+
+
+def _check_unitarity_report(c):
+    _checked("params.drive", DriveParams, **c["params"]["drive"])
+    for at in _ends(c, "taylor_order", "steps_per_cycle"):
+        _checked("params.n_cycles, grid.taylor_order and grid.steps_per_cycle",
+                 TrotterConfig, mode="taylor", n_cycles=c["params"]["n_cycles"], **at)
 
 
 def _chunked(n, fn):
@@ -273,68 +334,45 @@ def _pump_grid(ks, eps0s, a_phs, omega, tcfg, label):
     return _chunked(len(ks), chunk)
 
 
-def _run_sweep_k(cfg):
-    drive = _drive_dict(cfg)
-    tcfg = _trotter_config(cfg)
-    ks = _axis(cfg["grid"], "k")
-    _drive_params("params.drive", k=float(ks[0]), **drive)
+def _run_sweep_k(c):
+    drive, ks = c["params"]["drive"], c["grid"]["k"]
     p_g = _pump_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
-                     tcfg, "sweep-k")
+                     _trotter(**c["params"]["trotter"]), "sweep-k")
     rows = []
     for k, p in zip(ks, p_g):
-        stats = bandmodel.gap_stats(DriveParams(eps0=drive["eps0"], a_ph=drive["a_ph"],
-                                                k=float(k), omega=drive["omega"]))
+        stats = bandmodel.gap_stats(DriveParams(k=float(k), **drive))
         rows.append((float(k), float(p), stats.delta_int, stats.delta_min,
                      stats.delta_avg))
     return ("k", "p_g", "delta_int", "delta_min", "delta_avg"), rows
 
 
-def _run_sweep_eps0(cfg):
-    drive = _drive_dict(cfg)
-    tcfg = _trotter_config(cfg)
-    eps0s = _axis(cfg["grid"], "eps0")
-    ks = _axis(cfg["grid"], "k")
-    _drive_params("params.drive", eps0=float(eps0s[0]), k=float(ks[0]), **drive)
+def _run_sweep_eps0(c):
+    drive, eps0s, ks = c["params"]["drive"], c["grid"]["eps0"], c["grid"]["k"]
     emesh, kmesh = np.meshgrid(eps0s, ks, indexing="ij")
     p_g = _pump_grid(kmesh.ravel(), emesh.ravel(), drive["a_ph"], drive["omega"],
-                     tcfg, "sweep-eps0").reshape(len(eps0s), len(ks))
+                     _trotter(**c["params"]["trotter"]),
+                     "sweep-eps0").reshape(len(eps0s), len(ks))
     p_max = p_g.max(axis=1)
     rows = []
     for e, p in zip(eps0s, p_max):
-        stats = bandmodel.gap_stats(DriveParams(eps0=float(e), a_ph=drive["a_ph"],
-                                                k=0.0, omega=drive["omega"]))
+        stats = bandmodel.gap_stats(DriveParams(eps0=float(e), k=0.0, **drive))
         rows.append((float(e), float(p), stats.delta_min))
     return ("eps0", "p_g_max", "delta_min_k0"), rows
 
 
-def _run_sweep_amplitude(cfg):
-    drive = _drive_dict(cfg)
-    tcfg = _trotter_config(cfg)
-    amps = _axis(cfg["grid"], "a_ph")
-    ks = _axis(cfg["grid"], "k")
-    _drive_params("params.drive/grid.a_ph", a_ph=float(amps.min()), k=float(ks[0]),
-                  **drive)
-    amesh, kmesh = np.meshgrid(amps, ks, indexing="ij")
+def _run_sweep_amplitude(c):
+    drive = c["params"]["drive"]
+    amesh, kmesh = np.meshgrid(c["grid"]["a_ph"], c["grid"]["k"], indexing="ij")
     p_g = _pump_grid(kmesh.ravel(), drive["eps0"], amesh.ravel(), drive["omega"],
-                     tcfg, "sweep-amplitude")
+                     _trotter(**c["params"]["trotter"]), "sweep-amplitude")
     rows = [(float(k), float(a), float(p))
             for (a, k, p) in zip(amesh.ravel(), kmesh.ravel(), p_g)]
     return ("k", "a_ph", "p_g"), rows
 
 
-def _run_initial_states(cfg):
-    drive = _drive_dict(cfg)
-    tcfg = _trotter_config(cfg)
-    weights = cfg["params"]["initial_weights"]
-    if not isinstance(weights, (list, tuple)) or len(weights) == 0:
-        raise ConfigError("params.initial_weights must be a non-empty list of pairs")
-    for w in weights:
-        if (not isinstance(w, (list, tuple)) or len(w) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in w)):
-            raise ConfigError(f"params.initial_weights entry {w!r} is not a numeric pair")
-        if w[0] < 0 or w[1] < 0 or abs(w[0] + w[1] - 1.0) > 1e-9:
-            raise ConfigError(f"params.initial_weights entry {w!r} must be >= 0 and sum to 1")
-    p = _drive_params("params.drive", **drive)
+def _run_initial_states(c):
+    p = DriveParams(**c["params"]["drive"])
+    tcfg = _trotter(**c["params"]["trotter"])
     try:
         _, _, g0, g1 = eigensystem2(bandmodel.hamiltonian(p, 0.0))
     except DegenerateSpectrum as exc:
@@ -342,7 +380,7 @@ def _run_initial_states(cfg):
                            f"eps0={p.eps0}") from exc
     columns = ["cycle"]
     traces = []
-    for w_g, w_e in weights:
+    for w_g, w_e in c["params"]["initial_weights"]:
         psi0 = math.sqrt(w_g) * g0 + math.sqrt(w_e) * g1
         try:
             traces.append(propagator.evolve(p, tcfg, initial=psi0).p_n)
@@ -355,33 +393,18 @@ def _run_initial_states(cfg):
     return tuple(columns), rows
 
 
-def _run_ensemble(cfg):
-    e = cfg["params"]["ensemble"]
-    n_systems = _require_count(cfg, "params.ensemble.n_systems")
-    try:
-        cycle = CycleParams(theta=float(e["theta"]), phi=float(e["phi"]),
-                            omega_az=float(e["omega_az"]))
-        ecfg = ensemble.EnsembleConfig(n_systems=n_systems,
-                                       dt_mismatch=float(e["dt_mismatch"]),
-                                       tau_cycle=float(e["tau_cycle"]),
-                                       t_max=float(e["t_max"]),
-                                       cycle=cycle)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"params.ensemble: {exc}") from exc
-    trace = ensemble.ensemble_average(ecfg)
+def _run_ensemble(c):
+    trace = ensemble.ensemble_average(_ensemble_config(**c["params"]["ensemble"]))
     rows = [(float(t), float(pe), float(s), float(pf))
             for t, pe, s, pf in zip(trace.times, trace.p_ens,
                                     trace.entropy, trace.p_first)]
     return ("t", "p_ens", "entropy", "p_first"), rows
 
 
-def _run_verify_cyclemap(cfg):
-    thetas = _axis(cfg["grid"], "theta")
-    phis = _axis(cfg["grid"], "phi")
-    n = _require_count(cfg, "params.n_cycles")
-    tmesh, pmesh = np.meshgrid(thetas, phis, indexing="ij")
+def _run_verify_cyclemap(c):
+    tmesh, pmesh = np.meshgrid(c["grid"]["theta"], c["grid"]["phi"], indexing="ij")
     tflat, pflat = tmesh.ravel(), pmesh.ravel()
-
+    n = c["params"]["n_cycles"]
     series = _chunked(len(tflat), lambda lo, hi: cyclemap.p_series_mean_grid(
         tflat[lo:hi], pflat[lo:hi], n))
     rows = []
@@ -391,86 +414,56 @@ def _run_verify_cyclemap(cfg):
     return ("theta", "phi", "p_closed", "p_series_mean", "abs_diff"), rows
 
 
-def _thermal_model(cfg):
-    m = cfg["params"]["thermo"]
-    try:
-        return ThermalModel(gap0=float(m["gap0"]), t_berry=float(m["t_berry"]),
-                            t_lif=float(m["t_lif"]), mu0=float(m["mu0"]),
-                            fluence_slope=float(m["fluence_slope"]))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"params.thermo: {exc}") from exc
-
-
-def _run_thermal(cfg):
-    model = _thermal_model(cfg)
-    ts = _axis(cfg["grid"], "T")
-    if np.any(ts < 0.0):
-        raise ConfigError("grid.T must be >= 0")
-    closable = _require_number(cfg, "params.closable_gap")
-    curve = thermo.temperature_sweep(model, ts, closable_gap=closable)
+def _run_thermal(c):
+    curve = thermo.temperature_sweep(ThermalModel(**c["params"]["thermo"]), c["grid"]["T"],
+                                     closable_gap=c["params"]["closable_gap"])
     rows = [(float(a), float(g), float(f))
             for a, g, f in zip(curve.abscissa, curve.q_gp, curve.q_fgr)]
     return ("T", "q_gp", "q_fgr"), rows
 
 
-def _run_fluence(cfg):
-    model = _thermal_model(cfg)
-    fs = _axis(cfg["grid"], "F")
-    T = _require_number(cfg, "params.T")
-    if T < 0.0:
-        raise ConfigError("params.T must be >= 0")
-    dnu = cfg["params"]["delta_nu"]
-    if isinstance(dnu, bool) or dnu not in (0, 1):
-        raise ConfigError(f"params.delta_nu must be 0 or 1, got {dnu!r}")
-    try:
-        curve = thermo.fluence_sweep(model, T, fs, delta_nu=dnu)
-    except ValueError as exc:
-        raise ConfigError(f"grid.F: {exc}") from exc
+def _run_fluence(c):
+    p = c["params"]
+    curve = thermo.fluence_sweep(ThermalModel(**p["thermo"]), p["T"], c["grid"]["F"],
+                                 delta_nu=p["delta_nu"])
     rows = [(float(a), float(g), float(f))
             for a, g, f in zip(curve.abscissa, curve.q_gp, curve.q_fgr)]
     return ("F", "q_gp", "q_fgr"), rows
 
 
-def _run_unitarity_report(cfg):
-    drive = _drive_dict(cfg)
-    n = _require_count(cfg, "params.n_cycles")
-    orders = _axis(cfg["grid"], "taylor_order")
-    steps = _axis(cfg["grid"], "steps_per_cycle")
-    p = _drive_params("params.drive", **drive)
-    for name, axis in (("taylor_order", orders), ("steps_per_cycle", steps)):
-        for v in axis:
-            if v != int(v):
-                raise ConfigError(f"grid.{name} must contain integers, got {v}")
+def _run_unitarity_report(c):
+    p = DriveParams(**c["params"]["drive"])
     rows = []
-    for order in orders:
-        for nsteps in steps:
-            try:
-                tcfg = TrotterConfig(steps_per_cycle=int(nsteps),
-                                     taylor_order=int(order), mode="taylor",
-                                     n_cycles=n)
-            except ValueError as exc:
-                raise ConfigError(f"grid: {exc}") from exc
+    for order in c["grid"]["taylor_order"]:
+        for nsteps in c["grid"]["steps_per_cycle"]:
+            tcfg = TrotterConfig(steps_per_cycle=int(nsteps), taylor_order=int(order),
+                                 mode="taylor", n_cycles=c["params"]["n_cycles"])
             try:
                 defect, dev = propagator.unitarity_report(p, tcfg)
             except propagator.DegenerateMeasurementBasis as exc:
                 raise ComputeError(f"unitarity-report: {exc}") from exc
-            rows.append((float(int(order)), float(int(nsteps)), defect, dev))
+            rows.append((float(order), float(nsteps), defect, dev))
     return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows
 
 
-_RUNNERS = {
-    "sweep-k": _run_sweep_k,
-    "sweep-eps0": _run_sweep_eps0,
-    "sweep-amplitude": _run_sweep_amplitude,
-    "initial-states": _run_initial_states,
-    "ensemble": _run_ensemble,
-    "verify-cyclemap": _run_verify_cyclemap,
-    "thermal": _run_thermal,
-    "fluence": _run_fluence,
-    "unitarity-report": _run_unitarity_report,
+# Each experiment's range checks and runner. The checks see the typed config
+# before any compute. Most ranges live in the constructors of the library
+# objects an experiment builds; each constraint on a swept field is an
+# interval, so building at both ends of every axis covers the whole axis.
+_EXPERIMENTS = {
+    "sweep-k": (lambda c: _check_propagator(c, "k"), _run_sweep_k),
+    "sweep-eps0": (lambda c: _check_propagator(c, "eps0", "k"), _run_sweep_eps0),
+    "sweep-amplitude": (lambda c: _check_propagator(c, "a_ph", "k"), _run_sweep_amplitude),
+    "initial-states": (_check_initial_states, _run_initial_states),
+    "ensemble": (lambda c: _checked("params.ensemble", _ensemble_config,
+                                    **c["params"]["ensemble"]), _run_ensemble),
+    "verify-cyclemap": (_check_verify_cyclemap, _run_verify_cyclemap),
+    "thermal": (_check_thermal, _run_thermal),
+    "fluence": (_check_fluence, _run_fluence),
+    "unitarity-report": (_check_unitarity_report, _run_unitarity_report),
 }
 
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def resolve_config(experiment: str, file_config: dict | None = None,
@@ -496,36 +489,41 @@ def resolve_config(experiment: str, file_config: dict | None = None,
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        patch = {}
-        node = patch
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node[part] = {}
-            node = node[part]
-        node[parts[-1]] = value
-        merged = _merge(merged, patch)
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        merged = _merge(merged, value)
     return merged
 
 
 def run(config: dict, workers: int = 1) -> ResultTable:
     """Validate a resolved config, dispatch the experiment, return its table.
 
-    Execution is serial; `workers` is accepted for compatibility and ignored.
+    Every ConfigError is raised before any computation starts. Execution is
+    serial; `workers` is accepted for compatibility and ignored.
     """
     del workers
-    if "experiment" not in config:
-        raise ConfigError("field 'experiment' is missing")
-    name = config["experiment"]
-    if name not in _RUNNERS:
-        raise ConfigError(f"unknown experiment '{name}'")
-    if not isinstance(config.get("output_path"), str) or not config["output_path"]:
+    name = config.get("experiment")
+    if name not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}")
+    cfg = _typed(config, {"experiment": name, **DEFAULTS[name]})
+    if not cfg["output_path"]:
         raise ConfigError("field 'output_path' must be a non-empty string")
+    cfg["grid"] = {n: _points(axis, f"grid.{n}") for n, axis in cfg["grid"].items()}
+    drive = cfg["params"].get("drive")
+    if drive is not None and drive["omega"] is None:
+        drive["omega"] = DEFAULT_OMEGA
+    check, runner = _EXPERIMENTS[name]
+    check(cfg)
+    metadata = copy.deepcopy(config)
+    if drive is not None:  # echo the resolved omega
+        metadata["params"]["drive"]["omega"] = drive["omega"]
     try:
-        columns, rows = _RUNNERS[name](config)
-    except (GapClosedOnLoop, DegenerateSpectrum) as exc:
+        columns, rows = runner(cfg)
+        return ResultTable(columns=tuple(columns), rows=tuple(rows), metadata=metadata)
+    except (GapClosedOnLoop, DegenerateSpectrum, ArithmeticError, ValueError) as exc:
+        # the config passed every check, so the computation itself failed: e.g.
+        # a non-finite result, or a drive period that overflows to inf
         raise ComputeError(f"{name}: {exc}") from exc
-    return ResultTable(columns=tuple(columns), rows=tuple(rows),
-                       metadata=copy.deepcopy(config))
 
 
 def emit(table: ResultTable, format: str = "csv") -> bytes:
@@ -580,7 +578,7 @@ def main(argv=None) -> int:
                     file_config = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config '{args.config}': {exc}")
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise ConfigError(f"config '{args.config}' is not valid JSON: {exc}")
         config = resolve_config(args.experiment, file_config, args.overrides)
         if args.out is not None:

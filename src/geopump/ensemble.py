@@ -105,8 +105,10 @@ def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
     counts = np.floor(elapsed / cfg.tau_cycle - 0.25).astype(int) + 1
     counts = np.maximum(counts, 0)  # covers t < 0: not started, still ground
 
+    # the undelayed first member can be one cycle ahead of every staggered one
+    first_counts = np.maximum(np.floor(times / cfg.tau_cycle - 0.25).astype(int) + 1, 0)
     u = cycle_unitary(cfg.cycle)
-    n_max = int(counts.max())
+    n_max = int(max(counts.max(), first_counts.max()))
     amp0 = np.empty(n_max + 1, dtype=complex)
     amp1 = np.empty(n_max + 1, dtype=complex)
     state = np.array([1.0, 0.0], dtype=complex)
@@ -128,7 +130,5 @@ def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
         p_ens[i] = observable_from_density(rho)
         entropy[i] = su2.von_neumann_entropy(rho)
 
-    p1_vals = np.abs(amp1) ** 2
-    first_counts = np.maximum(np.floor(times / cfg.tau_cycle - 0.25).astype(int) + 1, 0)
-    p_first = p1_vals[first_counts]
+    p_first = np.abs(amp1[first_counts]) ** 2
     return EnsembleTrace(times=times, p_ens=p_ens, entropy=entropy, p_first=p_first)

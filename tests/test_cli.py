@@ -1,4 +1,4 @@
-"""Config resolution, emission formats, exit codes, chunked execution."""
+"""Config resolution, validation, emission formats, exit codes, chunked execution."""
 
 import json
 import math
@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geopump import cli, propagator
 from geopump.cli import ConfigError, ResultTable, emit, parse_table, resolve_config, run
@@ -112,11 +114,12 @@ def test_chunked_sweep_equals_one_kernel_call():
     cfg = resolve_config("sweep-k", None, [
         f"grid.k.count={cli.CHUNK_POINTS + 52}",
         "params.trotter.steps_per_cycle=100", "params.trotter.n_cycles=2"])
-    table = parse_table(emit(run(cfg), "csv"), "csv")
-    drive = cfg["params"]["drive"]
+    result = run(cfg)
+    table = parse_table(emit(result, "csv"), "csv")
+    drive = result.metadata["params"]["drive"]
     ks = np.array([r[0] for r in table.rows])
-    direct = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"],
-                                         drive["omega"], cli._trotter_config(cfg))
+    direct = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
+                                         cli._trotter(**cfg["params"]["trotter"]))
     assert np.array_equal(np.array([r[1] for r in table.rows]), direct)
 
 
@@ -156,6 +159,14 @@ def test_main_exit_codes(tmp_path):
                    "--set", "params.trotter.steps_per_cycle=100",
                    "--set", "params.trotter.n_cycles=2", "--out", "-"])
     assert rc == 3
+    # the drive period 2 pi / omega overflows to inf
+    assert cli.main(["sweep-k", "--set", "params.drive.omega=1e-310",
+                     "--set", "grid.k.count=3", "--set", "params.trotter.steps_per_cycle=100",
+                     "--set", "params.trotter.n_cycles=2", "--out", "-"]) == 3
+    # the unbudgeted taylor run overflows to a NaN row
+    assert cli.main(["unitarity-report", "--set", "params.drive.eps0=3",
+                     "--set", "params.n_cycles=3", "--set", "grid.taylor_order.values=[2]",
+                     "--set", "grid.steps_per_cycle.values=[100]", "--out", "-"]) == 3
     rc = cli.main(["thermal", "--set", "grid.T.count=2",
                    "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
     assert rc == 4
@@ -195,18 +206,91 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     ("initial-states", ["params.drive.a_ph=-1"]),
     ("unitarity-report", ["params.n_cycles=2.5"]),
     ("ensemble", ["params.ensemble.n_systems=1.5"]),
+    ("sweep-k", ["grid.k.max=4"]),
+    ("verify-cyclemap", ["grid.theta.max=4"]),
+    ("verify-cyclemap", ["grid.theta.min=-1"]),
+    ("ensemble", ["params.ensemble.phi=NaN"]),
+    ("ensemble", ["params.ensemble.t_max=Infinity"]),
+    ("thermal", ["params.thermo.mu0=NaN"]),
 ])
-def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch):
+def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     def no_compute(*args, **kwargs):
         raise AssertionError("computation started")
 
     for name in ("p_g_numeric_grid", "evolve", "unitarity_report"):
         monkeypatch.setattr(propagator, name, no_compute)
     monkeypatch.setattr(cli.ensemble, "ensemble_average", no_compute)
+    monkeypatch.setattr(cli.cyclemap, "p_series_mean_grid", no_compute)
+    for name in ("temperature_sweep", "fluence_sweep"):
+        monkeypatch.setattr(cli.thermo, name, no_compute)
     argv = [experiment, "--out", "-"]
     for item in overrides:
         argv += ["--set", item]
     assert cli.main(argv) == 2
+    # the message names the mapping that holds the offending field
+    section = overrides[-1].partition("=")[0].rpartition(".")[0]
+    assert section in capsys.readouterr().err
+
+
+def test_grid_axis_takes_either_form(capsysbinary):
+    base = ["--out", "-", "--set", "params.trotter.steps_per_cycle=100",
+            "--set", "params.trotter.n_cycles=2"]
+    k = cli.DEFAULTS["sweep-k"]["grid"]["k"]
+    ks = np.linspace(k["min"], k["max"], k["count"]).tolist()
+    assert cli.main(["sweep-k", *base]) == 0
+    range_form = capsysbinary.readouterr().out
+    assert cli.main(["sweep-k", *base, "--set", f"grid.k.values={json.dumps(ks)}"]) == 0
+    assert capsysbinary.readouterr().out == range_form
+
+    assert cli.main(["sweep-amplitude", *base, "--set", "grid.k.count=2",
+                     "--set", "grid.a_ph.min=0.1", "--set", "grid.a_ph.max=0.3",
+                     "--set", "grid.a_ph.count=3"]) == 0
+    rows = parse_table(capsysbinary.readouterr().out).rows
+    assert sorted({r[1] for r in rows}) == [0.1, 0.2, 0.3]
+
+
+def _leaves(node, path=""):
+    """Dotted paths of the leaves of a DEFAULTS tree; a list is a leaf."""
+    if not isinstance(node, dict):
+        return [path]
+    return [leaf for key, sub in node.items()
+            for leaf in _leaves(sub, f"{path}.{key}" if path else key)]
+
+
+_CHEAP_TROTTER = ["params.trotter.steps_per_cycle=100", "params.trotter.n_cycles=3"]
+CHEAP_OVERRIDES = {
+    "sweep-k": ["grid.k.count=3", *_CHEAP_TROTTER],
+    "sweep-eps0": ["grid.eps0.count=3", "grid.k.count=3", *_CHEAP_TROTTER],
+    "sweep-amplitude": ["grid.a_ph.values=[0.1,0.2]", "grid.k.count=3", *_CHEAP_TROTTER],
+    "initial-states": _CHEAP_TROTTER,
+    "ensemble": ["params.ensemble.n_systems=3", "params.ensemble.t_max=3"],
+    "verify-cyclemap": ["params.n_cycles=3", "grid.theta.count=3", "grid.phi.count=3"],
+    "thermal": ["grid.T.count=3"],
+    "fluence": ["grid.F.count=3"],
+    "unitarity-report": ["params.n_cycles=3", "grid.taylor_order.values=[2]",
+                         "grid.steps_per_cycle.values=[100]"],
+}
+
+# Malformed, out-of-domain and small valid values. Numbers stay below 50 so
+# that no count, cycle or step number asks for unbounded work.
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, "x", "taylor", None,
+                     [], {}, {"a": 1}]),
+    st.integers(-3, 40),
+    st.floats(-5.0, 40.0),
+    st.lists(st.floats(-1.0, 4.0), min_size=1, max_size=3),
+)
+
+
+@pytest.mark.parametrize("experiment, path", [
+    (name, leaf) for name in cli.EXPERIMENTS for leaf in _leaves(cli.DEFAULTS[name])])
+@settings(max_examples=20, deadline=None)
+@given(value=FUZZ_VALUES)
+def test_fuzzed_field_ends_in_a_documented_exit_code(experiment, path, value):
+    argv = [experiment, "--out", os.devnull]
+    for item in CHEAP_OVERRIDES[experiment] + [f"{path}={json.dumps(value)}"]:
+        argv += ["--set", item]
+    assert cli.main(argv) in (0, 2, 3, 4)
 
 
 def test_no_output_file_on_config_error(tmp_path):

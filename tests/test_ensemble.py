@@ -99,11 +99,14 @@ def test_plateau_time_mean_near_half():
 
 
 def test_p_first_is_unshifted_staircase():
-    cfg = EnsembleConfig(t_max=4.0)
-    tr = ensemble_average(cfg)
-    expected = np.array([p1_staircase(cfg.cycle, cfg.tau_cycle, t)
-                         for t in tr.times])
-    assert np.max(np.abs(tr.p_first - expected)) == 0.0
+    # by t = 21 the undelayed first member is a cycle ahead of every staggered
+    # one; 25 iterated cycle maps then differ from the closed form by rounding
+    for t_max, tol in ((4.0, 0.0), (21.0, 1e-12)):
+        cfg = EnsembleConfig(t_max=t_max)
+        tr = ensemble_average(cfg)
+        expected = np.array([p1_staircase(cfg.cycle, cfg.tau_cycle, t)
+                             for t in tr.times])
+        assert np.max(np.abs(tr.p_first - expected)) <= tol
 
 
 def test_shift_covariance_on_aligned_grid():
