@@ -67,10 +67,13 @@ class TopologicalIndex:
     delta_nu: int
 
 
-def bloch_vector(p: DriveParams, t: float) -> np.ndarray:
-    d2 = np.sin(p.k)
+def bloch_vector(p: DriveParams, t) -> np.ndarray:
+    """d(t) at a time or an array of times, with shape np.shape(t) + (3,)."""
     d3 = -(p.eps0 + p.a_ph * np.sin(p.omega * t) + np.cos(p.k))
-    return np.array([0.0, d2, d3])
+    d = np.zeros(np.shape(d3) + (3,))
+    d[..., 1] = np.sin(p.k)
+    d[..., 2] = d3
+    return d
 
 
 def hamiltonian(p: DriveParams, t: float) -> np.ndarray:

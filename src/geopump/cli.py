@@ -58,12 +58,12 @@ class ResultTable:
 
     def __post_init__(self):
         width = len(self.columns)
-        for r in self.rows:
+        for i, r in enumerate(self.rows):
             if len(r) != width:
                 raise ValueError("table is not rectangular")
-            for v in r:
+            for column, v in zip(self.columns, r):
                 if not math.isfinite(v):
-                    raise ValueError(f"non-finite value {v} in results")
+                    raise ValueError(f"non-finite value {v} in row {i}, column {column!r}")
 
 
 _TROTTER = {"steps_per_cycle": 20000, "taylor_order": 4, "mode": "exact",
@@ -520,9 +520,11 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     try:
         columns, rows = runner(cfg)
         return ResultTable(columns=tuple(columns), rows=tuple(rows), metadata=metadata)
-    except (GapClosedOnLoop, DegenerateSpectrum, ArithmeticError, ValueError) as exc:
+    except (GapClosedOnLoop, DegenerateSpectrum, ArithmeticError, ValueError,
+            MemoryError) as exc:
         # the config passed every check, so the computation itself failed: e.g.
-        # a non-finite result, or a drive period that overflows to inf
+        # a non-finite result, a drive period that overflows to inf, or an
+        # array too large to allocate
         raise ComputeError(f"{name}: {exc}") from exc
 
 

@@ -4,6 +4,11 @@ The drive is exactly periodic, so the ordered product of the per-step
 unitaries over one cycle is the same matrix every cycle. evolve() builds that
 one-cycle product once and then applies 2x2 powers per cycle, which turns an
 O(n_cycles * steps_per_cycle) walk into O(steps_per_cycle + n_cycles).
+The steps are built a block of _BLOCK_STEPS at a time: _step_matrix takes a
+whole array of Bloch vectors (one step is its size-1 case), and the block is
+then folded into the product in step order, one 2x2 matmul per step. Every
+matrix element goes through the same IEEE operations as a one-step build, so
+the product is bit-identical to a step-by-step loop.
 Sweeps over momentum/offset grids use the same algebra on flat component
 arrays (p_g_numeric_grid), one vectorized operation per step for the whole
 grid; both routes enforce the same guards and are cross-checked in the tests.
@@ -30,6 +35,9 @@ UNITARITY_BUDGET = 0.05
 PROBABILITY_TOL = 1e-6
 
 MODES = ("taylor", "exact")
+
+# Steps built per array call in evolve: 128 KiB of complex step matrices.
+_BLOCK_STEPS = 2048
 
 
 class EvolutionError(Exception):
@@ -105,10 +113,19 @@ def _step_coeffs(r, dt: float, mode: str, order: int):
 
 
 def _step_matrix(d: np.ndarray, dt: float, mode: str, order: int) -> np.ndarray:
-    """One step under the Bloch vector d, as a 2x2 matrix."""
-    r = float(np.sqrt(d @ d)) * dt
-    ca, kappa = _step_coeffs(np.array(r), dt, mode, order)
-    return ca * su2.IDENTITY2 - 1.0j * kappa * su2.bloch_matrix(d)
+    """Steps under the Bloch vectors d of shape (..., 3), as (..., 2, 2) matrices.
+
+    Every element takes the same IEEE operations whatever the batch shape, so a
+    block of steps equals the steps built one at a time bit for bit. |d|^2 is
+    a per-vector `@` because d @ d is a BLAS dot whose rounding a plain sum of
+    squares does not reproduce.
+    """
+    d = np.asarray(d, dtype=float)
+    r = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]) * dt
+    ca, kappa = _step_coeffs(r, dt, mode, order)
+    ca = np.asarray(ca)[..., None, None]
+    kappa = np.asarray(1.0j * kappa)[..., None, None]
+    return ca * su2.IDENTITY2 - kappa * su2.bloch_matrix(d)
 
 
 def trotter_step(p: DriveParams, t_j: float, dt: float, order: int) -> np.ndarray:
@@ -122,22 +139,47 @@ def trotter_step(p: DriveParams, t_j: float, dt: float, order: int) -> np.ndarra
     return _step_matrix(bloch_vector(p, t_j), dt, "taylor", order)
 
 
-def _measurement_setup(p: DriveParams, cfg: TrotterConfig):
-    """Snapped offset step count and the (fixed) measurement eigenbasis."""
+def _step_grid(p: DriveParams, cfg: TrotterConfig):
+    """Step length dt and the measurement offset snapped to a step count."""
     dt = p.tau_cycle / cfg.steps_per_cycle
-    extra = int(round(cfg.measure_offset * cfg.steps_per_cycle))
+    return dt, int(round(cfg.measure_offset * cfg.steps_per_cycle))
+
+
+def _measurement_setup(p: DriveParams, cfg: TrotterConfig):
+    """Snapped offset step count and the (fixed) measured excited state."""
+    dt, extra = _step_grid(p, cfg)
     t_meas = extra * dt
     try:
-        _, _, n0, n1 = eigensystem2(hamiltonian(p, t_meas))
+        _, _, _, n1 = eigensystem2(hamiltonian(p, t_meas))
     except DegenerateSpectrum as exc:
         raise DegenerateMeasurementBasis(
             f"gap closed at measurement time {t_meas:.6g} (k={p.k}, eps0={p.eps0})"
         ) from exc
-    return dt, extra, n0, n1
+    return extra, n1
+
+
+def _cycle_unitaries(p: DriveParams, cfg: TrotterConfig):
+    """The ordered one-cycle step product and its prefix over the first
+    `extra` steps (the identity when extra = 0).
+
+    Each block of _BLOCK_STEPS steps is built by one _step_matrix call and
+    then folded into the product in order, one 2x2 `@` per step.
+    """
+    dt, extra = _step_grid(p, cfg)
+    u_cycle = su2.IDENTITY2
+    u_partial = su2.IDENTITY2
+    for lo in range(0, cfg.steps_per_cycle, _BLOCK_STEPS):
+        t = (np.arange(lo, min(lo + _BLOCK_STEPS, cfg.steps_per_cycle)) + 0.5) * dt
+        steps = _step_matrix(bloch_vector(p, t), dt, cfg.mode, cfg.taylor_order)
+        for j, step in enumerate(steps, start=lo):
+            u_cycle = step @ u_cycle
+            if j + 1 == extra:
+                u_partial = u_cycle.copy()
+    return u_cycle, u_partial
 
 
 def _evolve_impl(p: DriveParams, cfg: TrotterConfig, initial, enforce_budget: bool):
-    dt, extra, n0, n1 = _measurement_setup(p, cfg)
+    extra, n1 = _measurement_setup(p, cfg)
     if initial is None:
         _, _, g0, _ = eigensystem2(hamiltonian(p, 0.0))
         psi0 = g0
@@ -147,24 +189,17 @@ def _evolve_impl(p: DriveParams, cfg: TrotterConfig, initial, enforce_budget: bo
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"initial state norm^2 = {norm}, expected 1")
 
-    u_cycle = su2.IDENTITY2
-    u_partial = su2.IDENTITY2
-    for j in range(cfg.steps_per_cycle):
-        step = _step_matrix(bloch_vector(p, (j + 0.5) * dt), dt, cfg.mode,
-                            cfg.taylor_order)
-        u_cycle = step @ u_cycle
-        if j + 1 == extra:
-            u_partial = u_cycle.copy()
-
     p_j = np.empty(cfg.n_cycles)
     w = su2.IDENTITY2
     defect = 0.0
-    for m in range(cfg.n_cycles):
-        w = u_cycle @ w
-        meas = u_partial @ w if extra else w
-        defect = max(defect, su2.unitarity_defect(meas))
-        amp = (n1.conj() @ (meas @ psi0))
-        p_j[m] = abs(amp) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as NaN in p_j
+        u_cycle, u_partial = _cycle_unitaries(p, cfg)
+        for m in range(cfg.n_cycles):
+            w = u_cycle @ w
+            meas = u_partial @ w if extra else w
+            defect = max(defect, su2.unitarity_defect(meas))
+            amp = (n1.conj() @ (meas @ psi0))
+            p_j[m] = abs(amp) ** 2
 
     if enforce_budget and cfg.mode == "taylor" and defect > UNITARITY_BUDGET:
         raise NonUnitaryEvolution(

@@ -31,9 +31,15 @@ class InvalidDensityMatrix(Exception):
 
 
 def bloch_matrix(d: np.ndarray) -> np.ndarray:
-    """Assemble H = d1*sigma1 + d2*sigma2 + d3*sigma3."""
-    d1, d2, d3 = d
-    return np.array([[d3, d1 - 1.0j * d2], [d1 + 1.0j * d2, -d3]], dtype=complex)
+    """Assemble H = d1*sigma1 + d2*sigma2 + d3*sigma3 for d of shape (..., 3)."""
+    d = np.asarray(d, dtype=float)
+    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+    h = np.empty(d.shape[:-1] + (2, 2), dtype=complex)
+    h[..., 0, 0] = d3
+    h[..., 0, 1] = d1 - 1.0j * d2
+    h[..., 1, 0] = d1 + 1.0j * d2
+    h[..., 1, 1] = -d3
+    return h
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

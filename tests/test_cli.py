@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -99,9 +100,21 @@ def test_round_trip_csv_and_json():
     assert back_json.metadata == table.metadata
 
 
-def test_non_finite_rows_rejected():
-    with pytest.raises(ValueError):
-        ResultTable(columns=("a",), rows=((float("nan"),),), metadata={})
+def test_non_finite_rows_rejected(capsys):
+    with pytest.raises(ValueError, match=r"non-finite value nan in row 1, column 'b'"):
+        ResultTable(columns=("a", "b"), rows=((1.0, 2.0), (3.0, float("nan"))), metadata={})
+    # the unbudgeted taylor run overflows to a NaN row: one error line, no warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["unitarity-report", "--set", "params.drive.eps0=3",
+                       "--set", "params.n_cycles=3", "--set", "grid.taylor_order.values=[2]",
+                       "--set", "grid.steps_per_cycle.values=[100]", "--out", "-"])
+    assert rc == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "geopump: running unitarity-report",
+        "geopump: compute error: unitarity-report: non-finite value nan in row 0, "
+        "column 'max_dev_vs_exact'"]
 
 
 def test_table_must_be_rectangular():
@@ -167,6 +180,8 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["unitarity-report", "--set", "params.drive.eps0=3",
                      "--set", "params.n_cycles=3", "--set", "grid.taylor_order.values=[2]",
                      "--set", "grid.steps_per_cycle.values=[100]", "--out", "-"]) == 3
+    # an array too large to allocate fails at once: 877 TiB of ensemble times
+    assert cli.main(["ensemble", "--set", "params.ensemble.t_max=1e12", "--out", "-"]) == 3
     rc = cli.main(["thermal", "--set", "grid.T.count=2",
                    "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
     assert rc == 4
@@ -320,6 +335,18 @@ def test_committed_example_configs_resolve():
             doc = json.load(fh)
         cfg = resolve_config(doc["experiment"], doc)
         assert cfg["experiment"] == doc["experiment"]
+
+
+@pytest.mark.parametrize("stem", ["initial_states", "unitarity_report"])
+def test_point_run_configs_reproduce_committed_output(stem, tmp_path):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    config = os.path.join(root, "configs", f"{stem}.json")
+    with open(config) as fh:
+        experiment = json.load(fh)["experiment"]
+    out = tmp_path / f"{stem}.csv"
+    assert cli.main([experiment, "--config", config, "--out", str(out)]) == 0
+    with open(os.path.join(root, "out", f"{stem}.csv"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def test_initial_states_runner_columns():

@@ -59,6 +59,68 @@ def test_exact_mode_step_is_the_su2_reference(d):
     assert np.array_equal(step, su2.exact_step(d, dt))
 
 
+BLOCK = propagator._BLOCK_STEPS
+# (steps_per_cycle, snapped offsets): none of the step counts is a multiple of
+# the block; the offsets put `extra` at 0, one step before a block boundary,
+# on it, inside a later block and inside the last, partial block
+PRODUCT_CASES = [(1000, (0, 337)), (2 * BLOCK + 5, (0, BLOCK - 1, BLOCK, BLOCK + 700,
+                                                    2 * BLOCK + 3))]
+PRODUCT_POINT = DriveParams(eps0=0.3, a_ph=0.7, k=-1.3)
+
+
+def _literal_prefixes(p, steps, step):
+    """Every prefix product of one cycle's steps, one step per iteration."""
+    dt = p.tau_cycle / steps
+    u = np.eye(2, dtype=complex)
+    prefixes = [u]
+    for j in range(steps):
+        t = (j + 0.5) * dt
+        d = np.array([0.0, np.sin(p.k),
+                      -(p.eps0 + p.a_ph * np.sin(p.omega * t) + np.cos(p.k))])
+        u = step(d, dt) @ u
+        prefixes.append(u)
+    return prefixes
+
+
+def _taylor_series_step(order):
+    def step(d, dt):
+        a = -1.0j * dt * su2.bloch_matrix(d)
+        term = np.eye(2, dtype=complex)
+        total = term
+        for m in range(1, order + 1):
+            term = term @ a / m
+            total = total + term
+        return total
+    return step
+
+
+def _block_products(p, steps, mode, order, extras):
+    for extra in extras:
+        cfg = TrotterConfig(steps_per_cycle=steps, mode=mode, taylor_order=order,
+                            n_cycles=1, measure_offset=extra / steps)
+        assert propagator._step_grid(p, cfg)[1] == extra
+        yield extra, propagator._cycle_unitaries(p, cfg)
+
+
+@pytest.mark.parametrize("steps, extras", PRODUCT_CASES)
+def test_block_product_equals_exact_step_loop(steps, extras):
+    prefixes = _literal_prefixes(PRODUCT_POINT, steps, su2.exact_step)
+    for extra, (u_cycle, u_partial) in _block_products(PRODUCT_POINT, steps, "exact", 4,
+                                                      extras):
+        assert u_cycle.tobytes() == prefixes[-1].tobytes()
+        assert u_partial.tobytes() == prefixes[extra].tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("steps, extras", PRODUCT_CASES)
+def test_block_product_matches_taylor_series_loop(order, steps, extras):
+    prefixes = _literal_prefixes(PRODUCT_POINT, steps, _taylor_series_step(order))
+    for extra, (u_cycle, u_partial) in _block_products(PRODUCT_POINT, steps, "taylor",
+                                                      order, extras):
+        assert np.max(np.abs(u_cycle - prefixes[-1])) < 1e-13
+        assert np.max(np.abs(u_partial - prefixes[extra])) < 1e-13
+
+
 def test_trotter_step_defect_scales_with_order():
     dt = 0.05
     d1 = su2.unitarity_defect(propagator.trotter_step(TPT_POINT, 0.0, dt, 1))
