@@ -102,7 +102,8 @@ def gap_stats(p: DriveParams, samples_per_cycle: int = 256) -> GapStats:
     gaps = _gap_at_drive(p, s)
     crit = [-1.0, 1.0]
     if p.a_ph > 0.0:
-        s_star = -(p.eps0 + np.cos(p.k)) / p.a_ph
+        with np.errstate(over="ignore"):  # a subnormal a_ph: +/-inf, clipped to +/-1
+            s_star = -(p.eps0 + np.cos(p.k)) / p.a_ph
         crit.append(float(np.clip(s_star, -1.0, 1.0)))
     gap_crit = _gap_at_drive(p, np.array(crit))
     delta_int = float(_gap_at_drive(p, np.array([0.0]))[0])

@@ -9,7 +9,9 @@ checks cover every point. It then dispatches to the owning module and
 serializes one rectangular result table. Grid kernels run serially over
 CHUNK_POINTS-sized slices of the flattened grid, which bounds their working
 memory; the kernels work point by point, so the chunking never changes the
-output bytes.
+output bytes. Each kernel call allocates its buffers once and runs its step
+and cycle loops in place (the propagator steps a two-component SU(2) column),
+so a call's working set is a few hundred bytes per point.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ from .su2 import DegenerateSpectrum, eigensystem2
 from .thermo import ThermalModel
 from .units import DEFAULT_OMEGA
 
-# Points per kernel call: large enough that per-call overhead is negligible,
-# small enough to bound the kernels' temporaries (peak RSS grows with it).
+# Points per kernel call: large enough that per-call overhead is small, small
+# enough to bound the kernels' buffers (peak RSS grows with it). On a 2-vCPU
+# Xeon, 4096 ran the committed sweep-eps0 about 15 % and verify-cyclemap about
+# 25 % faster, but raised the sweep's peak RSS by about 0.55 MiB (1.8 %), so
+# the value stays 2048.
 CHUNK_POINTS = 2048
 
 QUARTER_PI = math.pi / 4.0

@@ -7,6 +7,9 @@ the field plane. Repeated cycles trace a circular orbit on the Bloch sphere;
 averaging the excited-state projection over that orbit gives the closed-form
 long-run pumping probability, which the iterated per-cycle series must
 reproduce. Both routes are implemented independently on purpose.
+p_series_mean_grid iterates the series for whole (theta, phi) grids with the
+cycle unitaries stacked in one (2, 2, N) array and the state in one (2, N)
+array, updated in place every cycle.
 """
 
 from __future__ import annotations
@@ -119,22 +122,36 @@ def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int,
     """Final running mean of the per-cycle series for whole parameter grids.
 
     Same literal iteration as p_series, batched over flattened (theta, phi)
-    arrays; returns the n-cycle running mean per grid point.
+    arrays; returns the n-cycle running mean per grid point. Each cycle is two
+    (2, N) multiplies and one add on buffers allocated once per call, and
+    |v1|^2 is added to the sum in cycle order. (A single broadcast multiply
+    would make NumPy copy v into a temporary buffer on grids of up to 2048
+    points.)
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
+    u = _cycle_unitaries(theta, phi, omega_az)
+    v = np.zeros((2, theta.size), dtype=complex)
+    v[0] = 1.0
+    prod = np.empty_like(u)
+    p = np.empty(theta.size)
+    acc = np.zeros(theta.size)
+    for _ in range(n):
+        np.multiply(u[0], v, out=prod[0])  # prod[i, j] = u[i, j] * v[j]
+        np.multiply(u[1], v, out=prod[1])
+        np.add(prod[:, 0], prod[:, 1], out=v)
+        acc += np.square(np.abs(v[1], out=p), out=p)
+    return acc / n
+
+
+def _cycle_unitaries(theta: np.ndarray, phi: np.ndarray, omega_az: float) -> np.ndarray:
+    """cycle_unitary for flat parameter arrays, as a (2, 2, N) array."""
     ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ep = np.exp(1.0j * phi)
     eo = np.exp(1.0j * (omega_az - phi))
-    u00, u01 = ct * np.conj(ep), -st * np.conj(eo)
-    u10, u11 = st * eo, ct * ep
-    v0 = np.ones_like(u00)
-    v1 = np.zeros_like(u00)
-    acc = np.zeros(theta.shape)
-    for _ in range(n):
-        v0, v1 = u00 * v0 + u01 * v1, u10 * v0 + u11 * v1
-        acc += np.abs(v1) ** 2
-    return acc / n
+    return np.array([[ct * np.conj(ep), -st * np.conj(eo)], [st * eo, ct * ep]])
 
 
 def p_g_closed(c: CycleParams) -> float:

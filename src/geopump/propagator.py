@@ -9,15 +9,21 @@ whole array of Bloch vectors (one step is its size-1 case), and the block is
 then folded into the product in step order, one 2x2 matmul per step. Every
 matrix element goes through the same IEEE operations as a one-step build, so
 the product is bit-identical to a step-by-step loop.
-Sweeps over momentum/offset grids use the same algebra on flat component
-arrays (p_g_numeric_grid), one vectorized operation per step for the whole
-grid; both routes enforce the same guards and are cross-checked in the tests.
+Sweeps over momentum/offset grids use the same algebra on flat arrays
+(p_g_numeric_grid), a few vectorized operations per step for the whole grid.
+Every step is a real multiple of an SU(2) matrix, so the running product has
+the form [[a, -conj(b)], [b, conj(a)]] up to a real factor: the grid route
+steps only the first column (a, b), rebuilds the matrix once after the loop
+(_su2), and runs every per-step and per-cycle operation into buffers
+allocated once per call. Both routes enforce the same guards and are
+cross-checked in the tests.
 
 Because H^2 = |d|^2 I, every step is ca I - i kappa H with r = |d| dt, and
 _step_coeffs alone decides (ca, kappa): the order-m Taylor truncation of
 exp(-i H dt) gives truncated cos(r) and dt sin(r)/r series, whose odd/even
 order controls how fast the r^(order+1)-scale non-unitarity accumulates;
-the exact mode uses cos and dt sinc, bit-identical to su2.exact_step.
+the exact mode uses cos and dt sinc, bit-identical to su2.exact_step and
+written out so that it can fill the grid route's buffers.
 """
 
 from __future__ import annotations
@@ -88,28 +94,41 @@ class PumpTrace:
     unitarity_defect: float
 
 
-def _step_coeffs(r, dt: float, mode: str, order: int):
+def _step_coeffs(r, dt: float, mode: str, order: int, out=None):
     """(ca, kappa) of the step ca*I - i*kappa*(d . sigma), with r = |d| dt.
 
     exact: cos(r) and dt sin(r)/r; taylor: their series up to the r^order
-    term of exp.
+    term of exp. `out` is an optional pair of float arrays shaped like r that
+    receives (ca, kappa), so a step loop can reuse its buffers.
     """
+    r = np.asarray(r, dtype=float)
+    ca, kappa = (np.empty_like(r), np.empty_like(r)) if out is None else out
     if mode == "exact":
-        return np.cos(r), dt * np.sinc(r / np.pi)  # np.sinc is sin(pi x)/(pi x)
-    r2 = r * r
-    ca = np.zeros_like(r)
-    cb = np.zeros_like(r)
-    ta = np.ones_like(r)  # r^(2n) / (2n)!
-    tb = np.ones_like(r)  # r^(2n) / (2n+1)!
-    for n in range(order // 2 + 1):
-        if n > 0:
-            ta = ta * r2 / ((2 * n - 1) * (2 * n))
-            tb = tb * r2 / ((2 * n) * (2 * n + 1))
-        sign = -1.0 if n % 2 else 1.0
-        ca = ca + sign * ta
-        if 2 * n + 1 <= order:
-            cb = cb + sign * tb
-    return ca, dt * cb
+        # dt * np.sinc(r / pi) spelled out: sin(y) / y with y = pi * (r / pi),
+        # and 1 at y = 0, which is np.sinc's value bit for bit
+        y = np.multiply(np.divide(r, np.pi, out=kappa), np.pi, out=kappa)
+        np.sin(y, out=ca)
+        if y.all():
+            np.divide(ca, y, out=kappa)
+        else:
+            nonzero = y != 0
+            np.divide(ca, y, out=kappa, where=nonzero)
+            np.copyto(kappa, 1.0, where=~nonzero)
+        np.cos(r, out=ca)
+    else:
+        r2 = r * r
+        ta = np.ones_like(r)  # r^(2n) / (2n)!
+        tb = np.ones_like(r)  # r^(2n) / (2n+1)!
+        ca.fill(1.0)  # the n = 0 terms
+        kappa.fill(1.0)
+        for n in range(1, order // 2 + 1):
+            np.divide(np.multiply(ta, r2, out=ta), (2 * n - 1) * (2 * n), out=ta)
+            np.divide(np.multiply(tb, r2, out=tb), (2 * n) * (2 * n + 1), out=tb)
+            term = np.subtract if n % 2 else np.add
+            term(ca, ta, out=ca)
+            if 2 * n + 1 <= order:
+                term(kappa, tb, out=kappa)
+    return ca, np.multiply(kappa, dt, out=kappa)
 
 
 def _step_matrix(d: np.ndarray, dt: float, mode: str, order: int) -> np.ndarray:
@@ -197,18 +216,20 @@ def _evolve_impl(p: DriveParams, cfg: TrotterConfig, initial, enforce_budget: bo
         for m in range(cfg.n_cycles):
             w = u_cycle @ w
             meas = u_partial @ w if extra else w
-            defect = max(defect, su2.unitarity_defect(meas))
+            defect = np.maximum(defect, su2.unitarity_defect(meas))  # keeps a NaN
             amp = (n1.conj() @ (meas @ psi0))
             p_j[m] = abs(amp) ** 2
 
-    if enforce_budget and cfg.mode == "taylor" and defect > UNITARITY_BUDGET:
+    defect = float(defect)
+    if enforce_budget and cfg.mode == "taylor" and not defect <= UNITARITY_BUDGET:
         raise NonUnitaryEvolution(
             f"unitarity defect {defect:.3e} exceeds budget {UNITARITY_BUDGET}")
     bad = ~((p_j >= -PROBABILITY_TOL) & (p_j <= 1.0 + PROBABILITY_TOL))
     if enforce_budget and np.any(bad):
         worst = p_j[np.argmax(np.abs(p_j - 0.5))]
         raise NonUnitaryEvolution(f"probability {worst} outside [0, 1] beyond tolerance")
-    p_j = np.clip(p_j, 0.0, 1.0)
+    # an overflowed probability stays NaN instead of passing as a clipped 1
+    p_j = np.where(np.isfinite(p_j), np.clip(p_j, 0.0, 1.0), np.nan)
     p_n = np.cumsum(p_j) / np.arange(1, cfg.n_cycles + 1)
     return PumpTrace(p_j=p_j, p_n=p_n, unitarity_defect=defect)
 
@@ -277,50 +298,36 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
             raise DegenerateMeasurementBasis(
                 f"gap closed at {when} at {closed.size} grid point(s)", closed)
 
-    one = np.ones_like(k, dtype=complex)
-    zero = np.zeros_like(k, dtype=complex)
-    u00, u01, u10, u11 = one.copy(), zero.copy(), zero.copy(), one.copy()
-    q00, q01, q10, q11 = one.copy(), zero.copy(), zero.copy(), one.copy()
-    for j in range(cfg.steps_per_cycle):
-        s = math.sin(omega * (j + 0.5) * dt)
-        d3 = c3 - a_ph * s
-        r = np.hypot(d2, d3) * dt
-        ca, kappa = _step_coeffs(r, dt, cfg.mode, cfg.taylor_order)
-        # step = ca*I - i*kappa*(d2*sigma2 + d3*sigma3)
-        s00 = ca - 1.0j * kappa * d3
-        s11 = ca + 1.0j * kappa * d3
-        off = kappa * d2
-        u00, u01, u10, u11 = (s00 * u00 - off * u10, s00 * u01 - off * u11,
-                              off * u00 + s11 * u10, off * u01 + s11 * u11)
-        if j + 1 == extra:
-            q00, q01, q10, q11 = u00.copy(), u01.copy(), u10.copy(), u11.copy()
+    u, q = _grid_columns(d2, c3, a_ph, omega, dt, extra, cfg)
+    u = _su2(u)
+    if q is not None:
+        q = _su2(q)
 
     # ground state of the pristine H and excited state at the measurement time,
     # phase-fixed the same way as eigensystem2 (largest component real positive)
-    g0a, g0b = _eig_components(d2, c3, lower=True)
-    m1a, m1b = _eig_components(d2, c3 - a_ph * s_meas, lower=False)
-
-    c0, c1 = g0a.astype(complex), g0b.astype(complex)
-    acc = np.zeros_like(k)
-    p_max = np.zeros_like(k)
+    c = np.array(_eig_components(d2, c3, lower=True))
+    m1 = np.conj(_eig_components(d2, c3 - a_ph * s_meas, lower=False))
+    prod = np.empty_like(u)
+    m = np.empty_like(c) if extra else None
+    amp = np.empty(k.size, dtype=complex)
+    p = np.empty(k.size)
+    acc = np.zeros(k.size)
+    p_max = np.zeros(k.size)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         for _ in range(cfg.n_cycles):
-            c0, c1 = u00 * c0 + u01 * c1, u10 * c0 + u11 * c1
-            if extra:
-                m0 = q00 * c0 + q01 * c1
-                m1 = q10 * c0 + q11 * c1
-            else:
-                m0, m1 = c0, c1
-            amp = np.conj(m1a) * m0 + np.conj(m1b) * m1
-            p = np.abs(amp) ** 2
+            _apply(u, c, prod, out=c)
+            meas = c if q is None else _apply(q, c, prod, out=m)
+            np.multiply(m1, meas, out=prod[0])
+            np.add(prod[0, 0], prod[0, 1], out=amp)
+            np.square(np.abs(amp, out=p), out=p)
             acc += p
             np.maximum(p_max, p, out=p_max)  # propagates NaN
         if cfg.mode == "taylor":
             # Each step is a real multiple of an SU(2) matrix, so M = Q U^m,
             # measured after m cycles, has M^H M = det(M) I and the defect
             # |det Q det(U)^m - 1|, monotone in m: largest at m = 1 or n_cycles.
-            det_q = np.abs(q00 * q11 - q01 * q10)
-            det_u = np.abs(u00 * u11 - u01 * u10)
+            det_q = 1.0 if q is None else np.abs(q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0])
+            det_u = np.abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
             defect = np.maximum(np.abs(det_q * det_u - 1.0),
                                 np.abs(det_q * det_u ** cfg.n_cycles - 1.0))
             over = np.nonzero(~(defect <= UNITARITY_BUDGET))[0]
@@ -333,6 +340,59 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
         raise NonUnitaryEvolution(
             f"probability {p_max[bad[0]]} outside [0, 1] beyond tolerance", bad)
     return acc / cfg.n_cycles
+
+
+def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
+                  cfg: TrotterConfig):
+    """First columns (u00, u10) of the one-cycle step product and of its prefix
+    over `extra` steps, as (2, N) arrays, for d(t) = (0, d2, c3 - a_ph sin(omega t)).
+    The prefix is None when extra = 0: it is the identity.
+    """
+    n = d2.size
+    d3, r, ca, kappa = (np.empty(n) for _ in range(4))
+    # step = ca*I - i*kappa*(d2*sigma2 + d3*sigma3) = [[s00, -off], [off, s11]]
+    # with s00, s11 = ca -/+ i*kappa*d3 and the real off = kappa*d2. The parts
+    # are written through real views: they round exactly like the complex
+    # expressions, up to the sign of a zero, which no later sum, product or
+    # modulus can turn into a nonzero difference.
+    step = np.zeros((2, 2, n), dtype=complex)
+    s00, s01, s10, s11 = step[0, 0], step[0, 1], step[1, 0], step[1, 1]
+    prod = np.empty_like(step)
+    u = np.zeros((2, n), dtype=complex)
+    u[0] = 1.0
+    q = None
+    for j in range(cfg.steps_per_cycle):
+        s = math.sin(omega * (j + 0.5) * dt)
+        np.subtract(c3, np.multiply(a_ph, s, out=d3), out=d3)
+        np.multiply(np.hypot(d2, d3, out=r), dt, out=r)
+        _step_coeffs(r, dt, cfg.mode, cfg.taylor_order, out=(ca, kappa))
+        s00.real = ca
+        s11.real = ca
+        np.negative(np.multiply(kappa, d3, out=s11.imag), out=s00.imag)
+        np.negative(np.multiply(kappa, d2, out=s10.real), out=s01.real)
+        _apply(step, u, prod, out=u)
+        if j + 1 == extra:
+            q = u.copy()
+    return u, q
+
+
+def _su2(col: np.ndarray) -> np.ndarray:
+    """The (2, 2, N) matrices [[a, -conj(b)], [b, conj(a)]] with first column (a, b)."""
+    a, b = col
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+def _apply(mat: np.ndarray, vec: np.ndarray, prod: np.ndarray, out: np.ndarray):
+    """out = mat @ vec per grid point, as (m00*v0 + m01*v1, m10*v0 + m11*v1);
+    prod is a (2, 2, N) scratch buffer and out may be vec.
+
+    One multiply per row, not one broadcast multiply: NumPy copies a
+    broadcast operand into a temporary buffer when the whole operation fits
+    in its 8192-element buffer, which a 2048-point grid does.
+    """
+    np.multiply(mat[0], vec, out=prod[0])
+    np.multiply(mat[1], vec, out=prod[1])
+    return np.add(prod[:, 0], prod[:, 1], out=out)
 
 
 def _eig_components(d2: np.ndarray, d3: np.ndarray, lower: bool):

@@ -72,11 +72,13 @@ def fermi(E: float, mu: float, T: float, kB: float = K_BOLTZMANN_MEV_PER_K) -> f
     """
     if T < 0.0:
         raise ValueError(f"temperature must be >= 0, got {T}")
-    if T == 0.0:
+    kT = kB * T
+    if kT == 0.0:  # T = 0, or a subnormal T whose kB * T underflows
         if E < mu:
             return 1.0
         return 0.5 if E == mu else 0.0
-    x = (E - mu) / (kB * T)
+    with np.errstate(over="ignore"):  # x = +/-inf is the T -> 0 limit of the occupation
+        x = (E - mu) / kT
     if x >= 0.0:
         e = math.exp(-x)
         return e / (1.0 + e)

@@ -103,18 +103,36 @@ def test_round_trip_csv_and_json():
 def test_non_finite_rows_rejected(capsys):
     with pytest.raises(ValueError, match=r"non-finite value nan in row 1, column 'b'"):
         ResultTable(columns=("a", "b"), rows=((1.0, 2.0), (3.0, float("nan"))), metadata={})
-    # the unbudgeted taylor run overflows to a NaN row: one error line, no warnings
+    # the unbudgeted taylor run overflows to a NaN row: one error line, no
+    # warnings; the worst defect is NaN too, so it names the first such column
+    for n_cycles in (2, 3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["unitarity-report", "--set", "params.drive.eps0=3",
+                           "--set", f"params.n_cycles={n_cycles}",
+                           "--set", "grid.taylor_order.values=[2]",
+                           "--set", "grid.steps_per_cycle.values=[100]", "--out", "-"])
+        assert rc == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "geopump: running unitarity-report",
+            "geopump: compute error: unitarity-report: non-finite value nan in row 0, "
+            "column 'defect_taylor'"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", "--set", "params.drive.a_ph=5e-324", "--set", "grid.k.count=3",
+     "--set", "params.trotter.steps_per_cycle=100", "--set", "params.trotter.n_cycles=2"],
+    ["thermal", "--set", "grid.T.values=[5e-324, 10]"],
+])
+def test_subnormal_inputs_run_without_warnings(argv):
+    # the drive's critical point and the thermal exponent go to +/-inf and are
+    # clipped on purpose; that is no reason to warn
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = cli.main(["unitarity-report", "--set", "params.drive.eps0=3",
-                       "--set", "params.n_cycles=3", "--set", "grid.taylor_order.values=[2]",
-                       "--set", "grid.steps_per_cycle.values=[100]", "--out", "-"])
-    assert rc == 3
+        rc = cli.main(argv + ["--out", "-"])
+    assert rc == 0
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err.splitlines() == [
-        "geopump: running unitarity-report",
-        "geopump: compute error: unitarity-report: non-finite value nan in row 0, "
-        "column 'max_dev_vs_exact'"]
 
 
 def test_table_must_be_rectangular():
@@ -337,8 +355,7 @@ def test_committed_example_configs_resolve():
         assert cfg["experiment"] == doc["experiment"]
 
 
-@pytest.mark.parametrize("stem", ["initial_states", "unitarity_report"])
-def test_point_run_configs_reproduce_committed_output(stem, tmp_path):
+def _reproduces_committed_output(stem, tmp_path):
     root = os.path.join(os.path.dirname(__file__), "..")
     config = os.path.join(root, "configs", f"{stem}.json")
     with open(config) as fh:
@@ -347,6 +364,17 @@ def test_point_run_configs_reproduce_committed_output(stem, tmp_path):
     assert cli.main([experiment, "--config", config, "--out", str(out)]) == 0
     with open(os.path.join(root, "out", f"{stem}.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("stem", ["initial_states", "unitarity_report"])
+def test_point_run_configs_reproduce_committed_output(stem, tmp_path):
+    _reproduces_committed_output(stem, tmp_path)
+
+
+@pytest.mark.parametrize("stem", ["sweep_k", "sweep_amplitude", "sweep_eps0",
+                                  "verify_cyclemap"])
+def test_grid_configs_reproduce_committed_output(stem, tmp_path):
+    _reproduces_committed_output(stem, tmp_path)
 
 
 def test_initial_states_runner_columns():

@@ -122,6 +122,41 @@ def test_series_mean_grid_matches_scalar_series():
         assert abs(grid[i] - scalar[-1]) < 1e-12
 
 
+def _two_vector_reference(theta, phi, n, omega_az):
+    """The grid series as it was before it ran on stacked buffers: two state
+    components updated with new arrays every cycle."""
+    ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    ep = np.exp(1.0j * phi)
+    eo = np.exp(1.0j * (omega_az - phi))
+    u00, u01 = ct * np.conj(ep), -st * np.conj(eo)
+    u10, u11 = st * eo, ct * ep
+    v0 = np.ones_like(u00)
+    v1 = np.zeros_like(u00)
+    acc = np.zeros(theta.shape)
+    for _ in range(n):
+        v0, v1 = u00 * v0 + u01 * v1, u10 * v0 + u11 * v1
+        acc += np.abs(v1) ** 2
+    return acc / n
+
+
+@pytest.mark.parametrize("points", [1, 7, 2049])
+@pytest.mark.parametrize("omega_az", [0.0, 0.83])
+def test_series_mean_grid_equals_two_vector_loop(points, omega_az):
+    rng = np.random.default_rng(points)
+    theta = rng.uniform(0.0, math.pi, points)
+    phi = rng.uniform(-3.5, 3.5, points)
+    for n in (1, 2, 17, 200):
+        assert np.array_equal(cyclemap.p_series_mean_grid(theta, phi, n, omega_az),
+                              _two_vector_reference(theta, phi, n, omega_az))
+
+
+def test_series_mean_grid_rejects_zero_cycles():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        cyclemap.p_series(CycleParams(theta=1.0, phi=0.5), 0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        cyclemap.p_series_mean_grid(np.array([1.0]), np.array([0.5]), 0)
+
+
 def test_orbit_axis_identity_cycle_raises():
     with pytest.raises(IdentityCycle):
         cyclemap.orbit_axis(CycleParams(theta=0.0, phi=0.0))

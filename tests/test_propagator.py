@@ -256,3 +256,121 @@ def test_unitarity_report_orders():
     assert defect1 > defect2
     assert dev1 > dev2
     assert defect2 < propagator.UNITARITY_BUDGET
+
+
+def _reference_coeffs(r, dt, mode, order):
+    """_step_coeffs as it was before it could fill buffers: np.sinc, and new
+    arrays for every term of the taylor series."""
+    if mode == "exact":
+        return np.cos(r), dt * np.sinc(r / np.pi)
+    r2 = r * r
+    ca = np.zeros_like(r)
+    cb = np.zeros_like(r)
+    ta = np.ones_like(r)
+    tb = np.ones_like(r)
+    for n in range(order // 2 + 1):
+        if n > 0:
+            ta = ta * r2 / ((2 * n - 1) * (2 * n))
+            tb = tb * r2 / ((2 * n) * (2 * n + 1))
+        sign = -1.0 if n % 2 else 1.0
+        ca = ca + sign * ta
+        if 2 * n + 1 <= order:
+            cb = cb + sign * tb
+    return ca, dt * cb
+
+
+def _four_component_reference(k, eps0, a_ph, omega, cfg):
+    """The grid kernel as it was before it stepped only the first column: all
+    four components of the running product, np.sinc for the exact step, new
+    arrays on every operation. Guards omitted; returns the n-cycle mean."""
+    tau = 2.0 * math.pi / omega
+    dt = tau / cfg.steps_per_cycle
+    extra = int(round(cfg.measure_offset * cfg.steps_per_cycle))
+    d2 = np.sin(k)
+    c3 = -(eps0 + np.cos(k))
+    s_meas = math.sin(omega * extra * dt)
+
+    one = np.ones_like(k, dtype=complex)
+    zero = np.zeros_like(k, dtype=complex)
+    u00, u01, u10, u11 = one.copy(), zero.copy(), zero.copy(), one.copy()
+    q00, q01, q10, q11 = one.copy(), zero.copy(), zero.copy(), one.copy()
+    for j in range(cfg.steps_per_cycle):
+        s = math.sin(omega * (j + 0.5) * dt)
+        d3 = c3 - a_ph * s
+        r = np.hypot(d2, d3) * dt
+        ca, kappa = _reference_coeffs(r, dt, cfg.mode, cfg.taylor_order)
+        s00 = ca - 1.0j * kappa * d3
+        s11 = ca + 1.0j * kappa * d3
+        off = kappa * d2
+        u00, u01, u10, u11 = (s00 * u00 - off * u10, s00 * u01 - off * u11,
+                              off * u00 + s11 * u10, off * u01 + s11 * u11)
+        if j + 1 == extra:
+            q00, q01, q10, q11 = u00.copy(), u01.copy(), u10.copy(), u11.copy()
+
+    g0a, g0b = propagator._eig_components(d2, c3, lower=True)
+    m1a, m1b = propagator._eig_components(d2, c3 - a_ph * s_meas, lower=False)
+    c0, c1 = g0a.astype(complex), g0b.astype(complex)
+    acc = np.zeros_like(k)
+    for _ in range(cfg.n_cycles):
+        c0, c1 = u00 * c0 + u01 * c1, u10 * c0 + u11 * c1
+        if extra:
+            m0 = q00 * c0 + q01 * c1
+            m1 = q10 * c0 + q11 * c1
+        else:
+            m0, m1 = c0, c1
+        amp = np.conj(m1a) * m0 + np.conj(m1b) * m1
+        acc += np.abs(amp) ** 2
+    return acc / cfg.n_cycles
+
+
+# 300 steps: measure_offset snaps `extra` to 0, mid-cycle, the step before the
+# last and the last step
+GRID_OFFSETS = [0.0, 0.5, 299 / 300, 0.999]
+
+
+@pytest.mark.parametrize("points", [1, 7, 2049])
+@pytest.mark.parametrize("mode, order", [("exact", 4), ("taylor", 2), ("taylor", 3),
+                                         ("taylor", 4)])
+def test_grid_kernel_equals_four_component_loop(points, mode, order):
+    # near the transition |d| is small, so even order 2 stays inside the budget
+    rng = np.random.default_rng(points)
+    k = rng.uniform(-0.05, 0.05, points)
+    eps0 = rng.uniform(-1.03, -0.97, points)
+    a_ph = rng.uniform(0.02, 0.06, points)
+    omega = TPT_POINT.omega
+    extras = []
+    for offset in GRID_OFFSETS:
+        cfg = TrotterConfig(steps_per_cycle=300, taylor_order=order, mode=mode,
+                            n_cycles=5, measure_offset=offset)
+        extras.append(propagator._step_grid(TPT_POINT, cfg)[1])
+        new = propagator.p_g_numeric_grid(k, eps0, a_ph, omega, cfg)
+        assert np.array_equal(new, _four_component_reference(k, eps0, a_ph, omega, cfg))
+    assert extras == [0, 150, 299, 300]
+
+
+@pytest.mark.parametrize("mode, order", [("exact", 4), ("taylor", 1), ("taylor", 2),
+                                         ("taylor", 3), ("taylor", 4), ("taylor", 5)])
+def test_step_coefficients_equal_reference(mode, order):
+    # r spans the range where one ulp of sinc's argument or one rounding of a
+    # series term shows in the result; 0-d arrays are the single-step case
+    r = np.concatenate([[0.0, -0.0, 1e-300, np.pi, np.nan],
+                        np.random.default_rng(order).uniform(0.0, 40.0, 4000)])
+    dt = 0.37
+    for x in (r, np.array(0.0), np.array(0.7)):
+        expected = _reference_coeffs(x, dt, mode, order)
+        out = (np.empty_like(x), np.empty_like(x))
+        for got in (propagator._step_coeffs(x, dt, mode, order),
+                    propagator._step_coeffs(x, dt, mode, order, out=out)):
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b, equal_nan=True)
+        assert got[0] is out[0] and got[1] is out[1]
+
+
+@pytest.mark.parametrize("n_cycles", [2, 3])
+def test_unitarity_report_keeps_an_overflow_as_nan(n_cycles):
+    # the taylor trace overflows in cycle 1 (p = 4e209) and then to inf and NaN:
+    # neither the worst defect nor the mode deviation may come out finite
+    cfg = TrotterConfig(steps_per_cycle=100, taylor_order=2, mode="taylor",
+                        n_cycles=n_cycles)
+    defect, dev = propagator.unitarity_report(DriveParams(eps0=3.0, a_ph=0.1, k=0.02), cfg)
+    assert math.isnan(defect) and math.isnan(dev)
