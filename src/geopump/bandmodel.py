@@ -31,7 +31,8 @@ class DriveParams:
 
     eps0   : static band offset, model units
     a_ph   : phonon drive amplitude, model units (>= 0)
-    omega  : drive angular frequency, rad per model time unit (> 0)
+    omega  : drive angular frequency, rad per model time unit (> 0, with a
+             finite drive period 2 pi / omega)
     k      : crystal momentum in [-pi, pi)
     """
 
@@ -45,6 +46,9 @@ class DriveParams:
             raise ValueError(f"a_ph must be >= 0, got {self.a_ph}")
         if not self.omega > 0.0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
+        if not np.isfinite(self.tau_cycle):
+            raise ValueError(f"omega = {self.omega} gives a non-finite drive period "
+                             "2 pi / omega")
         if not -np.pi <= self.k < np.pi:
             raise ValueError(f"k must lie in [-pi, pi), got {self.k}")
 

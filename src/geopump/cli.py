@@ -6,12 +6,11 @@ before any computation starts: DEFAULTS is the schema, so every leaf must have
 its default's type, and the library objects the experiment builds are made
 with each grid axis at its min and at its max, so their constructors' range
 checks cover every point. It then dispatches to the owning module and
-serializes one rectangular result table. Grid kernels run serially over
-CHUNK_POINTS-sized slices of the flattened grid, which bounds their working
-memory; the kernels work point by point, so the chunking never changes the
-output bytes. Each kernel call allocates its buffers once and runs its step
-and cycle loops in place (the propagator steps a two-component SU(2) column),
-so a call's working set is a few hundred bytes per point.
+serializes one rectangular result table. Execution is serial: each sweep
+is one grid-kernel call on its whole flattened grid, and the propagator
+kernel bounds its own working memory by walking the grid in blocks. A
+propagator failure names the failing grid point; `run` reports it, and every
+other failure of a checked config's computation, as a ComputeError.
 """
 
 from __future__ import annotations
@@ -32,13 +31,6 @@ from .propagator import TrotterConfig
 from .su2 import DegenerateSpectrum, eigensystem2
 from .thermo import ThermalModel
 from .units import DEFAULT_OMEGA
-
-# Points per kernel call: large enough that per-call overhead is small, small
-# enough to bound the kernels' buffers (peak RSS grows with it). On a 2-vCPU
-# Xeon, 4096 ran the committed sweep-eps0 about 15 % and verify-cyclemap about
-# 25 % faster, but raised the sweep's peak RSS by about 0.55 MiB (1.8 %), so
-# the value stays 2048.
-CHUNK_POINTS = 2048
 
 QUARTER_PI = math.pi / 4.0
 
@@ -278,8 +270,11 @@ def _check_propagator(c, *axes):
 
 def _check_initial_states(c):
     _check_propagator(c)
+    # w0 + w1 is the start state's norm^2 up to a few ulps of rounding; the
+    # margin keeps every pair whose state evolve's NORM_TOL accepts
+    tol = propagator.NORM_TOL + 1e-14
     for w in c["params"]["initial_weights"]:
-        if len(w) != 2 or min(w) < 0.0 or abs(w[0] + w[1] - 1.0) > 1e-9:
+        if len(w) != 2 or min(w) < 0.0 or abs(w[0] + w[1] - 1.0) > tol:
             raise ConfigError(f"params.initial_weights entry {w!r} is not two weights >= 0 "
                               "that sum to 1")
 
@@ -316,33 +311,10 @@ def _check_unitarity_report(c):
                  TrotterConfig, mode="taylor", n_cycles=c["params"]["n_cycles"], **at)
 
 
-def _chunked(n, fn):
-    """Apply fn(lo, hi) over CHUNK_POINTS-sized index ranges, in grid order."""
-    return np.concatenate([fn(lo, min(lo + CHUNK_POINTS, n))
-                           for lo in range(0, n, CHUNK_POINTS)])
-
-
-def _pump_grid(ks, eps0s, a_phs, omega, tcfg, label):
-    ks, eps0s, a_phs = np.broadcast_arrays(ks, eps0s, a_phs)
-    ks = ks.ravel(); eps0s = eps0s.ravel(); a_phs = a_phs.ravel()
-
-    def chunk(lo, hi):
-        try:
-            return propagator.p_g_numeric_grid(ks[lo:hi], eps0s[lo:hi],
-                                               a_phs[lo:hi], omega, tcfg)
-        except propagator.EvolutionError as exc:
-            i = lo + exc.indices[0]
-            raise ComputeError(
-                f"{label}: {exc}; first failing grid index {i}: k={float(ks[i])}, "
-                f"eps0={float(eps0s[i])}, a_ph={float(a_phs[i])}") from exc
-
-    return _chunked(len(ks), chunk)
-
-
 def _run_sweep_k(c):
     drive, ks = c["params"]["drive"], c["grid"]["k"]
-    p_g = _pump_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
-                     _trotter(**c["params"]["trotter"]), "sweep-k")
+    p_g = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
+                                      _trotter(**c["params"]["trotter"]))
     rows = []
     for k, p in zip(ks, p_g):
         stats = bandmodel.gap_stats(DriveParams(k=float(k), **drive))
@@ -354,10 +326,9 @@ def _run_sweep_k(c):
 def _run_sweep_eps0(c):
     drive, eps0s, ks = c["params"]["drive"], c["grid"]["eps0"], c["grid"]["k"]
     emesh, kmesh = np.meshgrid(eps0s, ks, indexing="ij")
-    p_g = _pump_grid(kmesh.ravel(), emesh.ravel(), drive["a_ph"], drive["omega"],
-                     _trotter(**c["params"]["trotter"]),
-                     "sweep-eps0").reshape(len(eps0s), len(ks))
-    p_max = p_g.max(axis=1)
+    p_g = propagator.p_g_numeric_grid(kmesh, emesh, drive["a_ph"], drive["omega"],
+                                      _trotter(**c["params"]["trotter"]))
+    p_max = p_g.reshape(len(eps0s), len(ks)).max(axis=1)
     rows = []
     for e, p in zip(eps0s, p_max):
         stats = bandmodel.gap_stats(DriveParams(eps0=float(e), k=0.0, **drive))
@@ -368,8 +339,8 @@ def _run_sweep_eps0(c):
 def _run_sweep_amplitude(c):
     drive = c["params"]["drive"]
     amesh, kmesh = np.meshgrid(c["grid"]["a_ph"], c["grid"]["k"], indexing="ij")
-    p_g = _pump_grid(kmesh.ravel(), drive["eps0"], amesh.ravel(), drive["omega"],
-                     _trotter(**c["params"]["trotter"]), "sweep-amplitude")
+    p_g = propagator.p_g_numeric_grid(kmesh, drive["eps0"], amesh, drive["omega"],
+                                      _trotter(**c["params"]["trotter"]))
     rows = [(float(k), float(a), float(p))
             for (a, k, p) in zip(amesh.ravel(), kmesh.ravel(), p_g)]
     return ("k", "a_ph", "p_g"), rows
@@ -389,8 +360,7 @@ def _run_initial_states(c):
         psi0 = math.sqrt(w_g) * g0 + math.sqrt(w_e) * g1
         try:
             traces.append(propagator.evolve(p, tcfg, initial=psi0).p_n)
-        except (propagator.DegenerateMeasurementBasis,
-                propagator.NonUnitaryEvolution) as exc:
+        except propagator.EvolutionError as exc:
             raise ComputeError(f"initial-states: {exc} at weights ({w_g}, {w_e})") from exc
         columns.append(f"p_n_w{w_g:g}")
     rows = [tuple([float(m + 1)] + [float(tr[m]) for tr in traces])
@@ -409,9 +379,7 @@ def _run_ensemble(c):
 def _run_verify_cyclemap(c):
     tmesh, pmesh = np.meshgrid(c["grid"]["theta"], c["grid"]["phi"], indexing="ij")
     tflat, pflat = tmesh.ravel(), pmesh.ravel()
-    n = c["params"]["n_cycles"]
-    series = _chunked(len(tflat), lambda lo, hi: cyclemap.p_series_mean_grid(
-        tflat[lo:hi], pflat[lo:hi], n))
+    series = cyclemap.p_series_mean_grid(tflat, pflat, c["params"]["n_cycles"])
     rows = []
     for th, ph, s in zip(tflat, pflat, series):
         closed = cyclemap.p_g_closed(CycleParams(theta=float(th), phi=float(ph)))
@@ -443,10 +411,7 @@ def _run_unitarity_report(c):
         for nsteps in c["grid"]["steps_per_cycle"]:
             tcfg = TrotterConfig(steps_per_cycle=int(nsteps), taylor_order=int(order),
                                  mode="taylor", n_cycles=c["params"]["n_cycles"])
-            try:
-                defect, dev = propagator.unitarity_report(p, tcfg)
-            except propagator.DegenerateMeasurementBasis as exc:
-                raise ComputeError(f"unitarity-report: {exc}") from exc
+            defect, dev = propagator.unitarity_report(p, tcfg)
             rows.append((float(order), float(nsteps), defect, dev))
     return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows
 
@@ -525,11 +490,11 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     try:
         columns, rows = runner(cfg)
         return ResultTable(columns=tuple(columns), rows=tuple(rows), metadata=metadata)
-    except (GapClosedOnLoop, DegenerateSpectrum, ArithmeticError, ValueError,
-            MemoryError) as exc:
+    except (propagator.EvolutionError, GapClosedOnLoop, DegenerateSpectrum,
+            ArithmeticError, ValueError, MemoryError) as exc:
         # the config passed every check, so the computation itself failed: e.g.
-        # a non-finite result, a drive period that overflows to inf, or an
-        # array too large to allocate
+        # a grid point on a gap closing, a non-finite result, or an array too
+        # large to allocate
         raise ComputeError(f"{name}: {exc}") from exc
 
 

@@ -7,9 +7,11 @@ the field plane. Repeated cycles trace a circular orbit on the Bloch sphere;
 averaging the excited-state projection over that orbit gives the closed-form
 long-run pumping probability, which the iterated per-cycle series must
 reproduce. Both routes are implemented independently on purpose.
-p_series_mean_grid iterates the series for whole (theta, phi) grids with the
-cycle unitaries stacked in one (2, 2, N) array and the state in one (2, N)
-array, updated in place every cycle.
+p_series_mean_grid iterates the series for a whole (theta, phi) grid in one
+call, with the cycle unitaries stacked in one (2, 2, N) array and the state
+in one (2, N) array, updated in place every cycle; its working set is about
+180 bytes per point, so it needs no blocking. cycle_unitary is the one-point
+case of the same stacked formula.
 """
 
 from __future__ import annotations
@@ -75,10 +77,7 @@ def rotation(alpha: float, beta: float, delta: float) -> np.ndarray:
 
 def cycle_unitary(c: CycleParams) -> np.ndarray:
     """One-cycle evolution operator in the band eigenbasis."""
-    ct, st = np.cos(c.theta / 2.0), np.sin(c.theta / 2.0)
-    ep = np.exp(1.0j * c.phi)
-    eo = np.exp(1.0j * (c.omega_az - c.phi))
-    return np.array([[ct * np.conj(ep), -st * np.conj(eo)], [st * eo, ct * ep]])
+    return _cycle_unitaries(c.theta, c.phi, c.omega_az)
 
 
 def cycle_unitary_from_segments(c: CycleParams, seg: SegmentPhases) -> np.ndarray:
@@ -147,7 +146,8 @@ def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int,
 
 
 def _cycle_unitaries(theta: np.ndarray, phi: np.ndarray, omega_az: float) -> np.ndarray:
-    """cycle_unitary for flat parameter arrays, as a (2, 2, N) array."""
+    """cycle_unitary for flat parameter arrays, as a (2, 2, N) array (for
+    scalars, the (2, 2) matrix)."""
     ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ep = np.exp(1.0j * phi)
     eo = np.exp(1.0j * (omega_az - phi))

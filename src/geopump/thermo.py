@@ -125,7 +125,8 @@ def temperature_sweep(model: ThermalModel, T_range, closable_gap: float = 0.0) -
     T_range = np.asarray(T_range, dtype=float)
     q_gp = np.empty(T_range.shape)
     q_fgr = np.empty(T_range.shape)
-    for i, T in enumerate(T_range):
+    # as Python floats, T / t_lif overflows to inf (the t_lif -> 0 limit) silently
+    for i, T in enumerate(T_range.tolist()):
         delta = model.gap(T)
         mu = model.mu(T)
         f_v = fermi(-0.5 * delta, mu, T, model.kB)

@@ -15,6 +15,8 @@ def test_drive_params_validation():
         DriveParams(eps0=-1.0, a_ph=-0.1, k=0.0)
     with pytest.raises(ValueError):
         DriveParams(eps0=-1.0, a_ph=0.1, k=0.0, omega=0.0)
+    with pytest.raises(ValueError, match="non-finite drive period"):
+        DriveParams(eps0=-1.0, a_ph=0.1, k=0.0, omega=1e-310)
     with pytest.raises(ValueError):
         DriveParams(eps0=-1.0, a_ph=0.1, k=4.0)
     p = DriveParams(eps0=-0.95, a_ph=0.1, k=0.02)

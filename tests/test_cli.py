@@ -1,4 +1,4 @@
-"""Config resolution, validation, emission formats, exit codes, chunked execution."""
+"""Config resolution, validation, emission formats, exit codes, blocked execution."""
 
 import json
 import math
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from geopump import cli, propagator
 from geopump.cli import ConfigError, ResultTable, emit, parse_table, resolve_config, run
+from geopump.units import DEFAULT_OMEGA
 
 FAST_OVERRIDES = ["grid.k.count=7", "params.trotter.steps_per_cycle=200",
                   "params.trotter.n_cycles=10"]
@@ -124,10 +125,12 @@ def test_non_finite_rows_rejected(capsys):
     ["sweep-k", "--set", "params.drive.a_ph=5e-324", "--set", "grid.k.count=3",
      "--set", "params.trotter.steps_per_cycle=100", "--set", "params.trotter.n_cycles=2"],
     ["thermal", "--set", "grid.T.values=[5e-324, 10]"],
+    ["thermal", "--set", "params.thermo.t_lif=5e-324",
+     "--set", "params.thermo.t_berry=1e-320"],
 ])
 def test_subnormal_inputs_run_without_warnings(argv):
-    # the drive's critical point and the thermal exponent go to +/-inf and are
-    # clipped on purpose; that is no reason to warn
+    # the drive's critical point, the thermal exponent and T / t_lif go to
+    # +/-inf and are clipped on purpose; that is no reason to warn
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.main(argv + ["--out", "-"])
@@ -141,9 +144,9 @@ def test_table_must_be_rectangular():
 
 
 def test_chunked_sweep_equals_one_kernel_call():
-    # more points than one chunk, so the sweep spans two kernel calls
+    # more points than one block, so the sweep spans two kernel blocks
     cfg = resolve_config("sweep-k", None, [
-        f"grid.k.count={cli.CHUNK_POINTS + 52}",
+        f"grid.k.count={propagator._BLOCK_POINTS + 52}",
         "params.trotter.steps_per_cycle=100", "params.trotter.n_cycles=2"])
     result = run(cfg)
     table = parse_table(emit(result, "csv"), "csv")
@@ -152,6 +155,29 @@ def test_chunked_sweep_equals_one_kernel_call():
     direct = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
                                          cli._trotter(**cfg["params"]["trotter"]))
     assert np.array_equal(np.array([r[1] for r in table.rows]), direct)
+
+
+def test_failing_point_in_a_later_block_is_named_by_its_grid_index(capsys):
+    # (eps0, k) = (-1, 0) closes the gap at t = 0; on the flattened
+    # 3 x 1100 sweep-eps0 grid it sits at index 2200, in the second block
+    eps0s, ks = np.meshgrid([-0.9, -0.95, -1.0], np.linspace(0.0, 0.5, 1100), indexing="ij")
+    assert propagator._BLOCK_POINTS < 2200 < 2 * propagator._BLOCK_POINTS
+    cfg = propagator.TrotterConfig(steps_per_cycle=100, n_cycles=2)
+    with pytest.raises(propagator.DegenerateMeasurementBasis) as info:
+        propagator.p_g_numeric_grid(ks, eps0s, 0.1, DEFAULT_OMEGA, cfg)
+    assert info.value.indices == (2200,)
+    assert str(info.value).endswith("; first failing grid index 2200: k=0.0, eps0=-1.0, "
+                                    "a_ph=0.1")
+    rc = cli.main(["sweep-eps0", "--set", "grid.eps0.values=[-0.9,-0.95,-1.0]",
+                   "--set", "grid.k.min=0.0", "--set", "grid.k.max=0.5",
+                   "--set", "grid.k.count=1100",
+                   "--set", "params.trotter.steps_per_cycle=100",
+                   "--set", "params.trotter.n_cycles=2", "--out", "-"])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "geopump: running sweep-eps0",
+        "geopump: compute error: sweep-eps0: gap closed at measurement time at 1 grid "
+        "point(s); first failing grid index 2200: k=0.0, eps0=-1.0, a_ph=0.1"]
 
 
 def test_main_writes_file_and_exit_zero(tmp_path):
@@ -190,10 +216,6 @@ def test_main_exit_codes(tmp_path):
                    "--set", "params.trotter.steps_per_cycle=100",
                    "--set", "params.trotter.n_cycles=2", "--out", "-"])
     assert rc == 3
-    # the drive period 2 pi / omega overflows to inf
-    assert cli.main(["sweep-k", "--set", "params.drive.omega=1e-310",
-                     "--set", "grid.k.count=3", "--set", "params.trotter.steps_per_cycle=100",
-                     "--set", "params.trotter.n_cycles=2", "--out", "-"]) == 3
     # the unbudgeted taylor run overflows to a NaN row
     assert cli.main(["unitarity-report", "--set", "params.drive.eps0=3",
                      "--set", "params.n_cycles=3", "--set", "grid.taylor_order.values=[2]",
@@ -237,6 +259,11 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     ("sweep-k", ["params.trotter.measure_offset=NaN"]),
     ("sweep-k", ["params.trotter.mode=taylor", "params.trotter.taylor_order=1"]),
     ("initial-states", ["params.drive.a_ph=-1"]),
+    # the drive period 2 pi / omega overflows to inf
+    ("sweep-k", ["params.drive.omega=1e-310"]),
+    ("initial-states", ["params.drive.omega=1e-310"]),
+    # sums to 1 within 1e-9, but not within evolve's initial-state norm tolerance
+    ("initial-states", ["params.initial_weights=[[0.5,0.5000000005]]"]),
     ("unitarity-report", ["params.n_cycles=2.5"]),
     ("ensemble", ["params.ensemble.n_systems=1.5"]),
     ("sweep-k", ["grid.k.max=4"]),
