@@ -259,11 +259,6 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     ("sweep-k", ["params.trotter.measure_offset=NaN"]),
     ("sweep-k", ["params.trotter.mode=taylor", "params.trotter.taylor_order=1"]),
     ("initial-states", ["params.drive.a_ph=-1"]),
-    # the drive period 2 pi / omega overflows to inf
-    ("sweep-k", ["params.drive.omega=1e-310"]),
-    ("initial-states", ["params.drive.omega=1e-310"]),
-    # sums to 1 within 1e-9, but not within evolve's initial-state norm tolerance
-    ("initial-states", ["params.initial_weights=[[0.5,0.5000000005]]"]),
     ("unitarity-report", ["params.n_cycles=2.5"]),
     ("ensemble", ["params.ensemble.n_systems=1.5"]),
     ("sweep-k", ["grid.k.max=4"]),
@@ -272,6 +267,11 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     ("ensemble", ["params.ensemble.phi=NaN"]),
     ("ensemble", ["params.ensemble.t_max=Infinity"]),
     ("thermal", ["params.thermo.mu0=NaN"]),
+    # the drive period 2 pi / omega overflows to inf
+    ("sweep-k", ["params.drive.omega=1e-310"]),
+    ("initial-states", ["params.drive.omega=1e-310"]),
+    # sums to 1 within 1e-9, but not within evolve's initial-state norm tolerance
+    ("initial-states", ["params.initial_weights=[[0.5,0.5000000005]]"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     def no_compute(*args, **kwargs):
