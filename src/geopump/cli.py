@@ -5,7 +5,8 @@ then a JSON config file, then --set overrides). `run` validates it in one pass
 before any computation starts: DEFAULTS is the schema, so every leaf must have
 its default's type, and the library objects the experiment builds are made
 with each grid axis at its min and at its max, so their constructors' range
-checks cover every point. It then dispatches to the owning module and
+checks cover every point; a propagator experiment must also ask for no more
+than MAX_WORK. It then dispatches to the owning module and
 serializes one rectangular result table. Execution is serial: each sweep
 is one grid-kernel call on its whole flattened grid, and the propagator
 kernel bounds its own working memory by walking the grid in blocks. A
@@ -33,6 +34,10 @@ from .thermo import ThermalModel
 from .units import DEFAULT_OMEGA
 
 QUARTER_PI = math.pi / 4.0
+# The most propagator work one run may ask for, in point-steps plus
+# point-cycles. On a 2-vCPU Xeon the grid kernel does about 18e6 point-steps
+# per second (a minute at the cap), and a point run about 2.6e5 (an hour).
+MAX_WORK = 1e9
 
 
 class ConfigError(Exception):
@@ -260,23 +265,48 @@ def _ensemble_config(theta, phi, omega_az, **fields):
     return ensemble.EnsembleConfig(cycle=cycle, **fields)
 
 
-def _check_propagator(c, *axes):
-    """DriveParams at the ends of the swept drive axes, and the TrotterConfig."""
-    where = " and ".join(["params.drive", *(f"grid.{n}" for n in axes)])
+def _check_work(where, work):
+    if work > MAX_WORK:
+        raise ConfigError(f"{where}: propagator work of {work:.3g} point-steps plus "
+                          f"point-cycles exceeds the cap of {MAX_WORK:.0e}")
+
+
+def _check_propagator(c, *axes, states=1):
+    """DriveParams at the ends of the swept drive axes, the TrotterConfig, and
+    the work: every point steps one cycle and measures `states` states."""
+    grids = [f"grid.{n}" for n in axes]
     for at in _ends(c, *axes):
-        _checked(where, DriveParams, **c["params"]["drive"], **at)
-    _checked("params.trotter", _trotter, **c["params"]["trotter"])
+        _checked(" and ".join(["params.drive", *grids]), DriveParams,
+                 **c["params"]["drive"], **at)
+    tcfg = _checked("params.trotter", _trotter, **c["params"]["trotter"])
+    points = math.prod(len(c["grid"][n]) for n in axes)
+    _check_work(" and ".join(["params.trotter", *grids]),
+                points * (tcfg.steps_per_cycle + states * tcfg.n_cycles))
+
+
+def _start_states(c):
+    """The drive and the (S, 2) start states sqrt(w0) g0 + sqrt(w1) g1 of
+    params.initial_weights, over the band eigenvectors at t = 0."""
+    p = DriveParams(**c["params"]["drive"])
+    try:
+        _, _, g0, g1 = eigensystem2(bandmodel.hamiltonian(p, 0.0))
+    except DegenerateSpectrum as exc:
+        raise ComputeError(f"initial-states: start basis degenerate at k={p.k}, "
+                           f"eps0={p.eps0}") from exc
+    return p, np.array([math.sqrt(w0) * g0 + math.sqrt(w1) * g1
+                        for w0, w1 in c["params"]["initial_weights"]])
 
 
 def _check_initial_states(c):
-    _check_propagator(c)
-    # w0 + w1 is the start state's norm^2 up to a few ulps of rounding; the
-    # margin keeps every pair whose state evolve's NORM_TOL accepts
-    tol = propagator.NORM_TOL + 1e-14
-    for w in c["params"]["initial_weights"]:
-        if len(w) != 2 or min(w) < 0.0 or abs(w[0] + w[1] - 1.0) > tol:
-            raise ConfigError(f"params.initial_weights entry {w!r} is not two weights >= 0 "
-                              "that sum to 1")
+    weights = c["params"]["initial_weights"]
+    _check_propagator(c, states=len(weights))
+    for w in weights:
+        if len(w) != 2 or min(w) < 0.0:
+            raise ConfigError(f"params.initial_weights entry {w!r} is not two weights >= 0")
+    # evolve's norm test, on the states it will be given
+    for w, state in zip(weights, _start_states(c)[1]):
+        _checked(f"params.initial_weights entry {w!r}", propagator.checked_states,
+                 initial=state)
 
 
 def _check_verify_cyclemap(c):
@@ -306,9 +336,13 @@ def _check_fluence(c):
 
 def _check_unitarity_report(c):
     _checked("params.drive", DriveParams, **c["params"]["drive"])
+    where = "params.n_cycles, grid.taylor_order and grid.steps_per_cycle"
     for at in _ends(c, "taylor_order", "steps_per_cycle"):
-        _checked("params.n_cycles, grid.taylor_order and grid.steps_per_cycle",
-                 TrotterConfig, mode="taylor", n_cycles=c["params"]["n_cycles"], **at)
+        _checked(where, TrotterConfig, mode="taylor", n_cycles=c["params"]["n_cycles"], **at)
+    # each step count folds every distinct order and one exact reference
+    chains = len(set(c["grid"]["taylor_order"].tolist())) + 1
+    steps = set(c["grid"]["steps_per_cycle"].tolist())
+    _check_work(where, chains * (sum(steps) + len(steps) * c["params"]["n_cycles"]))
 
 
 def _run_sweep_k(c):
@@ -347,24 +381,15 @@ def _run_sweep_amplitude(c):
 
 
 def _run_initial_states(c):
-    p = DriveParams(**c["params"]["drive"])
-    tcfg = _trotter(**c["params"]["trotter"])
+    p, states = _start_states(c)
+    weights = c["params"]["initial_weights"]
     try:
-        _, _, g0, g1 = eigensystem2(bandmodel.hamiltonian(p, 0.0))
-    except DegenerateSpectrum as exc:
-        raise ComputeError(f"initial-states: start basis degenerate at k={p.k}, "
-                           f"eps0={p.eps0}") from exc
-    columns = ["cycle"]
-    traces = []
-    for w_g, w_e in c["params"]["initial_weights"]:
-        psi0 = math.sqrt(w_g) * g0 + math.sqrt(w_e) * g1
-        try:
-            traces.append(propagator.evolve(p, tcfg, initial=psi0).p_n)
-        except propagator.EvolutionError as exc:
-            raise ComputeError(f"initial-states: {exc} at weights ({w_g}, {w_e})") from exc
-        columns.append(f"p_n_w{w_g:g}")
-    rows = [tuple([float(m + 1)] + [float(tr[m]) for tr in traces])
-            for m in range(tcfg.n_cycles)]
+        p_n = propagator.evolve(p, _trotter(**c["params"]["trotter"]), initial=states).p_n
+    except propagator.EvolutionError as exc:
+        at = f" at weights {tuple(weights[exc.indices[0]])}" if exc.indices else ""
+        raise ComputeError(f"initial-states: {exc}{at}") from exc
+    columns = ["cycle"] + [f"p_n_w{w_g:g}" for w_g, _ in weights]
+    rows = [(float(m + 1), *map(float, p_m)) for m, p_m in enumerate(p_n.T)]
     return tuple(columns), rows
 
 
@@ -405,14 +430,12 @@ def _run_fluence(c):
 
 
 def _run_unitarity_report(c):
-    p = DriveParams(**c["params"]["drive"])
-    rows = []
-    for order in c["grid"]["taylor_order"]:
-        for nsteps in c["grid"]["steps_per_cycle"]:
-            tcfg = TrotterConfig(steps_per_cycle=int(nsteps), taylor_order=int(order),
-                                 mode="taylor", n_cycles=c["params"]["n_cycles"])
-            defect, dev = propagator.unitarity_report(p, tcfg)
-            rows.append((float(order), float(nsteps), defect, dev))
+    orders = [int(o) for o in c["grid"]["taylor_order"]]
+    steps = [int(n) for n in c["grid"]["steps_per_cycle"]]
+    report = propagator.unitarity_report(
+        DriveParams(**c["params"]["drive"]),
+        TrotterConfig(mode="taylor", n_cycles=c["params"]["n_cycles"]), orders, steps)
+    rows = [(float(o), float(n), *report[o, n]) for o in orders for n in steps]
     return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows
 
 

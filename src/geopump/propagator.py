@@ -4,11 +4,16 @@ The drive is exactly periodic, so the ordered product of the per-step
 unitaries over one cycle is the same matrix every cycle. evolve() builds that
 one-cycle product once and then applies 2x2 powers per cycle, which turns an
 O(n_cycles * steps_per_cycle) walk into O(steps_per_cycle + n_cycles).
-The steps are built a block of _BLOCK_STEPS at a time: _step_matrix takes a
-whole array of Bloch vectors (one step is its size-1 case), and the block is
-then folded into the product in step order, one 2x2 matmul per step. Every
-matrix element goes through the same IEEE operations as a one-step build, so
-the product is bit-identical to a step-by-step loop.
+The product is folded for a stack of C chains at once (_cycle_unitaries):
+chains that share the step grid, such as the taylor orders of a unitarity
+report and their exact reference, or one chain for evolve. Each block of
+_BLOCK_STEPS // C steps takes one bloch_vector call and one _step_matrix call
+per chain (one step is _step_matrix's size-1 case), so the step matrices stay
+at 128 KiB whatever C is. The block is then folded into the (C, 2, 2) stack
+in step order, one stacked matmul per step; NumPy multiplies each 2x2 of a
+stack with the same BLAS call as a lone 2x2, and every matrix element goes
+through the same IEEE operations as a one-step build, so each chain is
+bit-identical to a step-by-step loop of its own.
 Sweeps over momentum/offset grids use the same algebra on flat arrays
 (p_g_numeric_grid), a few vectorized operations per step for a block of
 _BLOCK_POINTS grid points at a time; each point is computed on its own, so
@@ -45,7 +50,7 @@ NORM_TOL = 1e-12  # largest |norm^2 - 1| of an initial state
 
 MODES = ("taylor", "exact")
 
-# Steps built per array call in evolve: 128 KiB of complex step matrices.
+# Step matrices per block of a stacked fold, over all its chains: 128 KiB.
 _BLOCK_STEPS = 2048
 # Grid points per block in p_g_numeric_grid, whose buffers take a few hundred
 # bytes per point. On a 2-vCPU Xeon, 4096 ran the committed sweep-eps0 about
@@ -56,7 +61,8 @@ _BLOCK_POINTS = 2048
 class EvolutionError(Exception):
     """An evolution was rejected; `indices` are the failing positions that a
     p_g_numeric_grid call found (it stops at the first block with one),
-    counted over its whole flattened grid (empty for a single-point evolve)."""
+    counted over its whole flattened grid, or the start states of an evolve
+    stack whose probabilities failed (empty when no position is to blame)."""
 
     def __init__(self, message: str, indices=()):
         super().__init__(message)
@@ -94,8 +100,9 @@ class TrotterConfig:
 
 @dataclass(frozen=True)
 class PumpTrace:
-    """Per-cycle excited-band probabilities, their running means, and the
-    largest unitarity defect seen at any measurement time."""
+    """Per-cycle excited-band probabilities, their running means (both with a
+    leading state axis for a stack of start states), and the largest
+    unitarity defect seen at any measurement time."""
 
     p_j: np.ndarray
     p_n: np.ndarray
@@ -185,19 +192,23 @@ def _measurement_setup(p: DriveParams, cfg: TrotterConfig):
     return extra, n1
 
 
-def _cycle_unitaries(p: DriveParams, cfg: TrotterConfig):
-    """The ordered one-cycle step product and its prefix over the first
-    `extra` steps (the identity when extra = 0).
+def _cycle_unitaries(p: DriveParams, cfgs):
+    """The ordered one-cycle step products of the chains `cfgs`, which share
+    steps_per_cycle and measure_offset, as a (C, 2, 2) stack, and their
+    prefixes over the first `extra` steps (identities when extra = 0).
 
-    Each block of _BLOCK_STEPS steps is built by one _step_matrix call and
-    then folded into the product in order, one 2x2 `@` per step.
+    Each block of _BLOCK_STEPS // C steps takes one bloch_vector call and one
+    _step_matrix call per chain, and is then folded into the stack in order,
+    one stacked `@` per step.
     """
-    dt, extra = _step_grid(p, cfg)
-    u_cycle = su2.IDENTITY2
-    u_partial = su2.IDENTITY2
-    for lo in range(0, cfg.steps_per_cycle, _BLOCK_STEPS):
-        t = (np.arange(lo, min(lo + _BLOCK_STEPS, cfg.steps_per_cycle)) + 0.5) * dt
-        steps = _step_matrix(bloch_vector(p, t), dt, cfg.mode, cfg.taylor_order)
+    dt, extra = _step_grid(p, cfgs[0])
+    u_cycle = np.tile(su2.IDENTITY2, (len(cfgs), 1, 1))
+    u_partial = u_cycle.copy()
+    block = max(1, _BLOCK_STEPS // len(cfgs))
+    for lo in range(0, cfgs[0].steps_per_cycle, block):
+        t = (np.arange(lo, min(lo + block, cfgs[0].steps_per_cycle)) + 0.5) * dt
+        d = bloch_vector(p, t)
+        steps = np.stack([_step_matrix(d, dt, c.mode, c.taylor_order) for c in cfgs], axis=1)
         for j, step in enumerate(steps, start=lo):
             u_cycle = step @ u_cycle
             if j + 1 == extra:
@@ -205,41 +216,54 @@ def _cycle_unitaries(p: DriveParams, cfg: TrotterConfig):
     return u_cycle, u_partial
 
 
-def _evolve_impl(p: DriveParams, cfg: TrotterConfig, initial, enforce_budget: bool):
-    extra, n1 = _measurement_setup(p, cfg)
+def checked_states(initial) -> np.ndarray:
+    """`initial`, one state of shape (2,) or a stack (S, 2), as an (S, 2)
+    complex array; a ValueError names a state whose norm^2 is off 1 by more
+    than NORM_TOL."""
+    states = np.asarray(initial, dtype=complex)
+    if states.shape[-1:] != (2,) or states.ndim > 2:
+        raise ValueError(f"initial state must have shape (2,) or (S, 2), got {states.shape}")
+    states = states.reshape(-1, 2)
+    norm = np.sum(np.abs(states) ** 2, axis=-1)
+    bad = np.nonzero(~(np.abs(norm - 1.0) <= NORM_TOL))[0]
+    if bad.size:
+        raise ValueError(f"initial state {bad[0]} has norm^2 = {norm[bad[0]]}, expected 1")
+    return states
+
+
+def _evolve_impl(p: DriveParams, cfgs, initial):
+    """Raw excited-band probabilities, shaped (C, S, n_cycles), and the worst
+    unitarity defect of each chain, for one stacked fold of the chains `cfgs`
+    (which also share n_cycles) and every start state in `initial` (None:
+    the ground state at t = 0)."""
+    extra, n1 = _measurement_setup(p, cfgs[0])
     if initial is None:
         _, _, g0, _ = eigensystem2(hamiltonian(p, 0.0))
-        psi0 = g0
-    else:
-        psi0 = np.asarray(initial, dtype=complex)
-        norm = float(np.sum(np.abs(psi0) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"initial state norm^2 = {norm}, expected 1")
-
-    p_j = np.empty(cfg.n_cycles)
-    w = su2.IDENTITY2
-    defect = 0.0
+        initial = g0
+    states = checked_states(initial)
+    n1 = n1.conj()
+    p_j = np.empty((len(cfgs), len(states), cfgs[0].n_cycles))
+    defects = np.zeros(len(cfgs))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as NaN in p_j
-        u_cycle, u_partial = _cycle_unitaries(p, cfg)
-        for m in range(cfg.n_cycles):
-            w = u_cycle @ w
-            meas = u_partial @ w if extra else w
-            defect = np.maximum(defect, su2.unitarity_defect(meas))  # keeps a NaN
-            amp = (n1.conj() @ (meas @ psi0))
-            p_j[m] = abs(amp) ** 2
+        u_cycles, u_partials = _cycle_unitaries(p, cfgs)
+        for c, (u_cycle, u_partial) in enumerate(zip(u_cycles, u_partials)):
+            w = su2.IDENTITY2
+            defect = 0.0
+            for m in range(cfgs[0].n_cycles):
+                w = u_cycle @ w
+                meas = u_partial @ w if extra else w
+                defect = np.maximum(defect, su2.unitarity_defect(meas))  # keeps a NaN
+                for s, psi0 in enumerate(states):
+                    p_j[c, s, m] = abs(n1 @ (meas @ psi0)) ** 2
+            defects[c] = defect
+    return p_j, defects
 
-    defect = float(defect)
-    if enforce_budget and cfg.mode == "taylor" and not defect <= UNITARITY_BUDGET:
-        raise NonUnitaryEvolution(
-            f"unitarity defect {defect:.3e} exceeds budget {UNITARITY_BUDGET}")
-    bad = ~((p_j >= -PROBABILITY_TOL) & (p_j <= 1.0 + PROBABILITY_TOL))
-    if enforce_budget and np.any(bad):
-        worst = p_j[np.argmax(np.abs(p_j - 0.5))]
-        raise NonUnitaryEvolution(f"probability {worst} outside [0, 1] beyond tolerance")
-    # an overflowed probability stays NaN instead of passing as a clipped 1
+
+def _running_mean(p_j: np.ndarray):
+    """p_j clipped to [0, 1], and its running mean along the last axis. An
+    overflowed probability stays NaN instead of passing as a clipped 1."""
     p_j = np.where(np.isfinite(p_j), np.clip(p_j, 0.0, 1.0), np.nan)
-    p_n = np.cumsum(p_j) / np.arange(1, cfg.n_cycles + 1)
-    return PumpTrace(p_j=p_j, p_n=p_n, unitarity_defect=defect)
+    return p_j, np.cumsum(p_j, axis=-1) / np.arange(1, p_j.shape[-1] + 1)
 
 
 def evolve(p: DriveParams, cfg: TrotterConfig, initial: np.ndarray | None = None) -> PumpTrace:
@@ -248,16 +272,35 @@ def evolve(p: DriveParams, cfg: TrotterConfig, initial: np.ndarray | None = None
     The state starts from `initial` (default: instantaneous ground state at
     t = 0) and p_j is the excited-band weight against the instantaneous
     eigenbasis at the measurement times (j + measure_offset) * tau_cycle,
-    with the offset snapped to the step grid.
+    with the offset snapped to the step grid. An (S, 2) stack of start states
+    shares one one-cycle product, and each state is measured as on its own.
 
     Raises DegenerateMeasurementBasis when that basis is ill-defined, and, in
     taylor mode, NonUnitaryEvolution when the truncation defect exceeds the
-    module budget. taylor mode requires taylor_order >= 2 here.
+    module budget; NonUnitaryEvolution for probabilities outside [0, 1] names
+    the failing states of a stack in `indices`. taylor mode requires
+    taylor_order >= 2 here.
     """
     if cfg.mode == "taylor" and cfg.taylor_order < 2:
         raise ValueError("taylor mode below second order is only for diagnostics; "
                          "use unitarity_report")
-    return _evolve_impl(p, cfg, initial, enforce_budget=True)
+    stacked = np.ndim(initial) == 2
+    p_j, defect = _evolve_impl(p, [cfg], initial)
+    p_j, defect = p_j[0], float(defect[0])
+    if cfg.mode == "taylor" and not defect <= UNITARITY_BUDGET:
+        raise NonUnitaryEvolution(
+            f"unitarity defect {defect:.3e} exceeds budget {UNITARITY_BUDGET}")
+    bad = ~((p_j >= -PROBABILITY_TOL) & (p_j <= 1.0 + PROBABILITY_TOL))
+    failing = np.nonzero(bad.any(axis=1))[0]
+    if failing.size:
+        first = p_j[failing[0]]
+        raise NonUnitaryEvolution(
+            f"probability {first[np.argmax(np.abs(first - 0.5))]} outside [0, 1] beyond "
+            "tolerance", failing if stacked else ())
+    p_j, p_n = _running_mean(p_j)
+    if not stacked:
+        p_j, p_n = p_j[0], p_n[0]
+    return PumpTrace(p_j=p_j, p_n=p_n, unitarity_defect=defect)
 
 
 def p_g_numeric(p: DriveParams, cfg: TrotterConfig) -> float:
@@ -265,16 +308,28 @@ def p_g_numeric(p: DriveParams, cfg: TrotterConfig) -> float:
     return float(evolve(p, cfg).p_n[-1])
 
 
-def unitarity_report(p: DriveParams, cfg: TrotterConfig):
+def unitarity_report(p: DriveParams, cfg: TrotterConfig, orders=None, steps=None):
     """Run taylor and exact modes on identical grids, without the budget gate.
 
     Returns (defect_taylor, max_dev_vs_exact): the taylor mode's accumulated
     unitarity defect and the largest |p_n| discrepancy between modes.
+
+    Given a sequence of `orders` or of `steps` (the other one defaults to
+    cfg's), returns a dict that maps every (order, steps) pair of that grid to
+    such a result instead. Each step count is one stacked fold of its taylor
+    chains and a single exact reference.
     """
-    trace_t = _evolve_impl(p, replace(cfg, mode="taylor"), None, enforce_budget=False)
-    trace_e = _evolve_impl(p, replace(cfg, mode="exact"), None, enforce_budget=False)
-    max_dev = float(np.max(np.abs(trace_t.p_n - trace_e.p_n)))
-    return float(trace_t.unitarity_defect), max_dev
+    single = orders is None and steps is None
+    orders = list(dict.fromkeys([cfg.taylor_order] if orders is None else orders))
+    report = {}
+    for n in dict.fromkeys([cfg.steps_per_cycle] if steps is None else steps):
+        exact = replace(cfg, mode="exact", steps_per_cycle=n)
+        chains = [replace(exact, mode="taylor", taylor_order=o) for o in orders]
+        p_j, defects = _evolve_impl(p, chains + [exact], None)
+        _, p_n = _running_mean(p_j[:, 0])
+        for i, o in enumerate(orders):
+            report[o, n] = (float(defects[i]), float(np.max(np.abs(p_n[i] - p_n[-1]))))
+    return report[cfg.taylor_order, cfg.steps_per_cycle] if single else report
 
 
 def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
@@ -292,6 +347,9 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
         np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
         np.asarray(a_ph, dtype=float))
     k = k.ravel(); eps0 = eps0.ravel(); a_ph = a_ph.ravel()
+    if not (omega > 0.0 and 0.0 < 2.0 * math.pi / omega < math.inf):
+        raise ValueError(f"omega = {omega} must be > 0 with a finite, positive drive "
+                         "period 2 pi / omega")
     if cfg.mode == "taylor" and cfg.taylor_order < 2:
         raise ValueError("taylor mode below second order is only for diagnostics")
     p_g = np.empty(k.size)

@@ -272,6 +272,12 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     ("initial-states", ["params.drive.omega=1e-310"]),
     # sums to 1 within 1e-9, but not within evolve's initial-state norm tolerance
     ("initial-states", ["params.initial_weights=[[0.5,0.5000000005]]"]),
+    # sums to 1 within 1e-12, but its state's norm^2 is 1 + 1.0e-12
+    ("initial-states", ["params.initial_weights=[[0.997209935789211,0.0027900642117987327]]"]),
+    # more propagator work than cli.MAX_WORK
+    ("unitarity-report", ["grid.steps_per_cycle.values=[1e30]"]),
+    ("sweep-k", ["grid.k.count=1000000"]),
+    ("initial-states", ["params.trotter.n_cycles=1000000000"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     def no_compute(*args, **kwargs):
@@ -427,3 +433,61 @@ def test_unitarity_report_runner_orders():
                              "max_dev_vs_exact")
     defects = {int(r[0]): r[2] for r in table.rows}
     assert defects[1] > defects[2]
+
+
+def test_initial_states_runs_one_stacked_evolution(monkeypatch):
+    cfg = resolve_config("initial-states", None, [
+        "params.trotter.steps_per_cycle=300", "params.trotter.n_cycles=20",
+        "params.trotter.measure_offset=0.3"])
+    calls = []
+    evolve = propagator.evolve
+    monkeypatch.setattr(propagator, "evolve",
+                        lambda *args, **kwargs: calls.append(args) or evolve(*args, **kwargs))
+    table = run(cfg)
+    assert len(calls) == 1
+    # five separate evolutions from the same start states
+    p = cli.DriveParams(**table.metadata["params"]["drive"])
+    tcfg = cli._trotter(**cfg["params"]["trotter"])
+    _, _, g0, g1 = cli.eigensystem2(cli.bandmodel.hamiltonian(p, 0.0))
+    for i, (w0, w1) in enumerate(cfg["params"]["initial_weights"], start=1):
+        state = math.sqrt(w0) * g0 + math.sqrt(w1) * g1
+        p_n = evolve(p, tcfg, initial=state).p_n
+        assert np.array([r[i] for r in table.rows]).tobytes() == p_n.tobytes()
+
+
+def test_initial_states_error_names_the_failing_weights(capsys):
+    # order 2 at 1000 steps: the excited start ends above probability 1
+    rc = cli.main(["initial-states", "--set", "params.drive.eps0=-0.5",
+                   "--set", "params.drive.k=0.3", "--set", "params.trotter.mode=taylor",
+                   "--set", "params.trotter.taylor_order=2",
+                   "--set", "params.trotter.steps_per_cycle=1000",
+                   "--set", "params.trotter.n_cycles=5",
+                   "--set", "params.initial_weights=[[1,0],[0,1]]", "--out", "-"])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "beyond tolerance at weights (0.0, 1.0)")
+
+
+class _ComputeStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("root", ["configs", os.path.join("bench", "configs")])
+def test_committed_configs_stay_under_the_work_cap(root, monkeypatch):
+    def started(*args, **kwargs):
+        raise _ComputeStarted
+
+    for name in ("p_g_numeric_grid", "evolve", "unitarity_report"):
+        monkeypatch.setattr(propagator, name, started)
+    monkeypatch.setattr(cli.ensemble, "ensemble_average", started)
+    monkeypatch.setattr(cli.cyclemap, "p_series_mean_grid", started)
+    for name in ("temperature_sweep", "fluence_sweep"):
+        monkeypatch.setattr(cli.thermo, name, started)
+    root = os.path.join(os.path.dirname(__file__), "..", root)
+    names = sorted(os.listdir(root))
+    assert len(names) == 9
+    for name in names:
+        with open(os.path.join(root, name)) as fh:
+            doc = json.load(fh)
+        with pytest.raises(_ComputeStarted):  # every check passed
+            run(resolve_config(doc["experiment"], doc))

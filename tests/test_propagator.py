@@ -7,12 +7,13 @@ the implementation, they are not external truths.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geopump import propagator, su2
-from geopump.bandmodel import DriveParams, bloch_vector
+from geopump.bandmodel import DriveParams, bloch_vector, hamiltonian
 from geopump.propagator import (DegenerateMeasurementBasis, NonUnitaryEvolution,
                                 TrotterConfig)
 
@@ -99,7 +100,8 @@ def _block_products(p, steps, mode, order, extras):
         cfg = TrotterConfig(steps_per_cycle=steps, mode=mode, taylor_order=order,
                             n_cycles=1, measure_offset=extra / steps)
         assert propagator._step_grid(p, cfg)[1] == extra
-        yield extra, propagator._cycle_unitaries(p, cfg)
+        u_cycle, u_partial = propagator._cycle_unitaries(p, [cfg])
+        yield extra, (u_cycle[0], u_partial[0])
 
 
 @pytest.mark.parametrize("steps, extras", PRODUCT_CASES)
@@ -374,3 +376,167 @@ def test_unitarity_report_keeps_an_overflow_as_nan(n_cycles):
                         n_cycles=n_cycles)
     defect, dev = propagator.unitarity_report(DriveParams(eps0=3.0, a_ph=0.1, k=0.02), cfg)
     assert math.isnan(defect) and math.isnan(dev)
+
+
+def _one_chain_fold(p, cfg):
+    """_cycle_unitaries as it was before it folded stacks of chains: one
+    chain, blocks of 2048 steps, one 2x2 `@` per step."""
+    dt, extra = propagator._step_grid(p, cfg)
+    u_cycle = u_partial = su2.IDENTITY2
+    for lo in range(0, cfg.steps_per_cycle, 2048):
+        t = (np.arange(lo, min(lo + 2048, cfg.steps_per_cycle)) + 0.5) * dt
+        steps = propagator._step_matrix(bloch_vector(p, t), dt, cfg.mode, cfg.taylor_order)
+        for j, step in enumerate(steps, start=lo):
+            u_cycle = step @ u_cycle
+            if j + 1 == extra:
+                u_partial = u_cycle.copy()
+    return u_cycle, u_partial
+
+
+FOLD_CHAINS = [("exact", 4), ("taylor", 1), ("taylor", 2), ("taylor", 4)]
+
+
+# (point, step count): the snapped offsets put `extra` at 0, 1, 337, on and
+# around block boundaries and on the last step; at eps0 = 3 the order-2 chain
+# grows to about 1e105 in one cycle and overflows in the second
+@pytest.mark.parametrize("p, steps", [(PRODUCT_POINT, 100), (PRODUCT_POINT, 1023),
+                                      (PRODUCT_POINT, 2049), (PRODUCT_POINT, 4099),
+                                      (DriveParams(eps0=3.0, a_ph=0.1, k=0.02), 100)])
+def test_stacked_fold_equals_one_chain_folds(p, steps):
+    for extra in sorted({e for e in (0, 1, 337, 511, 512, 1024, steps - 1) if e < steps}):
+        chains = [TrotterConfig(steps_per_cycle=steps, mode=mode, taylor_order=order,
+                                n_cycles=1, measure_offset=extra / steps)
+                  for mode, order in FOLD_CHAINS]
+        assert propagator._step_grid(p, chains[0])[1] == extra
+        with np.errstate(all="ignore"):
+            expected = [_one_chain_fold(p, c) for c in chains]
+            for group in [[c] for c in chains] + [chains]:  # C = 1 and C = 4
+                u_cycles, u_partials = propagator._cycle_unitaries(p, group)
+                assert u_cycles.shape == u_partials.shape == (len(group), 2, 2)
+                for c, u_cycle, u_partial in zip(group, u_cycles, u_partials):
+                    ref_cycle, ref_partial = expected[chains.index(c)]
+                    assert u_cycle.tobytes() == ref_cycle.tobytes()
+                    assert u_partial.tobytes() == ref_partial.tobytes()
+
+
+@pytest.mark.parametrize("n_chains", [1, 3, 4])
+def test_stacked_fold_builds_blocks_of_block_steps_over_c(n_chains, monkeypatch):
+    # the step matrices of one block stay at _BLOCK_STEPS whatever C is
+    sizes = []
+
+    def step_matrix(d, *args):
+        sizes.append(len(d))
+        return build(d, *args)
+
+    build = propagator._step_matrix
+    monkeypatch.setattr(propagator, "_step_matrix", step_matrix)
+    chains = [TrotterConfig(steps_per_cycle=4099, mode="taylor", taylor_order=order)
+              for order in range(2, 2 + n_chains)]
+    propagator._cycle_unitaries(TPT_POINT, chains)
+    block = propagator._BLOCK_STEPS // n_chains
+    assert sizes == [min(block, 4099 - lo) for lo in range(0, 4099, block)
+                     for _ in chains]
+
+
+def _per_row_evolution(p, cfg):
+    """(p_n, defect) of _evolve_impl as it was before stacked folds: one chain,
+    a ground start, the one-chain fold, no budget gate."""
+    extra, n1 = propagator._measurement_setup(p, cfg)
+    _, _, psi0, _ = su2.eigensystem2(hamiltonian(p, 0.0))
+    p_j = np.empty(cfg.n_cycles)
+    w = su2.IDENTITY2
+    defect = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_cycle, u_partial = _one_chain_fold(p, cfg)
+        for m in range(cfg.n_cycles):
+            w = u_cycle @ w
+            meas = u_partial @ w if extra else w
+            defect = np.maximum(defect, su2.unitarity_defect(meas))
+            amp = (n1.conj() @ (meas @ psi0))
+            p_j[m] = abs(amp) ** 2
+    p_j = np.where(np.isfinite(p_j), np.clip(p_j, 0.0, 1.0), np.nan)
+    return np.cumsum(p_j) / np.arange(1, cfg.n_cycles + 1), float(defect)
+
+
+def _per_row_report(p, cfg):
+    """unitarity_report as it was: a taylor and an exact evolution per row."""
+    p_t, defect = _per_row_evolution(p, replace(cfg, mode="taylor"))
+    p_e, _ = _per_row_evolution(p, replace(cfg, mode="exact"))
+    return float(defect), float(np.max(np.abs(p_t - p_e)))
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_unitarity_report_grid_equals_per_row_evolutions(offset):
+    cfg = TrotterConfig(mode="taylor", n_cycles=30, measure_offset=offset)
+    orders, steps = [1, 2, 3, 4], [100, 2049]
+    report = propagator.unitarity_report(TPT_POINT, cfg, orders, steps)
+    assert sorted(report) == sorted((o, n) for o in orders for n in steps)
+    for (order, n), result in report.items():
+        row = replace(cfg, taylor_order=order, steps_per_cycle=n)
+        expected = _per_row_report(TPT_POINT, row)
+        assert np.array(result).tobytes() == np.array(expected).tobytes()
+        assert propagator.unitarity_report(TPT_POINT, row) == result
+    # a one-sided grid takes cfg's step count
+    assert propagator.unitarity_report(TPT_POINT, replace(cfg, steps_per_cycle=100), orders) \
+        == {(o, 100): report[o, 100] for o in orders}
+
+
+def test_unitarity_report_folds_each_step_count_once(monkeypatch):
+    # one stacked fold per distinct step count: every distinct order, then
+    # the exact reference
+    folds = []
+
+    def cycle_unitaries(p, cfgs):
+        folds.append([(c.mode, c.steps_per_cycle) + ((c.taylor_order,) if c.mode == "taylor"
+                                                     else ()) for c in cfgs])
+        return fold(p, cfgs)
+
+    fold = propagator._cycle_unitaries
+    monkeypatch.setattr(propagator, "_cycle_unitaries", cycle_unitaries)
+    cfg = TrotterConfig(mode="taylor", n_cycles=3)
+    report = propagator.unitarity_report(TPT_POINT, cfg, [4, 1, 4], [200, 100, 200])
+    assert folds == [[("taylor", n, 4), ("taylor", n, 1), ("exact", n)] for n in (200, 100)]
+    assert sorted(report) == [(1, 100), (1, 200), (4, 100), (4, 200)]
+
+
+def test_evolve_stack_equals_separate_evolutions():
+    cfg = TrotterConfig(steps_per_cycle=300, n_cycles=20, measure_offset=0.3)
+    _, _, g0, g1 = su2.eigensystem2(hamiltonian(TPT_POINT, 0.0))
+    states = np.array([g0, g1, math.sqrt(0.3) * g0 + math.sqrt(0.7) * g1])
+    stacked = propagator.evolve(TPT_POINT, cfg, initial=states)
+    assert stacked.p_j.shape == stacked.p_n.shape == (3, 20)
+    for i, state in enumerate(states):
+        single = propagator.evolve(TPT_POINT, cfg, initial=state)
+        assert stacked.p_j[i].tobytes() == single.p_j.tobytes()
+        assert stacked.p_n[i].tobytes() == single.p_n.tobytes()
+        assert stacked.unitarity_defect == single.unitarity_defect
+
+
+def test_evolve_stack_names_its_failing_states():
+    # order 2 at 1000 steps stays inside the defect budget here, but a start
+    # in the excited band ends above probability 1
+    p = DriveParams(eps0=-0.5, a_ph=0.1, k=0.3)
+    cfg = TrotterConfig(steps_per_cycle=1000, taylor_order=2, mode="taylor", n_cycles=5)
+    _, _, g0, g1 = su2.eigensystem2(hamiltonian(p, 0.0))
+    with pytest.raises(NonUnitaryEvolution) as info:
+        propagator.evolve(p, cfg, initial=np.array([g0, g1, g0, g1]))
+    assert info.value.indices == (1, 3)
+    with pytest.raises(NonUnitaryEvolution) as info:
+        propagator.evolve(p, cfg, initial=g1)
+    assert info.value.indices == ()
+    assert propagator.evolve(p, cfg, initial=np.array([g0, g0])).p_n.shape == (2, 5)
+
+
+@pytest.mark.parametrize("initial", [[1.0, 1.0], [[1.0, 0.0], [0.6, 0.6]], [1.0, 0.0, 0.0],
+                                     [[[1.0, 0.0]]], [math.nan, 0.0]])
+def test_evolve_rejects_malformed_start_states(initial):
+    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2)
+    with pytest.raises(ValueError, match="initial state"):
+        propagator.evolve(TPT_POINT, cfg, initial=np.array(initial))
+
+
+@pytest.mark.parametrize("omega", [1e-310, 0.0, -1.0, math.nan, math.inf])
+def test_grid_kernel_rejects_an_omega_without_a_finite_period(omega):
+    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2)
+    with pytest.raises(ValueError, match="omega"):
+        propagator.p_g_numeric_grid(np.array([0.02]), -0.95, 0.1, omega, cfg)
