@@ -59,6 +59,9 @@ class DriveParams:
 
 @dataclass(frozen=True)
 class GapStats:
+    """Gap figures of one drive cycle: floats from gap_stats, (n,) arrays
+    from gap_stats_grid."""
+
     delta_int: float
     delta_min: float
     delta_avg: float
@@ -84,38 +87,66 @@ def hamiltonian(p: DriveParams, t: float) -> np.ndarray:
     return bloch_matrix(bloch_vector(p, t))
 
 
-def _gap_at_drive(p: DriveParams, s: np.ndarray) -> np.ndarray:
+def _gap_at_drive(d2, eps0, a_ph, cos_k, s):
     """Gap 2|d| as a function of the drive value s = sin(omega t)."""
-    d2 = np.sin(p.k)
-    d3 = -(p.eps0 + p.a_ph * s + np.cos(p.k))
-    return 2.0 * np.hypot(d2, d3)
+    return 2.0 * np.hypot(d2, -(eps0 + a_ph * s + cos_k))
+
+
+def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA,
+                   samples_per_cycle: int = 256) -> GapStats:
+    """gap_stats over flat parameter arrays, as a GapStats of (n,) arrays.
+
+    k, eps0 and a_ph broadcast to a common flat shape; each row equals the
+    gap_stats of its own DriveParams bit for bit. The dense samples are
+    taken a block of rows at a time, so that each (rows, samples) temporary
+    holds about 8192 samples (64 KiB) however long the sweep is.
+    """
+    if samples_per_cycle < 16:
+        raise ValueError("samples_per_cycle must be >= 16")
+    if not (omega > 0.0 and 0.0 < 2.0 * np.pi / omega < np.inf):
+        raise ValueError(f"omega = {omega} must be > 0 with a finite, positive drive "
+                         "period 2 pi / omega")
+    k, eps0, a_ph = (x.ravel() for x in np.broadcast_arrays(
+        np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
+        np.asarray(a_ph, dtype=float)))
+    d2, cos_k = np.sin(k), np.cos(k)
+    t = np.arange(samples_per_cycle) * ((2.0 * np.pi / omega) / samples_per_cycle)
+    s = np.sin(omega * t)
+    dense_min = np.empty(k.size)
+    delta_avg = np.empty(k.size)
+    block = max(1, 8192 // samples_per_cycle)
+    for lo in range(0, k.size, block):
+        rows = slice(lo, lo + block)
+        gaps = _gap_at_drive(d2[rows, None], eps0[rows, None], a_ph[rows, None],
+                             cos_k[rows, None], s)
+        dense_min[rows] = gaps.min(axis=1)
+        delta_avg[rows] = gaps.mean(axis=1)
+    # the analytic critical drive values: s = +/-1 and, for a_ph > 0, the
+    # interior extremum of |d3| (a stand-in -1 where a_ph = 0)
+    s_star = np.full(k.size, -1.0)
+    with np.errstate(over="ignore"):  # a subnormal a_ph: +/-inf, clipped to +/-1
+        np.divide(-(eps0 + cos_k), a_ph, out=s_star, where=a_ph > 0.0)
+    crit = np.stack([np.full(k.size, -1.0), np.full(k.size, 1.0),
+                     np.clip(s_star, -1.0, 1.0)], axis=1)
+    gap_crit = _gap_at_drive(d2[:, None], eps0[:, None], a_ph[:, None], cos_k[:, None], crit)
+    delta_int = _gap_at_drive(d2, eps0, a_ph, cos_k, 0.0)
+    energy_ratio = np.full(k.size, np.inf)
+    np.divide(omega, delta_avg, out=energy_ratio, where=delta_avg > 0.0)
+    return GapStats(delta_int=delta_int, delta_min=np.minimum(dense_min, gap_crit.min(axis=1)),
+                    delta_avg=delta_avg, energy_ratio=energy_ratio)
 
 
 def gap_stats(p: DriveParams, samples_per_cycle: int = 256) -> GapStats:
-    """Gap statistics over one drive cycle.
+    """Gap statistics over one drive cycle: the one-row case of gap_stats_grid.
 
     delta_min uses the dense samples plus the analytic critical drive values
     (the interior extremum of |d3| and the endpoints s = +/-1), so an exact
     in-cycle gap closing yields delta_min = 0 exactly rather than a small
     sampling residue.
     """
-    if samples_per_cycle < 16:
-        raise ValueError("samples_per_cycle must be >= 16")
-    t = np.arange(samples_per_cycle) * (p.tau_cycle / samples_per_cycle)
-    s = np.sin(p.omega * t)
-    gaps = _gap_at_drive(p, s)
-    crit = [-1.0, 1.0]
-    if p.a_ph > 0.0:
-        with np.errstate(over="ignore"):  # a subnormal a_ph: +/-inf, clipped to +/-1
-            s_star = -(p.eps0 + np.cos(p.k)) / p.a_ph
-        crit.append(float(np.clip(s_star, -1.0, 1.0)))
-    gap_crit = _gap_at_drive(p, np.array(crit))
-    delta_int = float(_gap_at_drive(p, np.array([0.0]))[0])
-    delta_min = float(min(gaps.min(), gap_crit.min()))
-    delta_avg = float(gaps.mean())
-    energy_ratio = p.omega / delta_avg if delta_avg > 0.0 else np.inf
-    return GapStats(delta_int=delta_int, delta_min=delta_min,
-                    delta_avg=delta_avg, energy_ratio=float(energy_ratio))
+    g = gap_stats_grid(p.k, p.eps0, p.a_ph, p.omega, samples_per_cycle)
+    return GapStats(*(float(v[0]) for v in (g.delta_int, g.delta_min, g.delta_avg,
+                                            g.energy_ratio)))
 
 
 def winding_number(eps_eff: float) -> int:

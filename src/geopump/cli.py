@@ -5,9 +5,10 @@ then a JSON config file, then --set overrides). `run` validates it in one pass
 before any computation starts: DEFAULTS is the schema, so every leaf must have
 its default's type, and the library objects the experiment builds are made
 with each grid axis at its min and at its max, so their constructors' range
-checks cover every point; a propagator experiment must also ask for no more
-than MAX_WORK. It then dispatches to the owning module and
-serializes one rectangular result table. Execution is serial: each sweep
+checks cover every point. A propagator or cycle-map experiment must also ask
+for no more than MAX_WORK, which is checked from the axis counts before any
+axis is built. It then dispatches to the owning module and serializes one
+rectangular result table. Execution is serial: each sweep
 is one grid-kernel call on its whole flattened grid, and the propagator
 kernel bounds its own working memory by walking the grid in blocks. A
 propagator failure names the failing grid point; `run` reports it, and every
@@ -29,14 +30,15 @@ from . import bandmodel, cyclemap, ensemble, propagator, thermo
 from .bandmodel import DriveParams, GapClosedOnLoop
 from .cyclemap import CycleParams
 from .propagator import TrotterConfig
-from .su2 import DegenerateSpectrum, eigensystem2
+from .su2 import DegenerateSpectrum, InvalidDensityMatrix, eigensystem2
 from .thermo import ThermalModel
 from .units import DEFAULT_OMEGA
 
 QUARTER_PI = math.pi / 4.0
-# The most propagator work one run may ask for, in point-steps plus
-# point-cycles. On a 2-vCPU Xeon the grid kernel does about 18e6 point-steps
-# per second (a minute at the cap), and a point run about 2.6e5 (an hour).
+# The most work one run may ask for: propagator point-steps plus point-cycles,
+# or cycle-map series point-cycles. On a 2-vCPU Xeon the grid kernel does
+# about 18e6 point-steps per second (a minute at the cap), a point run about
+# 2.6e5 (an hour), and the cycle-map series about 1e8 point-cycles (10 s).
 MAX_WORK = 1e9
 
 
@@ -265,23 +267,56 @@ def _ensemble_config(theta, phi, omega_az, **fields):
     return ensemble.EnsembleConfig(cycle=cycle, **fields)
 
 
-def _check_work(where, work):
+def _count(axis):
+    """The number of points of a typed grid axis, without building it."""
+    return len(axis["values"]) if "values" in axis else axis["count"]
+
+
+def _check_work(where, work, kind="propagator", unit="point-steps plus point-cycles"):
     if work > MAX_WORK:
-        raise ConfigError(f"{where}: propagator work of {work:.3g} point-steps plus "
-                          f"point-cycles exceeds the cap of {MAX_WORK:.0e}")
+        raise ConfigError(f"{where}: {kind} work of {work:.3g} {unit} exceeds the cap of "
+                          f"{MAX_WORK:.0e}")
 
 
-def _check_propagator(c, *axes, states=1):
-    """DriveParams at the ends of the swept drive axes, the TrotterConfig, and
-    the work: every point steps one cycle and measures `states` states."""
+def _cap_propagator(c, *axes, states=1):
+    """The work cap on a propagator experiment over the named axes: every
+    point steps one cycle and measures `states` states."""
+    t = c["params"]["trotter"]
+    points = math.prod(_count(c["grid"][n]) for n in axes)
+    _check_work(" and ".join(["params.trotter", *(f"grid.{n}" for n in axes)]),
+                points * (t["steps_per_cycle"] + states * t["n_cycles"]))
+
+
+def _distinct(axis):
+    """How many distinct values a typed grid axis holds, and their sum; for a
+    min/max/count range, upper bounds on both from its fields alone."""
+    if "values" in axis:
+        values = set(axis["values"])
+        return len(values), sum(values)
+    return axis["count"], axis["count"] * max(axis["min"], axis["max"])
+
+
+def _cap_unitarity_report(c):
+    # each step count folds every distinct order and one exact reference
+    orders, _ = _distinct(c["grid"]["taylor_order"])
+    n_steps, steps = _distinct(c["grid"]["steps_per_cycle"])
+    _check_work("params.n_cycles, grid.taylor_order and grid.steps_per_cycle",
+                (orders + 1) * (steps + n_steps * c["params"]["n_cycles"]))
+
+
+def _cap_verify_cyclemap(c):
+    points = _count(c["grid"]["theta"]) * _count(c["grid"]["phi"])
+    _check_work("grid.theta, grid.phi and params.n_cycles", points * c["params"]["n_cycles"],
+                "cycle-map series", "point-cycles")
+
+
+def _check_propagator(c, *axes):
+    """DriveParams at the ends of the swept drive axes, and the TrotterConfig."""
     grids = [f"grid.{n}" for n in axes]
     for at in _ends(c, *axes):
         _checked(" and ".join(["params.drive", *grids]), DriveParams,
                  **c["params"]["drive"], **at)
-    tcfg = _checked("params.trotter", _trotter, **c["params"]["trotter"])
-    points = math.prod(len(c["grid"][n]) for n in axes)
-    _check_work(" and ".join(["params.trotter", *grids]),
-                points * (tcfg.steps_per_cycle + states * tcfg.n_cycles))
+    _checked("params.trotter", _trotter, **c["params"]["trotter"])
 
 
 def _start_states(c):
@@ -299,7 +334,7 @@ def _start_states(c):
 
 def _check_initial_states(c):
     weights = c["params"]["initial_weights"]
-    _check_propagator(c, states=len(weights))
+    _check_propagator(c)
     for w in weights:
         if len(w) != 2 or min(w) < 0.0:
             raise ConfigError(f"params.initial_weights entry {w!r} is not two weights >= 0")
@@ -339,21 +374,15 @@ def _check_unitarity_report(c):
     where = "params.n_cycles, grid.taylor_order and grid.steps_per_cycle"
     for at in _ends(c, "taylor_order", "steps_per_cycle"):
         _checked(where, TrotterConfig, mode="taylor", n_cycles=c["params"]["n_cycles"], **at)
-    # each step count folds every distinct order and one exact reference
-    chains = len(set(c["grid"]["taylor_order"].tolist())) + 1
-    steps = set(c["grid"]["steps_per_cycle"].tolist())
-    _check_work(where, chains * (sum(steps) + len(steps) * c["params"]["n_cycles"]))
 
 
 def _run_sweep_k(c):
     drive, ks = c["params"]["drive"], c["grid"]["k"]
     p_g = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
                                       _trotter(**c["params"]["trotter"]))
-    rows = []
-    for k, p in zip(ks, p_g):
-        stats = bandmodel.gap_stats(DriveParams(k=float(k), **drive))
-        rows.append((float(k), float(p), stats.delta_int, stats.delta_min,
-                     stats.delta_avg))
+    stats = bandmodel.gap_stats_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"])
+    rows = list(zip(ks.tolist(), p_g.tolist(), stats.delta_int.tolist(),
+                    stats.delta_min.tolist(), stats.delta_avg.tolist()))
     return ("k", "p_g", "delta_int", "delta_min", "delta_avg"), rows
 
 
@@ -363,10 +392,8 @@ def _run_sweep_eps0(c):
     p_g = propagator.p_g_numeric_grid(kmesh, emesh, drive["a_ph"], drive["omega"],
                                       _trotter(**c["params"]["trotter"]))
     p_max = p_g.reshape(len(eps0s), len(ks)).max(axis=1)
-    rows = []
-    for e, p in zip(eps0s, p_max):
-        stats = bandmodel.gap_stats(DriveParams(eps0=float(e), k=0.0, **drive))
-        rows.append((float(e), float(p), stats.delta_min))
+    stats = bandmodel.gap_stats_grid(0.0, eps0s, drive["a_ph"], drive["omega"])
+    rows = list(zip(eps0s.tolist(), p_max.tolist(), stats.delta_min.tolist()))
     return ("eps0", "p_g_max", "delta_min_k0"), rows
 
 
@@ -375,8 +402,7 @@ def _run_sweep_amplitude(c):
     amesh, kmesh = np.meshgrid(c["grid"]["a_ph"], c["grid"]["k"], indexing="ij")
     p_g = propagator.p_g_numeric_grid(kmesh, drive["eps0"], amesh, drive["omega"],
                                       _trotter(**c["params"]["trotter"]))
-    rows = [(float(k), float(a), float(p))
-            for (a, k, p) in zip(amesh.ravel(), kmesh.ravel(), p_g)]
+    rows = list(zip(kmesh.ravel().tolist(), amesh.ravel().tolist(), p_g.tolist()))
     return ("k", "a_ph", "p_g"), rows
 
 
@@ -395,9 +421,8 @@ def _run_initial_states(c):
 
 def _run_ensemble(c):
     trace = ensemble.ensemble_average(_ensemble_config(**c["params"]["ensemble"]))
-    rows = [(float(t), float(pe), float(s), float(pf))
-            for t, pe, s, pf in zip(trace.times, trace.p_ens,
-                                    trace.entropy, trace.p_first)]
+    rows = list(zip(trace.times.tolist(), trace.p_ens.tolist(), trace.entropy.tolist(),
+                    trace.p_first.tolist()))
     return ("t", "p_ens", "entropy", "p_first"), rows
 
 
@@ -439,22 +464,30 @@ def _run_unitarity_report(c):
     return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows
 
 
-# Each experiment's range checks and runner. The checks see the typed config
-# before any compute. Most ranges live in the constructors of the library
-# objects an experiment builds; each constraint on a swept field is an
-# interval, so building at both ends of every axis covers the whole axis.
+# Each experiment's work cap (None: uncapped), range checks and runner. The
+# cap sees the typed config before any grid axis is built, from the axis
+# counts; the checks see the built axes, still before any compute. Most ranges live
+# in the constructors of the library objects an experiment builds; each
+# constraint on a swept field is an interval, so building at both ends of
+# every axis covers the whole axis.
 _EXPERIMENTS = {
-    "sweep-k": (lambda c: _check_propagator(c, "k"), _run_sweep_k),
-    "sweep-eps0": (lambda c: _check_propagator(c, "eps0", "k"), _run_sweep_eps0),
-    "sweep-amplitude": (lambda c: _check_propagator(c, "a_ph", "k"), _run_sweep_amplitude),
-    "initial-states": (_check_initial_states, _run_initial_states),
-    "ensemble": (lambda c: _checked("params.ensemble", _ensemble_config,
-                                    **c["params"]["ensemble"]), _run_ensemble),
-    "verify-cyclemap": (_check_verify_cyclemap, _run_verify_cyclemap),
-    "thermal": (_check_thermal, _run_thermal),
-    "fluence": (_check_fluence, _run_fluence),
-    "unitarity-report": (_check_unitarity_report, _run_unitarity_report),
+    "sweep-k": (lambda c: _cap_propagator(c, "k"), lambda c: _check_propagator(c, "k"),
+                _run_sweep_k),
+    "sweep-eps0": (lambda c: _cap_propagator(c, "eps0", "k"),
+                   lambda c: _check_propagator(c, "eps0", "k"), _run_sweep_eps0),
+    "sweep-amplitude": (lambda c: _cap_propagator(c, "a_ph", "k"),
+                        lambda c: _check_propagator(c, "a_ph", "k"), _run_sweep_amplitude),
+    "initial-states": (lambda c: _cap_propagator(c, states=len(c["params"]["initial_weights"])),
+                       _check_initial_states, _run_initial_states),
+    "ensemble": (None, lambda c: _checked("params.ensemble", _ensemble_config,
+                                          **c["params"]["ensemble"]), _run_ensemble),
+    "verify-cyclemap": (_cap_verify_cyclemap, _check_verify_cyclemap, _run_verify_cyclemap),
+    "thermal": (None, _check_thermal, _run_thermal),
+    "fluence": (None, _check_fluence, _run_fluence),
+    "unitarity-report": (_cap_unitarity_report, _check_unitarity_report,
+                         _run_unitarity_report),
 }
+
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -501,11 +534,13 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     cfg = _typed(config, {"experiment": name, **DEFAULTS[name]})
     if not cfg["output_path"]:
         raise ConfigError("field 'output_path' must be a non-empty string")
+    cap, check, runner = _EXPERIMENTS[name]
+    if cap is not None:
+        cap(cfg)
     cfg["grid"] = {n: _points(axis, f"grid.{n}") for n, axis in cfg["grid"].items()}
     drive = cfg["params"].get("drive")
     if drive is not None and drive["omega"] is None:
         drive["omega"] = DEFAULT_OMEGA
-    check, runner = _EXPERIMENTS[name]
     check(cfg)
     metadata = copy.deepcopy(config)
     if drive is not None:  # echo the resolved omega
@@ -514,7 +549,7 @@ def run(config: dict, workers: int = 1) -> ResultTable:
         columns, rows = runner(cfg)
         return ResultTable(columns=tuple(columns), rows=tuple(rows), metadata=metadata)
     except (propagator.EvolutionError, GapClosedOnLoop, DegenerateSpectrum,
-            ArithmeticError, ValueError, MemoryError) as exc:
+            InvalidDensityMatrix, ArithmeticError, ValueError, MemoryError) as exc:
         # the config passed every check, so the computation itself failed: e.g.
         # a grid point on a gap closing, a non-finite result, or an array too
         # large to allocate

@@ -9,6 +9,10 @@ while the mean excited population settles at the long-run pumping value.
 The single-system probability p1(t) is a staircase: the state only changes
 at the instants where the drive amplitude peaks (one quarter period into
 each cycle), where one application of the cycle unitary is accrued.
+
+The member-averaged densities of all grid times form one (n_t, 2, 2) stack,
+validated and diagonalised in one su2.density_spectra call; the entropy
+comes from those eigenvalues.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
 
     Member j (j = 1 is the earliest) contributes p1(t - j*dt_mismatch); the
     entropy comes from the von Neumann entropy of the member-averaged density
-    matrix, built from the same staircase states.
+    matrix, built from the same staircase states. A density that fails its
+    check raises InvalidDensityMatrix naming its time index and t.
     """
     h = cfg.tau_cycle / GRID_PER_CYCLE
     n_t = int(math.floor(cfg.t_max / h + 1e-9)) + 1
@@ -118,17 +123,18 @@ def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
 
     a0 = amp0[counts]
     a1 = amp1[counts]
-    rho00 = np.mean(np.abs(a0) ** 2, axis=1)
-    rho11 = np.mean(np.abs(a1) ** 2, axis=1)
-    rho01 = np.mean(a0 * np.conj(a1), axis=1)
-
-    p_ens = np.empty(n_t)
-    entropy = np.empty(n_t)
-    for i in range(n_t):
-        rho = np.array([[rho00[i], rho01[i]],
-                        [np.conj(rho01[i]), rho11[i]]], dtype=complex)
-        p_ens[i] = observable_from_density(rho)
-        entropy[i] = su2.von_neumann_entropy(rho)
+    rho = np.empty((n_t, 2, 2), dtype=complex)
+    rho[:, 0, 0] = np.mean(np.abs(a0) ** 2, axis=1)
+    rho[:, 1, 1] = p_ens = np.mean(np.abs(a1) ** 2, axis=1)
+    rho[:, 0, 1] = rho01 = np.mean(a0 * np.conj(a1), axis=1)
+    rho[:, 1, 0] = np.conj(rho01)
+    try:
+        lam = su2.density_spectra(rho)
+    except su2.InvalidDensityMatrix as exc:
+        raise su2.InvalidDensityMatrix(
+            f"ensemble density at time index {exc.index} (t = {float(times[exc.index])!r}): "
+            f"{exc}", exc.index) from None
+    entropy = su2.spectral_entropy(lam)
 
     p_first = np.abs(amp1[first_counts]) ** 2
     return EnsembleTrace(times=times, p_ens=p_ens, entropy=entropy, p_first=p_first)

@@ -15,14 +15,19 @@ stack with the same BLAS call as a lone 2x2, and every matrix element goes
 through the same IEEE operations as a one-step build, so each chain is
 bit-identical to a step-by-step loop of its own.
 Sweeps over momentum/offset grids use the same algebra on flat arrays
-(p_g_numeric_grid), a few vectorized operations per step for a block of
-_BLOCK_POINTS grid points at a time; each point is computed on its own, so
-the blocks bound the working memory without changing a result. Every step is
-a real multiple of an SU(2) matrix, so the running product has the form
-[[a, -conj(b)], [b, conj(a)]] up to a real factor: the grid route steps only
-the first column (a, b), rebuilds the matrix once after the loop (_su2), and
-runs every per-step and per-cycle operation into buffers allocated once per
-block. Both routes enforce the same guards and are cross-checked in the
+(p_g_numeric_grid), for a block of at most _BLOCK_POINTS grid points at a
+time; each point is computed on its own, so the blocks bound the working
+memory without changing a result. Within a block of N points the steps are
+built a slab at a time: B = _BLOCK_POINTS // N steps (at least 1, at most
+steps_per_cycle) take one pass of vectorized operations over a (B, N) slab,
+so a slab holds no more elements than a full block does, and a 2048-point
+block has B = 1. The s_j = sin(omega t_j) come from one math.sin pass per
+call. Every step is a real multiple of an SU(2) matrix, so the running
+product has the form [[a, -conj(b)], [b, conj(a)]] up to a real factor: the
+grid route folds the slab's steps into only the first column (a, b), one
+step at a time and in order, rebuilds the matrix once after the loop (_su2),
+and runs every per-step and per-cycle operation into buffers allocated once
+per block. Both routes enforce the same guards and are cross-checked in the
 tests; a grid error's indices count over the whole call.
 
 Because H^2 = |d|^2 I, every step is ca I - i kappa H with r = |d| dt, and
@@ -431,30 +436,48 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     """First columns (u00, u10) of the one-cycle step product and of its prefix
     over `extra` steps, as (2, N) arrays, for d(t) = (0, d2, c3 - a_ph sin(omega t)).
     The prefix is None when extra = 0: it is the identity.
+
+    The steps are built a slab at a time (see the module docstring for its
+    size) and folded in order, one _apply per step; the last slab's unused
+    rows are built from s = 0 and never applied.
     """
     n = d2.size
-    d3, r, ca, kappa = (np.empty(n) for _ in range(4))
+    steps = cfg.steps_per_cycle
+    b = max(1, min(_BLOCK_POINTS // n, steps))
+    # s_j = sin(omega t_j) at the step midpoints, zero-padded to whole slabs
+    sines = np.zeros(-(-steps // b) * b)
+    sines[:steps] = np.fromiter((math.sin(omega * (j + 0.5) * dt) for j in range(steps)),
+                                float, steps)
+    # one-step slabs (N > _BLOCK_POINTS / 2) drop the slab axis from the
+    # buffers and take s_j as a scalar: NumPy spends more per call on a
+    # broadcast operand than on a scalar one
+    shape, s_slabs = ((b, n), sines.reshape(-1, b, 1)) if b > 1 else ((n,), sines)
+    d3, r, ca, kappa = (np.empty(shape) for _ in range(4))
     # step = ca*I - i*kappa*(d2*sigma2 + d3*sigma3) = [[s00, -off], [off, s11]]
     # with s00, s11 = ca -/+ i*kappa*d3 and the real off = kappa*d2. The parts
     # are written through real views: they round exactly like the complex
     # expressions, up to the sign of a zero, which no later sum, product or
     # modulus can turn into a nonzero difference.
-    step = np.zeros((2, 2, n), dtype=complex)
-    s00, s01, s10, s11 = step[0, 0], step[0, 1], step[1, 0], step[1, 1]
-    prod = np.empty_like(step)
+    slab = np.zeros((b, 2, 2, n), dtype=complex)
+    s00, s01, s10, s11 = (slab[:, i // 2, i % 2].reshape(shape) for i in range(4))
+    s00r, s00i, s01r, s10r, s11r, s11i = (s00.real, s00.imag, s01.real, s10.real,
+                                          s11.real, s11.imag)
+    slab_steps = list(slab)
+    prod = np.empty((2, 2, n), dtype=complex)
     u = np.zeros((2, n), dtype=complex)
     u[0] = 1.0
     q = None
-    for j in range(cfg.steps_per_cycle):
-        s = math.sin(omega * (j + 0.5) * dt)
-        np.subtract(c3, np.multiply(a_ph, s, out=d3), out=d3)
-        np.multiply(np.hypot(d2, d3, out=r), dt, out=r)
-        _step_coeffs(r, dt, cfg.mode, cfg.taylor_order, out=(ca, kappa))
-        s00.real = ca
-        s11.real = ca
-        np.negative(np.multiply(kappa, d3, out=s11.imag), out=s00.imag)
-        np.negative(np.multiply(kappa, d2, out=s10.real), out=s01.real)
-        _apply(step, u, prod, out=u)
+    for j in range(steps):
+        i = j % b
+        if i == 0:
+            np.subtract(c3, np.multiply(a_ph, s_slabs[j // b], out=d3), out=d3)
+            np.multiply(np.hypot(d2, d3, out=r), dt, out=r)
+            _step_coeffs(r, dt, cfg.mode, cfg.taylor_order, out=(ca, kappa))
+            np.copyto(s00r, ca)
+            np.copyto(s11r, ca)
+            np.negative(np.multiply(kappa, d3, out=s11i), out=s00i)
+            np.negative(np.multiply(kappa, d2, out=s10r), out=s01r)
+        _apply(slab_steps[i], u, prod, out=u)
         if j + 1 == extra:
             q = u.copy()
     return u, q

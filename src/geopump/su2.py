@@ -3,6 +3,11 @@
 States are length-2 complex ndarrays, operators are (2, 2) complex ndarrays,
 and Bloch vectors are length-3 real ndarrays with H = d . sigma. Everything
 here is allocation-light and pure; no scipy.
+
+Density matrices are checked as stacks: density_spectra runs the invariant
+tests over an (n, 2, 2) stack, one test at a time, with one eigvalsh call,
+and spectral_entropy turns the same eigenvalues into von Neumann entropies.
+validate_density and von_neumann_entropy are their one-matrix case.
 """
 
 from __future__ import annotations
@@ -27,7 +32,12 @@ class DegenerateSpectrum(Exception):
 
 
 class InvalidDensityMatrix(Exception):
-    """Input violates the density-matrix invariants beyond tolerance."""
+    """Input violates the density-matrix invariants beyond tolerance; `index`
+    is the first failing matrix of a stack (0 for a single matrix)."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = int(index)
 
 
 def bloch_matrix(d: np.ndarray) -> np.ndarray:
@@ -81,31 +91,64 @@ def exact_step(d: np.ndarray, dt: float) -> np.ndarray:
     return np.cos(r) * IDENTITY2 - 1.0j * kappa * h
 
 
-def validate_density(rho: np.ndarray) -> np.ndarray:
+def density_spectra(rho: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, shaped (n, 2), of an (n, 2, 2) stack of density
+    matrices, each checked against the density-matrix invariants.
+
+    The tests run in a fixed order over the whole stack: finite entries,
+    Hermitian, unit trace, no eigenvalue below -DENSITY_TOL. The first test
+    that any matrix fails raises InvalidDensityMatrix, whose message is the
+    reason and whose `index` is the first matrix that fails it. One
+    eigvalsh call covers the stack; each matrix's eigenvalues are bit for
+    bit those of its own call.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1:] != (2, 2):
+        raise InvalidDensityMatrix(f"shape {rho.shape} is not (n, 2, 2)")
+
+    def check(ok, reason, values=None):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            i = bad[0]
+            raise InvalidDensityMatrix(reason if values is None else reason.format(values[i]), i)
+
+    check(np.isfinite(rho).all(axis=(1, 2)), "non-finite entries")
+    asym = np.abs(rho - rho.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    check(asym <= DENSITY_TOL, "not Hermitian within tolerance")
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    check(np.abs(trace - 1.0) <= DENSITY_TOL, "trace differs from 1 beyond tolerance")
+    lam = np.linalg.eigvalsh(rho)
+    check(lam[:, 0] >= -DENSITY_TOL, "negative eigenvalue {:.3e}", lam[:, 0])
+    return lam
+
+
+def spectral_entropy(lam: np.ndarray) -> np.ndarray:
+    """-sum lam ln lam over the last axis, with 0 ln 0 = 0: each row is
+    0.0 - lam0 ln lam0 - lam1 ln lam1, a term left out where lam <= 0."""
+    lam = np.asarray(lam, dtype=float)
+    terms = np.zeros_like(lam)
+    pos = lam > 0.0
+    np.log(lam, out=terms, where=pos)
+    np.multiply(lam, terms, out=terms, where=pos)
+    return 0.0 - terms[..., 0] - terms[..., 1]
+
+
+def _one_density(rho):
+    """rho as a complex (2, 2) array and its eigenvalues: the one-matrix
+    case of density_spectra."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise InvalidDensityMatrix(f"shape {rho.shape} is not (2, 2)")
-    if not np.all(np.isfinite(rho.view(float))):
-        raise InvalidDensityMatrix("non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
-        raise InvalidDensityMatrix("not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > DENSITY_TOL:
-        raise InvalidDensityMatrix("trace differs from 1 beyond tolerance")
-    lam = np.linalg.eigvalsh(rho)
-    if lam[0] < -DENSITY_TOL:
-        raise InvalidDensityMatrix(f"negative eigenvalue {lam[0]:.3e}")
-    return rho
+    return rho, density_spectra(rho[None])[0]
+
+
+def validate_density(rho: np.ndarray) -> np.ndarray:
+    return _one_density(rho)[0]
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S = -tr(rho ln rho) with 0 ln 0 = 0; lies in [0, ln 2] for one qubit."""
-    rho = validate_density(rho)
-    lam = np.linalg.eigvalsh(rho)
-    s = 0.0
-    for x in lam:
-        if x > 0.0:
-            s -= x * np.log(x)
-    return float(s)
+    return float(spectral_entropy(_one_density(rho)[1]))
 
 
 def pure_density(psi: np.ndarray) -> np.ndarray:

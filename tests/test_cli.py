@@ -483,11 +483,62 @@ def test_committed_configs_stay_under_the_work_cap(root, monkeypatch):
     monkeypatch.setattr(cli.cyclemap, "p_series_mean_grid", started)
     for name in ("temperature_sweep", "fluence_sweep"):
         monkeypatch.setattr(cli.thermo, name, started)
+    capped = {}
+    cap = cli._check_work
+
+    def check_work(where, work, *args):
+        capped[experiment] = work
+        return cap(where, work, *args)
+
+    monkeypatch.setattr(cli, "_check_work", check_work)
     root = os.path.join(os.path.dirname(__file__), "..", root)
     names = sorted(os.listdir(root))
     assert len(names) == 9
     for name in names:
         with open(os.path.join(root, name)) as fh:
             doc = json.load(fh)
+        experiment = doc["experiment"]
         with pytest.raises(_ComputeStarted):  # every check passed
-            run(resolve_config(doc["experiment"], doc))
+            run(resolve_config(experiment, doc))
+    # every propagator and cycle-map experiment had its work capped
+    assert set(capped) == {"sweep-k", "sweep-eps0", "sweep-amplitude", "initial-states",
+                           "unitarity-report", "verify-cyclemap"}
+    assert max(capped.values()) <= cli.MAX_WORK
+    assert capped["verify-cyclemap"] == 2500 * 100000
+
+
+def test_work_cap_is_checked_before_any_axis_is_built(monkeypatch, capsys):
+    def linspace(*args, **kwargs):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
+    for argv in (["sweep-k", "--set", "grid.k.count=1e8"],
+                 ["sweep-eps0", "--set", "grid.eps0.count=1e6", "--set", "grid.k.count=1e6"],
+                 ["unitarity-report", "--set", "grid.steps_per_cycle.min=100",
+                  "--set", "grid.steps_per_cycle.max=100",
+                  "--set", "grid.steps_per_cycle.count=1e8"],
+                 ["verify-cyclemap", "--set", "grid.theta.count=1e8"]):
+        assert cli.main(argv + ["--out", "-"]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_cyclemap_series_work_is_capped(monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli.cyclemap, "p_series_mean_grid", no_compute)
+    assert cli.main(["verify-cyclemap", "--set", "params.n_cycles=1e12", "--out", "-"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "geopump: config error: grid.theta, grid.phi and params.n_cycles: cycle-map series "
+        "work of 2.5e+15 point-cycles exceeds the cap of 1e+09")
+
+
+def test_invalid_ensemble_density_is_a_compute_error(monkeypatch, capsys):
+    # a non-unitary cycle map leaves the densities' trace off 1
+    monkeypatch.setattr(cli.ensemble, "cycle_unitary",
+                        lambda c: 2.0 * np.eye(2, dtype=complex))
+    assert cli.main(["ensemble", "--out", "-"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "geopump: running ensemble",
+        "geopump: compute error: ensemble: ensemble density at time index 38 "
+        "(t = 0.3154): trace differs from 1 beyond tolerance"]

@@ -132,3 +132,72 @@ def test_observable_from_density():
     assert ensemble.observable_from_density(0.5 * np.eye(2, dtype=complex)) == 0.5
     with pytest.raises(su2.InvalidDensityMatrix):
         ensemble.observable_from_density(np.diag([0.9, 0.9]).astype(complex))
+
+
+def _per_row_entropy(rho):
+    """su2.von_neumann_entropy as it was written before the stacked check."""
+    lam = np.linalg.eigvalsh(rho)
+    s = 0.0
+    for x in lam:
+        if x > 0.0:
+            s -= x * np.log(x)
+    return float(s)
+
+
+def _per_row_trace(cfg):
+    """ensemble_average as it was written before the densities were stacked:
+    one density, one validation and one entropy per time."""
+    h = cfg.tau_cycle / ensemble.GRID_PER_CYCLE
+    n_t = int(math.floor(cfg.t_max / h + 1e-9)) + 1
+    times = np.arange(n_t) * h
+    j = np.arange(1, cfg.n_systems + 1)
+    elapsed = times[:, None] - j[None, :] * cfg.dt_mismatch
+    counts = np.maximum(np.floor(elapsed / cfg.tau_cycle - 0.25).astype(int) + 1, 0)
+    first_counts = np.maximum(np.floor(times / cfg.tau_cycle - 0.25).astype(int) + 1, 0)
+    u = cycle_unitary(cfg.cycle)
+    n_max = int(max(counts.max(), first_counts.max()))
+    amp0 = np.empty(n_max + 1, dtype=complex)
+    amp1 = np.empty(n_max + 1, dtype=complex)
+    state = np.array([1.0, 0.0], dtype=complex)
+    for m in range(n_max + 1):
+        amp0[m], amp1[m] = state
+        state = u @ state
+    a0, a1 = amp0[counts], amp1[counts]
+    rho00 = np.mean(np.abs(a0) ** 2, axis=1)
+    rho11 = np.mean(np.abs(a1) ** 2, axis=1)
+    rho01 = np.mean(a0 * np.conj(a1), axis=1)
+    p_ens = np.empty(n_t)
+    entropy = np.empty(n_t)
+    for i in range(n_t):
+        rho = np.array([[rho00[i], rho01[i]], [np.conj(rho01[i]), rho11[i]]], dtype=complex)
+        p_ens[i] = rho[1, 1].real
+        entropy[i] = _per_row_entropy(rho)
+    return times, p_ens, entropy, np.abs(amp1[first_counts]) ** 2
+
+
+@pytest.mark.parametrize("cfg", [
+    EnsembleConfig(),  # the committed config
+    EnsembleConfig(cycle=CycleParams(theta=math.pi / 3, phi=0.7)),
+    EnsembleConfig(n_systems=1),
+    EnsembleConfig(n_systems=13, dt_mismatch=0.07, tau_cycle=0.81, t_max=21.0,
+                   cycle=CycleParams(theta=2.4, phi=1.0, omega_az=0.3)),
+])
+def test_stacked_trace_equals_per_row_code(cfg):
+    tr = ensemble_average(cfg)
+    for new, old in zip((tr.times, tr.p_ens, tr.entropy, tr.p_first), _per_row_trace(cfg)):
+        assert new.tobytes() == old.tobytes()
+
+
+def test_invalid_density_names_its_time(monkeypatch):
+    # a non-unitary cycle map: the trace leaves 1 once a member has cycled
+    monkeypatch.setattr(ensemble, "cycle_unitary", lambda c: 2.0 * np.eye(2, dtype=complex))
+    cfg = EnsembleConfig()
+    with pytest.raises(su2.InvalidDensityMatrix) as info:
+        ensemble_average(cfg)
+    i = info.value.index
+    h = cfg.tau_cycle / ensemble.GRID_PER_CYCLE
+    t = float(np.arange(i + 1)[i] * h)
+    # the first grid time at which the earliest member has passed a drive maximum
+    assert t - h < cfg.dt_mismatch + 0.25 * cfg.tau_cycle <= t
+    assert str(info.value) == (f"ensemble density at time index {i} (t = {t!r}): "
+                               "trace differs from 1 beyond tolerance")

@@ -540,3 +540,80 @@ def test_grid_kernel_rejects_an_omega_without_a_finite_period(omega):
     cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2)
     with pytest.raises(ValueError, match="omega"):
         propagator.p_g_numeric_grid(np.array([0.02]), -0.95, 0.1, omega, cfg)
+
+
+def _per_step_columns(d2, c3, a_ph, omega, dt, extra, cfg):
+    """_grid_columns as it was written before the step slabs: one math.sin,
+    one coefficient build and one fold per step, on (N,) buffers."""
+    n = d2.size
+    d3, r, ca, kappa = (np.empty(n) for _ in range(4))
+    step = np.zeros((2, 2, n), dtype=complex)
+    s00, s01, s10, s11 = step[0, 0], step[0, 1], step[1, 0], step[1, 1]
+    prod = np.empty_like(step)
+    u = np.zeros((2, n), dtype=complex)
+    u[0] = 1.0
+    q = None
+    for j in range(cfg.steps_per_cycle):
+        s = math.sin(omega * (j + 0.5) * dt)
+        np.subtract(c3, np.multiply(a_ph, s, out=d3), out=d3)
+        np.multiply(np.hypot(d2, d3, out=r), dt, out=r)
+        propagator._step_coeffs(r, dt, cfg.mode, cfg.taylor_order, out=(ca, kappa))
+        s00.real = ca
+        s11.real = ca
+        np.negative(np.multiply(kappa, d3, out=s11.imag), out=s00.imag)
+        np.negative(np.multiply(kappa, d2, out=s10.real), out=s01.real)
+        propagator._apply(step, u, prod, out=u)
+        if j + 1 == extra:
+            q = u.copy()
+    return u, q
+
+
+def _slab_steps(points, steps):
+    return max(1, min(propagator._BLOCK_POINTS // points, steps))
+
+
+# steps_per_cycle = 203 is a multiple of no slab size below but 203 itself;
+# 2100 steps give a one-point grid a slab of 2048 steps and one of 52
+@pytest.mark.parametrize("points, steps", [(1, 203), (1, 2100), (101, 203), (401, 203),
+                                           (1024, 203), (1025, 203), (2048, 203)])
+def test_step_slabs_equal_per_step_columns(points, steps):
+    rng = np.random.default_rng(points)
+    k = rng.uniform(-0.05, 0.05, points)
+    d2 = np.sin(k)
+    c3 = -(rng.uniform(-1.03, -0.97, points) + np.cos(k))
+    a_ph = rng.uniform(0.02, 0.06, points)
+    omega = TPT_POINT.omega
+    dt = 2.0 * math.pi / omega / steps
+    b = _slab_steps(points, steps)
+    # no prefix, a prefix that ends a slab, one that ends inside a slab, the last step
+    extras = sorted({0, b * (steps // b // 2) or b, b * (steps // b // 2) + b // 2 + 1, steps})
+    for mode, order in [("exact", 4), ("taylor", 2), ("taylor", 3), ("taylor", 4)]:
+        cfg = TrotterConfig(steps_per_cycle=steps, mode=mode, taylor_order=order)
+        for extra in extras:
+            u, q = propagator._grid_columns(d2, c3, a_ph, omega, dt, extra, cfg)
+            u_ref, q_ref = _per_step_columns(d2, c3, a_ph, omega, dt, extra, cfg)
+            assert u.tobytes() == u_ref.tobytes()
+            assert (q is None) == (q_ref is None) == (extra == 0)
+            assert q is None or q.tobytes() == q_ref.tobytes()
+
+
+@pytest.mark.parametrize("points", [1, 3, 101, 401, 1024, 1025, 1981, 2048])
+def test_step_slab_stays_within_block_points(points, monkeypatch):
+    shapes = []
+
+    def step_coeffs(r, *args, **kwargs):
+        shapes.append(np.shape(r))
+        return build(r, *args, **kwargs)
+
+    build = propagator._step_coeffs
+    monkeypatch.setattr(propagator, "_step_coeffs", step_coeffs)
+    steps = 2003
+    b = _slab_steps(points, steps)
+    propagator.p_g_numeric_grid(np.linspace(0.01, 0.5, points), -0.95, 0.1,
+                                TPT_POINT.omega, TrotterConfig(steps_per_cycle=steps,
+                                                               n_cycles=2))
+    # one coefficient build per slab of b steps, over b * points <= _BLOCK_POINTS
+    assert len(shapes) == -(-steps // b)
+    assert set(shapes) == {(b, points) if b > 1 else (points,)}
+    assert b * points <= propagator._BLOCK_POINTS
+    assert (b == 1) == (points > propagator._BLOCK_POINTS // 2)

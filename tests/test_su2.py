@@ -138,3 +138,44 @@ def test_entropy_exceeds_member_average_for_pure_mixture():
     b = su2.pure_density(np.array([0.0, 1.0]))
     s = su2.von_neumann_entropy(0.5 * a + 0.5 * b)
     assert abs(s - math.log(2)) < 1e-14
+
+
+def test_density_spectra_names_the_first_matrix_that_fails_the_first_failing_test():
+    good = 0.5 * np.eye(2, dtype=complex)
+    asym = np.array([[0.6, 0.1], [0.3, 0.4]], dtype=complex)
+    heavy = np.array([[0.9, 0.0], [0.0, 0.9]], dtype=complex)
+    negative = np.array([[1.4, 0.0], [0.0, -0.4]], dtype=complex)
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    # each test runs over the whole stack before the next one: the trace of
+    # matrix 1 is off, but the asymmetric matrix 3 fails the earlier test
+    cases = [([good, heavy, good, asym], 3, "not Hermitian within tolerance"),
+             ([good, negative, heavy], 2, "trace differs from 1 beyond tolerance"),
+             ([good, good, negative], 2, "negative eigenvalue -4.000e-01"),
+             ([negative, asym, nan], 2, "non-finite entries")]
+    for stack, index, message in cases:
+        with pytest.raises(su2.InvalidDensityMatrix) as info:
+            su2.density_spectra(np.array(stack))
+        assert (info.value.index, str(info.value)) == (index, message)
+    with pytest.raises(su2.InvalidDensityMatrix, match=r"is not \(n, 2, 2\)"):
+        su2.density_spectra(good)
+
+
+def test_scalar_checks_are_the_one_matrix_stack():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        psi = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        w = rng.uniform()
+        rho = w * su2.pure_density(psi[0]) + (1.0 - w) * su2.pure_density(psi[1])
+        rho = 0.5 * (rho + rho.conj().T)
+        lam = np.linalg.eigvalsh(rho)  # the entropy as written per matrix
+        s = 0.0
+        for x in lam:
+            if x > 0.0:
+                s -= x * np.log(x)
+        assert np.float64(su2.von_neumann_entropy(rho)).tobytes() == np.float64(s).tobytes()
+        stacked = su2.spectral_entropy(su2.density_spectra(np.array([rho, rho])))
+        assert stacked.tobytes() == np.array([s, s]).tobytes()
+    assert su2.validate_density(np.diag([0.25, 0.75])).dtype == complex
+    with pytest.raises(su2.InvalidDensityMatrix, match=r"shape \(3, 3\) is not \(2, 2\)"):
+        su2.validate_density(np.eye(3) / 3)
