@@ -44,17 +44,29 @@ class DriveParams:
     def __post_init__(self):
         if not self.a_ph >= 0.0:
             raise ValueError(f"a_ph must be >= 0, got {self.a_ph}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if not np.isfinite(self.tau_cycle):
-            raise ValueError(f"omega = {self.omega} gives a non-finite drive period "
-                             "2 pi / omega")
+        drive_period(self.omega)
         if not -np.pi <= self.k < np.pi:
             raise ValueError(f"k must lie in [-pi, pi), got {self.k}")
 
     @property
     def tau_cycle(self) -> float:
         return 2.0 * np.pi / self.omega
+
+
+def drive_period(omega: float) -> float:
+    """2 pi / omega; a ValueError unless omega > 0 gives a finite, nonzero period."""
+    tau = 2.0 * np.pi / float(omega) if omega > 0.0 else 0.0  # float: no overflow warning
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"omega = {omega} must be > 0 and give neither a zero nor a "
+                         "non-finite drive period 2 pi / omega")
+    return tau
+
+
+def checked_winding_change(delta_nu: int) -> int:
+    """delta_nu, a drive cycle's winding change; a ValueError unless it is 0 or 1."""
+    if delta_nu not in (0, 1):
+        raise ValueError(f"delta_nu must be 0 or 1, got {delta_nu}")
+    return delta_nu
 
 
 @dataclass(frozen=True)
@@ -103,14 +115,12 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA,
     """
     if samples_per_cycle < 16:
         raise ValueError("samples_per_cycle must be >= 16")
-    if not (omega > 0.0 and 0.0 < 2.0 * np.pi / omega < np.inf):
-        raise ValueError(f"omega = {omega} must be > 0 with a finite, positive drive "
-                         "period 2 pi / omega")
+    tau = drive_period(omega)
     k, eps0, a_ph = (x.ravel() for x in np.broadcast_arrays(
         np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
         np.asarray(a_ph, dtype=float)))
     d2, cos_k = np.sin(k), np.cos(k)
-    t = np.arange(samples_per_cycle) * ((2.0 * np.pi / omega) / samples_per_cycle)
+    t = np.arange(samples_per_cycle) * (tau / samples_per_cycle)
     s = np.sin(omega * t)
     dense_min = np.empty(k.size)
     delta_avg = np.empty(k.size)

@@ -3,16 +3,14 @@
 Each named experiment resolves a layered configuration (built-in defaults,
 then a JSON config file, then --set overrides). `run` validates it in one pass
 before any computation starts: DEFAULTS is the schema, so every leaf must have
-its default's type, and the library objects the experiment builds are made
-with each grid axis at its min and at its max, so their constructors' range
-checks cover every point. A propagator or cycle-map experiment must also ask
-for no more than MAX_WORK, which is checked from the axis counts before any
-axis is built. It then dispatches to the owning module and serializes one
-rectangular result table. Execution is serial: each sweep
-is one grid-kernel call on its whole flattened grid, and the propagator
-kernel bounds its own working memory by walking the grid in blocks. A
-propagator failure names the failing grid point; `run` reports it, and every
-other failure of a checked config's computation, as a ComputeError.
+its default's type; a propagator or cycle-map experiment must ask for no more
+than MAX_WORK, checked from the axis counts before any axis is built; and
+every range rule is the library's own (a constructor, or a rule function of
+the module that owns the field), applied with each grid axis at its min and
+at its max. It then dispatches to the owning module and serializes one
+rectangular result table. Execution is serial; the propagator kernel walks
+its grid in blocks and names a failing grid point, which `run` reports, like
+every other failure of a checked config's computation, as a ComputeError.
 """
 
 from __future__ import annotations
@@ -240,26 +238,20 @@ def _points(axis, path):
     return points
 
 
-def _checked(where, make, **fields):
-    """make(**fields); a ValueError or TypeError from it becomes a ConfigError
-    that names the config fields `where` they came from."""
+def _checked(where, rule, *args, **fields):
+    """rule(*args, **fields); a ValueError or TypeError from it becomes a
+    ConfigError that names the config fields `where` they came from."""
     try:
-        return make(**fields)
+        return rule(*args, **fields)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _ends(c, *axes):
-    """The named grid axes all at their min, then all at their max."""
-    return [{n: float(end(c["grid"][n])) for n in axes} for end in (np.min, np.max)]
-
-
-def _trotter(**fields):
-    """TrotterConfig for evolve and p_g_numeric_grid, which reject taylor order 1."""
-    tcfg = TrotterConfig(**fields)
-    if tcfg.mode == "taylor" and tcfg.taylor_order < 2:
-        raise ValueError("taylor_order must be >= 2 in taylor mode (1 is for unitarity-report)")
-    return tcfg
+def _at_ends(where, rule, c, axes, **fields):
+    """_checked(where, rule, **fields) with the named grid axes all at their
+    min, then all at their max."""
+    for end in (np.min, np.max):
+        _checked(where, rule, **fields, **{n: float(end(c["grid"][n])) for n in axes})
 
 
 def _ensemble_config(theta, phi, omega_az, **fields):
@@ -311,75 +303,37 @@ def _cap_verify_cyclemap(c):
 
 
 def _check_propagator(c, *axes):
-    """DriveParams at the ends of the swept drive axes, and the TrotterConfig."""
-    grids = [f"grid.{n}" for n in axes]
-    for at in _ends(c, *axes):
-        _checked(" and ".join(["params.drive", *grids]), DriveParams,
-                 **c["params"]["drive"], **at)
-    _checked("params.trotter", _trotter, **c["params"]["trotter"])
+    """DriveParams at the ends of the swept drive axes, and the TrotterConfig
+    under evolve's own rule."""
+    _at_ends(" and ".join(["params.drive", *(f"grid.{n}" for n in axes)]), DriveParams, c,
+             axes, **c["params"]["drive"])
+    _checked("params.trotter", propagator.checked_trotter,
+             _checked("params.trotter", TrotterConfig, **c["params"]["trotter"]))
 
 
 def _start_states(c):
     """The drive and the (S, 2) start states sqrt(w0) g0 + sqrt(w1) g1 of
-    params.initial_weights, over the band eigenvectors at t = 0."""
+    params.initial_weights, over the band eigenvectors at t = 0; a ValueError
+    names a pair that is not two weights >= 0, or a state that fails evolve's
+    own norm test (checked_states)."""
+    weights = c["params"]["initial_weights"]
+    for w in weights:
+        if len(w) != 2 or not min(w) >= 0.0:
+            raise ValueError(f"entry {w!r} is not two weights >= 0")
     p = DriveParams(**c["params"]["drive"])
     try:
         _, _, g0, g1 = eigensystem2(bandmodel.hamiltonian(p, 0.0))
     except DegenerateSpectrum as exc:
         raise ComputeError(f"initial-states: start basis degenerate at k={p.k}, "
                            f"eps0={p.eps0}") from exc
-    return p, np.array([math.sqrt(w0) * g0 + math.sqrt(w1) * g1
-                        for w0, w1 in c["params"]["initial_weights"]])
-
-
-def _check_initial_states(c):
-    weights = c["params"]["initial_weights"]
-    _check_propagator(c)
-    for w in weights:
-        if len(w) != 2 or min(w) < 0.0:
-            raise ConfigError(f"params.initial_weights entry {w!r} is not two weights >= 0")
-    # evolve's norm test, on the states it will be given
-    for w, state in zip(weights, _start_states(c)[1]):
-        _checked(f"params.initial_weights entry {w!r}", propagator.checked_states,
-                 initial=state)
-
-
-def _check_verify_cyclemap(c):
-    for at in _ends(c, "theta", "phi"):
-        _checked("grid.theta and grid.phi", CycleParams, **at)
-    if c["params"]["n_cycles"] < 1:
-        raise ConfigError(f"field 'params.n_cycles' must be >= 1, got {c['params']['n_cycles']}")
-
-
-def _check_thermal(c):
-    _checked("params.thermo", ThermalModel, **c["params"]["thermo"])
-    if c["grid"]["T"].min() < 0.0:
-        raise ConfigError(f"field 'grid.T' must be >= 0, got {c['grid']['T'].min()}")
-
-
-def _check_fluence(c):
-    p, fs = c["params"], c["grid"]["F"]
-    _checked("params.thermo", ThermalModel, **p["thermo"])
-    if p["T"] < 0.0:
-        raise ConfigError(f"field 'params.T' must be >= 0, got {p['T']}")
-    if p["delta_nu"] not in (0, 1):
-        raise ConfigError(f"field 'params.delta_nu' must be 0 or 1, got {p['delta_nu']}")
-    if fs.min() < 0.0 or fs.max() == 0.0:
-        raise ConfigError(f"field 'grid.F' must be >= 0 with a maximum > 0, "
-                          f"got [{fs.min()}, {fs.max()}]")
-
-
-def _check_unitarity_report(c):
-    _checked("params.drive", DriveParams, **c["params"]["drive"])
-    where = "params.n_cycles, grid.taylor_order and grid.steps_per_cycle"
-    for at in _ends(c, "taylor_order", "steps_per_cycle"):
-        _checked(where, TrotterConfig, mode="taylor", n_cycles=c["params"]["n_cycles"], **at)
+    return p, propagator.checked_states(
+        np.array([math.sqrt(w0) * g0 + math.sqrt(w1) * g1 for w0, w1 in weights]))
 
 
 def _run_sweep_k(c):
     drive, ks = c["params"]["drive"], c["grid"]["k"]
     p_g = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
-                                      _trotter(**c["params"]["trotter"]))
+                                      TrotterConfig(**c["params"]["trotter"]))
     stats = bandmodel.gap_stats_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"])
     rows = list(zip(ks.tolist(), p_g.tolist(), stats.delta_int.tolist(),
                     stats.delta_min.tolist(), stats.delta_avg.tolist()))
@@ -390,7 +344,7 @@ def _run_sweep_eps0(c):
     drive, eps0s, ks = c["params"]["drive"], c["grid"]["eps0"], c["grid"]["k"]
     emesh, kmesh = np.meshgrid(eps0s, ks, indexing="ij")
     p_g = propagator.p_g_numeric_grid(kmesh, emesh, drive["a_ph"], drive["omega"],
-                                      _trotter(**c["params"]["trotter"]))
+                                      TrotterConfig(**c["params"]["trotter"]))
     p_max = p_g.reshape(len(eps0s), len(ks)).max(axis=1)
     stats = bandmodel.gap_stats_grid(0.0, eps0s, drive["a_ph"], drive["omega"])
     rows = list(zip(eps0s.tolist(), p_max.tolist(), stats.delta_min.tolist()))
@@ -401,16 +355,16 @@ def _run_sweep_amplitude(c):
     drive = c["params"]["drive"]
     amesh, kmesh = np.meshgrid(c["grid"]["a_ph"], c["grid"]["k"], indexing="ij")
     p_g = propagator.p_g_numeric_grid(kmesh, drive["eps0"], amesh, drive["omega"],
-                                      _trotter(**c["params"]["trotter"]))
+                                      TrotterConfig(**c["params"]["trotter"]))
     rows = list(zip(kmesh.ravel().tolist(), amesh.ravel().tolist(), p_g.tolist()))
     return ("k", "a_ph", "p_g"), rows
 
 
 def _run_initial_states(c):
-    p, states = _start_states(c)
+    p, states = c["start_states"]
     weights = c["params"]["initial_weights"]
     try:
-        p_n = propagator.evolve(p, _trotter(**c["params"]["trotter"]), initial=states).p_n
+        p_n = propagator.evolve(p, TrotterConfig(**c["params"]["trotter"]), initial=states).p_n
     except propagator.EvolutionError as exc:
         at = f" at weights {tuple(weights[exc.indices[0]])}" if exc.indices else ""
         raise ComputeError(f"initial-states: {exc}{at}") from exc
@@ -440,18 +394,16 @@ def _run_verify_cyclemap(c):
 def _run_thermal(c):
     curve = thermo.temperature_sweep(ThermalModel(**c["params"]["thermo"]), c["grid"]["T"],
                                      closable_gap=c["params"]["closable_gap"])
-    rows = [(float(a), float(g), float(f))
-            for a, g, f in zip(curve.abscissa, curve.q_gp, curve.q_fgr)]
-    return ("T", "q_gp", "q_fgr"), rows
+    return ("T", "q_gp", "q_fgr"), list(zip(curve.abscissa.tolist(), curve.q_gp.tolist(),
+                                            curve.q_fgr.tolist()))
 
 
 def _run_fluence(c):
     p = c["params"]
     curve = thermo.fluence_sweep(ThermalModel(**p["thermo"]), p["T"], c["grid"]["F"],
                                  delta_nu=p["delta_nu"])
-    rows = [(float(a), float(g), float(f))
-            for a, g, f in zip(curve.abscissa, curve.q_gp, curve.q_fgr)]
-    return ("F", "q_gp", "q_fgr"), rows
+    return ("F", "q_gp", "q_fgr"), list(zip(curve.abscissa.tolist(), curve.q_gp.tolist(),
+                                            curve.q_fgr.tolist()))
 
 
 def _run_unitarity_report(c):
@@ -466,10 +418,12 @@ def _run_unitarity_report(c):
 
 # Each experiment's work cap (None: uncapped), range checks and runner. The
 # cap sees the typed config before any grid axis is built, from the axis
-# counts; the checks see the built axes, still before any compute. Most ranges live
-# in the constructors of the library objects an experiment builds; each
-# constraint on a swept field is an interval, so building at both ends of
-# every axis covers the whole axis.
+# counts; the checks see the built axes, still before any compute. A check is
+# only _checked calls of the library's rules: the constructors of the objects
+# an experiment builds and the checked_* functions of the modules that own
+# the fields. Each rule on a swept field is an interval, so checking it at
+# both ends of every axis covers the axis (the fluence rule reads the whole
+# axis). initial-states' check leaves its start states for the runner.
 _EXPERIMENTS = {
     "sweep-k": (lambda c: _cap_propagator(c, "k"), lambda c: _check_propagator(c, "k"),
                 _run_sweep_k),
@@ -477,15 +431,31 @@ _EXPERIMENTS = {
                    lambda c: _check_propagator(c, "eps0", "k"), _run_sweep_eps0),
     "sweep-amplitude": (lambda c: _cap_propagator(c, "a_ph", "k"),
                         lambda c: _check_propagator(c, "a_ph", "k"), _run_sweep_amplitude),
-    "initial-states": (lambda c: _cap_propagator(c, states=len(c["params"]["initial_weights"])),
-                       _check_initial_states, _run_initial_states),
+    "initial-states": (
+        lambda c: _cap_propagator(c, states=len(c["params"]["initial_weights"])),
+        lambda c: [_check_propagator(c), c.update(start_states=_checked(
+            "params.initial_weights", _start_states, c))],
+        _run_initial_states),
     "ensemble": (None, lambda c: _checked("params.ensemble", _ensemble_config,
                                           **c["params"]["ensemble"]), _run_ensemble),
-    "verify-cyclemap": (_cap_verify_cyclemap, _check_verify_cyclemap, _run_verify_cyclemap),
-    "thermal": (None, _check_thermal, _run_thermal),
-    "fluence": (None, _check_fluence, _run_fluence),
-    "unitarity-report": (_cap_unitarity_report, _check_unitarity_report,
-                         _run_unitarity_report),
+    "verify-cyclemap": (_cap_verify_cyclemap, lambda c: [
+        _at_ends("grid.theta and grid.phi", CycleParams, c, ("theta", "phi")),
+        _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])],
+        _run_verify_cyclemap),
+    "thermal": (None, lambda c: [
+        _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
+        _at_ends("grid.T", thermo.checked_temperature, c, ("T",))], _run_thermal),
+    "fluence": (None, lambda c: [
+        _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
+        _checked("params.T", thermo.checked_temperature, c["params"]["T"]),
+        _checked("params.delta_nu", bandmodel.checked_winding_change,
+                 c["params"]["delta_nu"]),
+        _checked("grid.F", thermo.checked_fluences, c["grid"]["F"])], _run_fluence),
+    "unitarity-report": (_cap_unitarity_report, lambda c: [
+        _checked("params.drive", DriveParams, **c["params"]["drive"]),
+        _at_ends("params.n_cycles, grid.taylor_order and grid.steps_per_cycle", TrotterConfig,
+                 c, ("taylor_order", "steps_per_cycle"), mode="taylor",
+                 n_cycles=c["params"]["n_cycles"])], _run_unitarity_report),
 }
 
 
@@ -559,9 +529,8 @@ def run(config: dict, workers: int = 1) -> ResultTable:
 def emit(table: ResultTable, format: str = "csv") -> bytes:
     """Serialize a table: CSV with 17-significant-digit numbers, or JSON."""
     if format == "csv":
-        lines = [",".join(table.columns)]
-        for row in table.rows:
-            lines.append(",".join("%.17g" % v for v in row))
+        row_format = ",".join(["%.17g"] * len(table.columns))
+        lines = [",".join(table.columns), *(row_format % tuple(row) for row in table.rows)]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "json":
         doc = {"metadata": table.metadata, "columns": list(table.columns),

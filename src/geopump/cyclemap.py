@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bandmodel import checked_winding_change
 from .su2 import IDENTITY2
 
 IDENTITY_TOL = 1e-12
@@ -96,6 +97,13 @@ def cycle_unitary_from_segments(c: CycleParams, seg: SegmentPhases) -> np.ndarra
     return turn @ u2 @ lam @ u1
 
 
+def checked_cycles(n: int) -> int:
+    """n, the length of a per-cycle series; a ValueError unless n >= 1."""
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return n
+
+
 def p_series(c: CycleParams, n: int) -> np.ndarray:
     """Running means of the per-cycle excited-state probabilities.
 
@@ -103,8 +111,7 @@ def p_series(c: CycleParams, n: int) -> np.ndarray:
     repeated application of the cycle unitary (the iterative route; the
     closed form lives in p_g_closed and must not be used here).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    checked_cycles(n)
     u = cycle_unitary(c)
     v0, v1 = 1.0 + 0.0j, 0.0j
     out = np.empty(n)
@@ -127,8 +134,7 @@ def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int,
     would make NumPy copy v into a temporary buffer on grids of up to 2048
     points.)
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    checked_cycles(n)
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
     u = _cycle_unitaries(theta, phi, omega_az)
@@ -211,9 +217,7 @@ def p_infinity_orbit(axis: OrbitAxis, quadrature_points: int = 1024) -> float:
 
 def theta_from_tpt(delta_nu: int) -> float:
     """pi when the cycle crosses a topological transition, else 0."""
-    if delta_nu not in (0, 1):
-        raise ValueError(f"delta_nu must be 0 or 1, got {delta_nu}")
-    return np.pi if delta_nu == 1 else 0.0
+    return np.pi if checked_winding_change(delta_nu) == 1 else 0.0
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:

@@ -105,15 +105,15 @@ def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
     n_t = int(math.floor(cfg.t_max / h + 1e-9)) + 1
     times = np.arange(n_t) * h
 
-    j = np.arange(1, cfg.n_systems + 1)
+    # transition counts of members j = 0..n_systems; column 0 is the undelayed
+    # first member, which can be one cycle ahead of every staggered one
+    j = np.arange(cfg.n_systems + 1)
     elapsed = times[:, None] - j[None, :] * cfg.dt_mismatch
-    counts = np.floor(elapsed / cfg.tau_cycle - 0.25).astype(int) + 1
-    counts = np.maximum(counts, 0)  # covers t < 0: not started, still ground
-
-    # the undelayed first member can be one cycle ahead of every staggered one
-    first_counts = np.maximum(np.floor(times / cfg.tau_cycle - 0.25).astype(int) + 1, 0)
+    all_counts = np.floor(elapsed / cfg.tau_cycle - 0.25).astype(int) + 1
+    all_counts = np.maximum(all_counts, 0)  # covers t < 0: not started, still ground
+    first_counts, counts = all_counts[:, 0], all_counts[:, 1:]
     u = cycle_unitary(cfg.cycle)
-    n_max = int(max(counts.max(), first_counts.max()))
+    n_max = int(all_counts.max())
     amp0 = np.empty(n_max + 1, dtype=complex)
     amp1 = np.empty(n_max + 1, dtype=complex)
     state = np.array([1.0, 0.0], dtype=complex)

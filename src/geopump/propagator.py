@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import su2
-from .bandmodel import DriveParams, bloch_vector, hamiltonian
+from .bandmodel import DriveParams, bloch_vector, drive_period, hamiltonian
 from .su2 import DegenerateSpectrum, eigensystem2
 
 UNITARITY_BUDGET = 0.05
@@ -101,6 +101,15 @@ class TrotterConfig:
             raise ValueError(f"n_cycles must be >= 1, got {self.n_cycles}")
         if not 0.0 <= self.measure_offset < 1.0:
             raise ValueError(f"measure_offset must lie in [0, 1), got {self.measure_offset}")
+
+
+def checked_trotter(cfg: TrotterConfig) -> TrotterConfig:
+    """cfg, for evolve and p_g_numeric_grid; a ValueError in taylor mode below
+    second order, which only unitarity_report runs."""
+    if cfg.mode == "taylor" and not cfg.taylor_order >= 2:
+        raise ValueError(f"taylor_order must be >= 2 to evolve in taylor mode, got "
+                         f"{cfg.taylor_order} (first order is for unitarity_report)")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -178,15 +187,16 @@ def trotter_step(p: DriveParams, t_j: float, dt: float, order: int) -> np.ndarra
     return _step_matrix(bloch_vector(p, t_j), dt, "taylor", order)
 
 
-def _step_grid(p: DriveParams, cfg: TrotterConfig):
-    """Step length dt and the measurement offset snapped to a step count."""
-    dt = p.tau_cycle / cfg.steps_per_cycle
+def _step_grid(tau: float, cfg: TrotterConfig):
+    """Step length dt over a drive period tau, and the measurement offset
+    snapped to a step count."""
+    dt = tau / cfg.steps_per_cycle
     return dt, int(round(cfg.measure_offset * cfg.steps_per_cycle))
 
 
 def _measurement_setup(p: DriveParams, cfg: TrotterConfig):
     """Snapped offset step count and the (fixed) measured excited state."""
-    dt, extra = _step_grid(p, cfg)
+    dt, extra = _step_grid(p.tau_cycle, cfg)
     t_meas = extra * dt
     try:
         _, _, _, n1 = eigensystem2(hamiltonian(p, t_meas))
@@ -206,7 +216,7 @@ def _cycle_unitaries(p: DriveParams, cfgs):
     _step_matrix call per chain, and is then folded into the stack in order,
     one stacked `@` per step.
     """
-    dt, extra = _step_grid(p, cfgs[0])
+    dt, extra = _step_grid(p.tau_cycle, cfgs[0])
     u_cycle = np.tile(su2.IDENTITY2, (len(cfgs), 1, 1))
     u_partial = u_cycle.copy()
     block = max(1, _BLOCK_STEPS // len(cfgs))
@@ -284,11 +294,9 @@ def evolve(p: DriveParams, cfg: TrotterConfig, initial: np.ndarray | None = None
     taylor mode, NonUnitaryEvolution when the truncation defect exceeds the
     module budget; NonUnitaryEvolution for probabilities outside [0, 1] names
     the failing states of a stack in `indices`. taylor mode requires
-    taylor_order >= 2 here.
+    taylor_order >= 2 here (checked_trotter).
     """
-    if cfg.mode == "taylor" and cfg.taylor_order < 2:
-        raise ValueError("taylor mode below second order is only for diagnostics; "
-                         "use unitarity_report")
+    checked_trotter(cfg)
     stacked = np.ndim(initial) == 2
     p_j, defect = _evolve_impl(p, [cfg], initial)
     p_j, defect = p_j[0], float(defect[0])
@@ -352,16 +360,13 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
         np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
         np.asarray(a_ph, dtype=float))
     k = k.ravel(); eps0 = eps0.ravel(); a_ph = a_ph.ravel()
-    if not (omega > 0.0 and 0.0 < 2.0 * math.pi / omega < math.inf):
-        raise ValueError(f"omega = {omega} must be > 0 with a finite, positive drive "
-                         "period 2 pi / omega")
-    if cfg.mode == "taylor" and cfg.taylor_order < 2:
-        raise ValueError("taylor mode below second order is only for diagnostics")
+    tau = drive_period(omega)
+    checked_trotter(cfg)
     p_g = np.empty(k.size)
     for lo in range(0, k.size, _BLOCK_POINTS):
         block = slice(lo, lo + _BLOCK_POINTS)
         try:
-            p_g[block] = _p_g_block(k[block], eps0[block], a_ph[block], omega, cfg)
+            p_g[block] = _p_g_block(k[block], eps0[block], a_ph[block], omega, tau, cfg)
         except EvolutionError as exc:
             i = lo + exc.indices[0]
             raise type(exc)(
@@ -371,11 +376,9 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
     return p_g
 
 
-def _p_g_block(k, eps0, a_ph, omega: float, cfg: TrotterConfig) -> np.ndarray:
-    """p_g_numeric_grid on one block of flat arrays; `indices` count from its start."""
-    tau = 2.0 * math.pi / omega
-    dt = tau / cfg.steps_per_cycle
-    extra = int(round(cfg.measure_offset * cfg.steps_per_cycle))
+def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> np.ndarray:
+    """p_g_numeric_grid on one block, tau = 2 pi / omega; `indices` count from its start."""
+    dt, extra = _step_grid(tau, cfg)
     d2 = np.sin(k)
     c3 = -(eps0 + np.cos(k))  # d3(t) = c3 - a_ph * sin(omega t)
 

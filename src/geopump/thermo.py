@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bandmodel import checked_winding_change
 from .units import K_BOLTZMANN_MEV_PER_K
 
 
@@ -65,14 +66,30 @@ class PumpCurve:
             raise ValueError("q_fgr left [-1, 1]")
 
 
+def checked_temperature(T: float) -> float:
+    """T; a ValueError unless T >= 0 (NaN included)."""
+    if not T >= 0.0:
+        raise ValueError(f"temperature must be >= 0, got {T}")
+    return T
+
+
+def checked_fluences(F_range) -> np.ndarray:
+    """F_range as floats; a ValueError unless non-empty, >= 0, with a maximum > 0."""
+    F_range = np.asarray(F_range, dtype=float)
+    if F_range.size == 0:
+        raise ValueError("fluence range is empty")
+    if not (np.all(F_range >= 0.0) and F_range.max() > 0.0):
+        raise ValueError(f"fluences must be >= 0 with a maximum > 0, "
+                         f"got [{F_range.min()}, {F_range.max()}]")
+    return F_range
+
+
 def fermi(E: float, mu: float, T: float, kB: float = K_BOLTZMANN_MEV_PER_K) -> float:
     """Fermi-Dirac occupation 1/(1 + exp((E - mu)/kB T)).
 
     T = 0 returns the zero-temperature step, with 1/2 exactly at E = mu.
     """
-    if T < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {T}")
-    kT = kB * T
+    kT = kB * checked_temperature(T)
     if kT == 0.0:  # T = 0, or a subnormal T whose kB * T underflows
         if E < mu:
             return 1.0
@@ -108,8 +125,7 @@ def geometric_factor(f_v: float, f_c: float) -> float:
 
 def gp_probability(f_v: float, f_c: float, delta_nu: int) -> float:
     """Pumped fraction geometric_factor * 1/2, gated by the winding change."""
-    if delta_nu not in (0, 1):
-        raise ValueError(f"delta_nu must be 0 or 1, got {delta_nu}")
+    delta_nu = checked_winding_change(delta_nu)
     g = geometric_factor(f_v, f_c)
     return 0.5 * g if delta_nu == 1 else 0.0
 
@@ -145,14 +161,8 @@ def fluence_sweep(model: ThermalModel, T: float, F_range, delta_nu: int = 1) -> 
     factor F/F_max (unit matrix element, normalized to 1 at max fluence);
     delta_nu = 1 by default since the sweep models the strongly driven case.
     """
-    F_range = np.asarray(F_range, dtype=float)
-    if len(F_range) == 0:
-        raise ValueError("fluence range is empty")
-    if np.any(F_range < 0.0):
-        raise ValueError("fluence values must be >= 0")
+    F_range = checked_fluences(F_range)
     f_max = float(F_range.max())
-    if f_max == 0.0:
-        raise ValueError("max fluence must be > 0 to normalize the linear factor")
     delta = model.gap(T)
     q_gp = np.empty(F_range.shape)
     q_fgr = np.empty(F_range.shape)

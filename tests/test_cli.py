@@ -153,7 +153,7 @@ def test_chunked_sweep_equals_one_kernel_call():
     drive = result.metadata["params"]["drive"]
     ks = np.array([r[0] for r in table.rows])
     direct = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
-                                         cli._trotter(**cfg["params"]["trotter"]))
+                                         propagator.TrotterConfig(**cfg["params"]["trotter"]))
     assert np.array_equal(np.array([r[1] for r in table.rows]), direct)
 
 
@@ -447,7 +447,7 @@ def test_initial_states_runs_one_stacked_evolution(monkeypatch):
     assert len(calls) == 1
     # five separate evolutions from the same start states
     p = cli.DriveParams(**table.metadata["params"]["drive"])
-    tcfg = cli._trotter(**cfg["params"]["trotter"])
+    tcfg = propagator.TrotterConfig(**cfg["params"]["trotter"])
     _, _, g0, g1 = cli.eigensystem2(cli.bandmodel.hamiltonian(p, 0.0))
     for i, (w0, w1) in enumerate(cfg["params"]["initial_weights"], start=1):
         state = math.sqrt(w0) * g0 + math.sqrt(w1) * g1

@@ -7,6 +7,8 @@ the implementation, they are not external truths.
 """
 
 import math
+import pathlib
+import runpy
 from dataclasses import replace
 
 import numpy as np
@@ -99,7 +101,7 @@ def _block_products(p, steps, mode, order, extras):
     for extra in extras:
         cfg = TrotterConfig(steps_per_cycle=steps, mode=mode, taylor_order=order,
                             n_cycles=1, measure_offset=extra / steps)
-        assert propagator._step_grid(p, cfg)[1] == extra
+        assert propagator._step_grid(p.tau_cycle, cfg)[1] == extra
         u_cycle, u_partial = propagator._cycle_unitaries(p, [cfg])
         yield extra, (u_cycle[0], u_partial[0])
 
@@ -139,6 +141,15 @@ def test_evolve_exact_mode_anchor():
     assert np.all(trace.p_j >= 0) and np.all(trace.p_j <= 1)
     assert abs(trace.p_n[-1] - ANCHOR_P100) < 1e-12
     assert abs(propagator.p_g_numeric(TPT_POINT, cfg) - trace.p_n[-1]) == 0.0
+
+
+def test_reference_script_reproduces_the_anchor(capsys):
+    # the one caller that builds TrotterConfig(mode="taylor", taylor_order=1)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    runpy.run_path(str(root / "scripts" / "make_reference_values.py"))["main"]()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"p_n[100] at TPT point, 2000 steps/cycle: {ANCHOR_P100:.15f}"
+    assert lines[-3].startswith("taylor order 1, 2000 steps: defect=")
 
 
 def test_evolve_running_mean_consistent():
@@ -344,7 +355,7 @@ def test_grid_kernel_equals_four_component_loop(points, mode, order):
     for offset in GRID_OFFSETS:
         cfg = TrotterConfig(steps_per_cycle=300, taylor_order=order, mode=mode,
                             n_cycles=5, measure_offset=offset)
-        extras.append(propagator._step_grid(TPT_POINT, cfg)[1])
+        extras.append(propagator._step_grid(TPT_POINT.tau_cycle, cfg)[1])
         new = propagator.p_g_numeric_grid(k, eps0, a_ph, omega, cfg)
         assert np.array_equal(new, _four_component_reference(k, eps0, a_ph, omega, cfg))
     assert extras == [0, 150, 299, 300]
@@ -381,7 +392,7 @@ def test_unitarity_report_keeps_an_overflow_as_nan(n_cycles):
 def _one_chain_fold(p, cfg):
     """_cycle_unitaries as it was before it folded stacks of chains: one
     chain, blocks of 2048 steps, one 2x2 `@` per step."""
-    dt, extra = propagator._step_grid(p, cfg)
+    dt, extra = propagator._step_grid(p.tau_cycle, cfg)
     u_cycle = u_partial = su2.IDENTITY2
     for lo in range(0, cfg.steps_per_cycle, 2048):
         t = (np.arange(lo, min(lo + 2048, cfg.steps_per_cycle)) + 0.5) * dt
@@ -407,7 +418,7 @@ def test_stacked_fold_equals_one_chain_folds(p, steps):
         chains = [TrotterConfig(steps_per_cycle=steps, mode=mode, taylor_order=order,
                                 n_cycles=1, measure_offset=extra / steps)
                   for mode, order in FOLD_CHAINS]
-        assert propagator._step_grid(p, chains[0])[1] == extra
+        assert propagator._step_grid(p.tau_cycle, chains[0])[1] == extra
         with np.errstate(all="ignore"):
             expected = [_one_chain_fold(p, c) for c in chains]
             for group in [[c] for c in chains] + [chains]:  # C = 1 and C = 4
