@@ -3,11 +3,11 @@
 Each named experiment resolves a layered configuration (built-in defaults,
 then a JSON config file, then --set overrides). `run` validates it in one pass
 before any computation starts: DEFAULTS is the schema, so every leaf must have
-its default's type; a propagator or cycle-map experiment must ask for no more
-than MAX_WORK, checked from the axis counts before any axis is built; and
-every range rule is the library's own (a constructor, or a rule function of
-the module that owns the field), applied with each grid axis at its min and
-at its max. It then dispatches to the owning module and serializes one
+its default's type; a propagator, cycle-map or ensemble experiment must ask
+for no more than MAX_WORK, checked from the counts before anything is built;
+and every range rule is the library's own (a constructor, or a rule function
+of the module that owns the field), applied with each grid axis at its min
+and at its max. It then dispatches to the owning module and serializes one
 rectangular result table. Execution is serial; the propagator kernel walks
 its grid in blocks and names a failing grid point, which `run` reports, like
 every other failure of a checked config's computation, as a ComputeError.
@@ -34,9 +34,10 @@ from .units import DEFAULT_OMEGA
 
 QUARTER_PI = math.pi / 4.0
 # The most work one run may ask for: propagator point-steps plus point-cycles,
-# or cycle-map series point-cycles. On a 2-vCPU Xeon the grid kernel does
-# about 18e6 point-steps per second (a minute at the cap), a point run about
-# 2.6e5 (an hour), and the cycle-map series about 1e8 point-cycles (10 s).
+# cycle-map series point-cycles, or ensemble member values. On a 2-vCPU Xeon
+# the grid kernel does about 18e6 point-steps per second (a minute at the
+# cap), a point run about 2.6e5 (an hour), and the cycle-map series about 1e8
+# point-cycles (10 s).
 MAX_WORK = 1e9
 
 
@@ -302,6 +303,19 @@ def _cap_verify_cyclemap(c):
                 "cycle-map series", "point-cycles")
 
 
+def _cap_ensemble(c):
+    """The work cap on the ensemble: n_systems + 1 member values at each time
+    of ensemble_average's grid, counted from the fields (a tau_cycle <= 0 is
+    left to EnsembleConfig)."""
+    e = c["params"]["ensemble"]
+    if e["tau_cycle"] > 0.0:
+        h = e["tau_cycle"] / ensemble.GRID_PER_CYCLE
+        steps = e["t_max"] / h + 1e-9 if h > 0.0 else math.inf
+        n_t = math.floor(steps) + 1 if steps < math.inf else steps
+        _check_work("params.ensemble.t_max and params.ensemble.n_systems",
+                    float(n_t) * (e["n_systems"] + 1), "ensemble", "member values")
+
+
 def _check_propagator(c, *axes):
     """DriveParams at the ends of the swept drive axes, and the TrotterConfig
     under evolve's own rule."""
@@ -436,8 +450,8 @@ _EXPERIMENTS = {
         lambda c: [_check_propagator(c), c.update(start_states=_checked(
             "params.initial_weights", _start_states, c))],
         _run_initial_states),
-    "ensemble": (None, lambda c: _checked("params.ensemble", _ensemble_config,
-                                          **c["params"]["ensemble"]), _run_ensemble),
+    "ensemble": (_cap_ensemble, lambda c: _checked(
+        "params.ensemble", _ensemble_config, **c["params"]["ensemble"]), _run_ensemble),
     "verify-cyclemap": (_cap_verify_cyclemap, lambda c: [
         _at_ends("grid.theta and grid.phi", CycleParams, c, ("theta", "phi")),
         _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])],

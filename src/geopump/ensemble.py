@@ -12,7 +12,12 @@ each cycle), where one application of the cycle unitary is accrued.
 
 The member-averaged densities of all grid times form one (n_t, 2, 2) stack,
 validated and diagonalised in one su2.density_spectra call; the entropy
-comes from those eigenvalues.
+comes from those eigenvalues. The stack is filled a block of time rows at a
+time (about _BLOCK_VALUES member values each), so the working memory is
+O(n_t), not O(n_t * n_systems): each block gathers, by transition count,
+from tables over the counts of |amp0|^2, |amp1|^2 and conj(amp1) * amp0
+(that operand order: NumPy's complex multiply is not bitwise commutative),
+and each row is its own mean, so the blocking does not change a bit.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from . import su2
 from .cyclemap import CycleParams, cycle_unitary
 
 GRID_PER_CYCLE = 100
+_BLOCK_VALUES = 8192  # member values per block of time rows
 
 
 @dataclass(frozen=True)
@@ -47,11 +53,6 @@ class EnsembleConfig:
             raise ValueError("dt_mismatch must be smaller than tau_cycle")
         if not self.t_max > 0.0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
-
-    @property
-    def ramp_in(self) -> float:
-        """Window until every member has started, n_systems * dt_mismatch."""
-        return self.n_systems * self.dt_mismatch
 
 
 @dataclass(frozen=True)
@@ -105,29 +106,33 @@ def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
     n_t = int(math.floor(cfg.t_max / h + 1e-9)) + 1
     times = np.arange(n_t) * h
 
-    # transition counts of members j = 0..n_systems; column 0 is the undelayed
-    # first member, which can be one cycle ahead of every staggered one
-    j = np.arange(cfg.n_systems + 1)
-    elapsed = times[:, None] - j[None, :] * cfg.dt_mismatch
-    all_counts = np.floor(elapsed / cfg.tau_cycle - 0.25).astype(int) + 1
-    all_counts = np.maximum(all_counts, 0)  # covers t < 0: not started, still ground
-    first_counts, counts = all_counts[:, 0], all_counts[:, 1:]
+    # transition counts of the undelayed first member, which can be one cycle
+    # ahead of every staggered one: counts rise with t and fall with the delay,
+    # so its last count is the largest of all members
+    first_counts = np.maximum(np.floor(times / cfg.tau_cycle - 0.25).astype(int) + 1, 0)
     u = cycle_unitary(cfg.cycle)
-    n_max = int(all_counts.max())
+    n_max = int(first_counts[-1])
     amp0 = np.empty(n_max + 1, dtype=complex)
     amp1 = np.empty(n_max + 1, dtype=complex)
     state = np.array([1.0, 0.0], dtype=complex)
     for m in range(n_max + 1):
         amp0[m], amp1[m] = state
         state = u @ state
+    w0, w1, x01 = np.abs(amp0) ** 2, np.abs(amp1) ** 2, np.conj(amp1) * amp0
 
-    a0 = amp0[counts]
-    a1 = amp1[counts]
+    delays = np.arange(1, cfg.n_systems + 1) * cfg.dt_mismatch
+    rows = max(1, _BLOCK_VALUES // (cfg.n_systems + 1))
     rho = np.empty((n_t, 2, 2), dtype=complex)
-    rho[:, 0, 0] = np.mean(np.abs(a0) ** 2, axis=1)
-    rho[:, 1, 1] = p_ens = np.mean(np.abs(a1) ** 2, axis=1)
-    rho[:, 0, 1] = rho01 = np.mean(a0 * np.conj(a1), axis=1)
-    rho[:, 1, 0] = np.conj(rho01)
+    p_ens = np.empty(n_t)
+    for lo in range(0, n_t, rows):
+        hi = min(lo + rows, n_t)
+        elapsed = times[lo:hi, None] - delays[None, :]
+        # members not started yet (t < 0) stay in the ground state
+        counts = np.maximum(np.floor(elapsed / cfg.tau_cycle - 0.25).astype(int) + 1, 0)
+        rho[lo:hi, 0, 0] = np.mean(w0[counts], axis=1)
+        rho[lo:hi, 1, 1] = p_ens[lo:hi] = np.mean(w1[counts], axis=1)
+        rho[lo:hi, 0, 1] = np.mean(x01[counts], axis=1)
+    rho[:, 1, 0] = np.conj(rho[:, 0, 1])
     try:
         lam = su2.density_spectra(rho)
     except su2.InvalidDensityMatrix as exc:

@@ -93,14 +93,20 @@ class TrotterConfig:
     def __post_init__(self):
         if self.steps_per_cycle < 100:
             raise ValueError(f"steps_per_cycle must be >= 100, got {self.steps_per_cycle}")
-        if self.taylor_order < 1:
-            raise ValueError(f"taylor_order must be >= 1, got {self.taylor_order}")
+        checked_taylor_order(self.taylor_order)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_cycles < 1:
             raise ValueError(f"n_cycles must be >= 1, got {self.n_cycles}")
         if not 0.0 <= self.measure_offset < 1.0:
             raise ValueError(f"measure_offset must lie in [0, 1), got {self.measure_offset}")
+
+
+def checked_taylor_order(order: int) -> int:
+    """order, the truncation order of a Taylor step; a ValueError below 1."""
+    if order < 1:
+        raise ValueError(f"taylor_order must be >= 1, got {order}")
+    return order
 
 
 def checked_trotter(cfg: TrotterConfig) -> TrotterConfig:
@@ -182,9 +188,7 @@ def trotter_step(p: DriveParams, t_j: float, dt: float, order: int) -> np.ndarra
     order = 1 is allowed so the non-unitary first-order artifact can be
     demonstrated; production evolution requires order >= 2.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _step_matrix(bloch_vector(p, t_j), dt, "taylor", order)
+    return _step_matrix(bloch_vector(p, t_j), dt, "taylor", checked_taylor_order(order))
 
 
 def _step_grid(tau: float, cfg: TrotterConfig):

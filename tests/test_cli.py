@@ -220,8 +220,6 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["unitarity-report", "--set", "params.drive.eps0=3",
                      "--set", "params.n_cycles=3", "--set", "grid.taylor_order.values=[2]",
                      "--set", "grid.steps_per_cycle.values=[100]", "--out", "-"]) == 3
-    # an array too large to allocate fails at once: 877 TiB of ensemble times
-    assert cli.main(["ensemble", "--set", "params.ensemble.t_max=1e12", "--out", "-"]) == 3
     rc = cli.main(["thermal", "--set", "grid.T.count=2",
                    "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
     assert rc == 4
@@ -278,6 +276,8 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     ("unitarity-report", ["grid.steps_per_cycle.values=[1e30]"]),
     ("sweep-k", ["grid.k.count=1000000"]),
     ("initial-states", ["params.trotter.n_cycles=1000000000"]),
+    # more ensemble member values than cli.MAX_WORK
+    ("ensemble", ["params.ensemble.t_max=1e12"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     def no_compute(*args, **kwargs):
@@ -500,11 +500,12 @@ def test_committed_configs_stay_under_the_work_cap(root, monkeypatch):
         experiment = doc["experiment"]
         with pytest.raises(_ComputeStarted):  # every check passed
             run(resolve_config(experiment, doc))
-    # every propagator and cycle-map experiment had its work capped
+    # every propagator, cycle-map and ensemble experiment had its work capped
     assert set(capped) == {"sweep-k", "sweep-eps0", "sweep-amplitude", "initial-states",
-                           "unitarity-report", "verify-cyclemap"}
+                           "unitarity-report", "verify-cyclemap", "ensemble"}
     assert max(capped.values()) <= cli.MAX_WORK
     assert capped["verify-cyclemap"] == 2500 * 100000
+    assert capped["ensemble"] == 1446 * 61  # n_t grid times x (n_systems + 1)
 
 
 def test_work_cap_is_checked_before_any_axis_is_built(monkeypatch, capsys):
@@ -531,6 +532,21 @@ def test_cyclemap_series_work_is_capped(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == (
         "geopump: config error: grid.theta, grid.phi and params.n_cycles: cycle-map series "
         "work of 2.5e+15 point-cycles exceeds the cap of 1e+09")
+
+
+def test_ensemble_work_is_capped(monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(cli.ensemble, "ensemble_average", no_compute)
+    assert cli.main(["ensemble", "--set", "params.ensemble.t_max=1e12", "--out", "-"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "geopump: config error: params.ensemble.t_max and params.ensemble.n_systems: "
+        "ensemble work of 7.35e+15 member values exceeds the cap of 1e+09")
+    # a grid step tau_cycle / 100 that underflows to 0 has no end of times
+    assert cli.main(["ensemble", "--set", "params.ensemble.tau_cycle=1e-323",
+                     "--set", "params.ensemble.dt_mismatch=5e-324", "--out", "-"]) == 2
+    assert "ensemble work of inf member values" in capsys.readouterr().err
 
 
 def test_invalid_ensemble_density_is_a_compute_error(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Staggered-start ensemble: staircase, averaging routes, entropy ramp."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,9 +145,11 @@ def _per_row_entropy(rho):
     return float(s)
 
 
-def _per_row_trace(cfg):
+def _per_row_trace(cfg, explicit_order=False):
     """ensemble_average as it was written before the densities were stacked:
-    one density, one validation and one entropy per time."""
+    one density, one validation and one entropy per time. Its coherence
+    product a0 * np.conj(a1) runs as conj(a1) * a0 once NumPy elides the
+    temporary (n_t * n_systems >= 16384); explicit_order always runs it so."""
     h = cfg.tau_cycle / ensemble.GRID_PER_CYCLE
     n_t = int(math.floor(cfg.t_max / h + 1e-9)) + 1
     times = np.arange(n_t) * h
@@ -165,7 +168,8 @@ def _per_row_trace(cfg):
     a0, a1 = amp0[counts], amp1[counts]
     rho00 = np.mean(np.abs(a0) ** 2, axis=1)
     rho11 = np.mean(np.abs(a1) ** 2, axis=1)
-    rho01 = np.mean(a0 * np.conj(a1), axis=1)
+    rho01 = np.mean(np.multiply(np.conj(a1), a0) if explicit_order else a0 * np.conj(a1),
+                    axis=1)
     p_ens = np.empty(n_t)
     entropy = np.empty(n_t)
     for i in range(n_t):
@@ -186,6 +190,41 @@ def test_stacked_trace_equals_per_row_code(cfg):
     tr = ensemble_average(cfg)
     for new, old in zip((tr.times, tr.p_ens, tr.entropy, tr.p_first), _per_row_trace(cfg)):
         assert new.tobytes() == old.tobytes()
+
+
+def test_explicit_product_order_fixes_the_bits_of_small_configs():
+    # 362 x 5 member values: below the size at which NumPy elides the temporary
+    cfg = EnsembleConfig(n_systems=5, t_max=3.0, cycle=CycleParams(theta=1.0, phi=0.7))
+    tr = ensemble_average(cfg)
+    ref = _per_row_trace(cfg, explicit_order=True)
+    for new, old in zip((tr.times, tr.p_ens, tr.entropy, tr.p_first), ref):
+        assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    EnsembleConfig(cycle=CycleParams(theta=math.pi / 3, phi=0.7)),
+    EnsembleConfig(n_systems=13, dt_mismatch=0.07, tau_cycle=0.81, t_max=21.0,
+                   cycle=CycleParams(theta=2.4, phi=1.0, omega_az=0.3)),
+])
+def test_time_blocks_do_not_change_a_bit(cfg, monkeypatch):
+    n_t = len(ensemble_average(cfg).times)
+    traces = []
+    for rows in (1, 7, n_t + 3):
+        monkeypatch.setattr(ensemble, "_BLOCK_VALUES", rows * (cfg.n_systems + 1))
+        tr = ensemble_average(cfg)
+        traces.append([a.tobytes() for a in (tr.times, tr.p_ens, tr.entropy, tr.p_first)])
+    assert traces[0] == traces[1] == traces[2]
+
+
+def test_working_memory_does_not_grow_with_members():
+    cfg = EnsembleConfig(n_systems=600)  # 1446 x 600 member values, 53 MiB if held at once
+    tracemalloc.start()
+    try:
+        ensemble_average(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_invalid_density_names_its_time(monkeypatch):

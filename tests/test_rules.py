@@ -56,6 +56,13 @@ def test_every_route_rejects_first_order_taylor_evolution(capsys):
     assert propagator.unitarity_report(DriveParams(**TPT), cfg)[0] > 0.0
 
 
+def test_trotter_step_and_config_give_one_taylor_order_message():
+    owner = _message(lambda: propagator.checked_taylor_order(0))
+    assert _message(lambda: TrotterConfig(taylor_order=0)) == owner
+    assert _message(lambda: propagator.trotter_step(DriveParams(**TPT), 0.0, 1e-3,
+                                                    order=0)) == owner
+
+
 def test_fermi_rejects_a_nan_temperature():
     owner = _message(lambda: thermo.checked_temperature(math.nan))
     assert _message(lambda: thermo.fermi(0.0, 0.0, math.nan)) == owner
