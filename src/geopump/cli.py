@@ -4,7 +4,8 @@ Each named experiment resolves a layered configuration (built-in defaults,
 then a JSON config file, then --set overrides). `run` validates it in one pass
 before any computation starts: DEFAULTS is the schema, so every leaf must have
 its default's type; a propagator, cycle-map or ensemble experiment must ask
-for no more than MAX_WORK, checked from the counts before anything is built;
+for no more than MAX_WORK, and a thermo sweep for no more than
+MAX_SWEEP_POINTS points, checked from the counts before anything is built;
 and every range rule is the library's own (a constructor, or a rule function
 of the module that owns the field), applied with each grid axis at its min
 and at its max. It then dispatches to the owning module and serializes one
@@ -35,10 +36,14 @@ from .units import DEFAULT_OMEGA
 QUARTER_PI = math.pi / 4.0
 # The most work one run may ask for: propagator point-steps plus point-cycles,
 # cycle-map series point-cycles, or ensemble member values. On a 2-vCPU Xeon
-# the grid kernel does about 18e6 point-steps per second (a minute at the
-# cap), a point run about 2.6e5 (an hour), and the cycle-map series about 1e8
-# point-cycles (10 s).
+# the grid kernel does about 21e6 point-steps per second (under a minute at
+# the cap), a point run about 2.6e5 (an hour), and the cycle-map series about
+# 1e8 point-cycles (10 s).
 MAX_WORK = 1e9
+# The most points a thermal or fluence sweep may ask for: each is one row of a
+# Python loop, about 12 us and 0.4 KiB until emitted (12 s and 0.4 GB at the
+# cap).
+MAX_SWEEP_POINTS = 1e6
 
 
 class ConfigError(Exception):
@@ -265,10 +270,14 @@ def _count(axis):
     return len(axis["values"]) if "values" in axis else axis["count"]
 
 
-def _check_work(where, work, kind="propagator", unit="point-steps plus point-cycles"):
-    if work > MAX_WORK:
-        raise ConfigError(f"{where}: {kind} work of {work:.3g} {unit} exceeds the cap of "
-                          f"{MAX_WORK:.0e}")
+def _check_work(where, work, kind="propagator", unit="point-steps plus point-cycles",
+                cap=MAX_WORK):
+    if work > cap:
+        # an integer estimate can lie beyond the float range, which math.log10 takes
+        big = isinstance(work, int) and work > sys.float_info.max
+        shown = f"10^{math.log10(work):.1f}" if big else f"{work:.3g}"
+        raise ConfigError(f"{where}: {kind} work of {shown} {unit} exceeds the cap of "
+                          f"{cap:.0e}")
 
 
 def _cap_propagator(c, *axes, states=1):
@@ -295,6 +304,12 @@ def _cap_unitarity_report(c):
     n_steps, steps = _distinct(c["grid"]["steps_per_cycle"])
     _check_work("params.n_cycles, grid.taylor_order and grid.steps_per_cycle",
                 (orders + 1) * (steps + n_steps * c["params"]["n_cycles"]))
+
+
+def _cap_sweep(c, axis):
+    """The cap on a thermo sweep over the named axis: one row per point."""
+    _check_work(f"grid.{axis}", _count(c["grid"][axis]), "thermo sweep", "points",
+                MAX_SWEEP_POINTS)
 
 
 def _cap_verify_cyclemap(c):
@@ -430,9 +445,9 @@ def _run_unitarity_report(c):
     return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows
 
 
-# Each experiment's work cap (None: uncapped), range checks and runner. The
-# cap sees the typed config before any grid axis is built, from the axis
-# counts; the checks see the built axes, still before any compute. A check is
+# Each experiment's work cap, range checks and runner. The cap sees the typed
+# config before any grid axis is built, from the axis counts; the checks see
+# the built axes, still before any compute. A check is
 # only _checked calls of the library's rules: the constructors of the objects
 # an experiment builds and the checked_* functions of the modules that own
 # the fields. Each rule on a swept field is an interval, so checking it at
@@ -456,10 +471,10 @@ _EXPERIMENTS = {
         _at_ends("grid.theta and grid.phi", CycleParams, c, ("theta", "phi")),
         _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])],
         _run_verify_cyclemap),
-    "thermal": (None, lambda c: [
+    "thermal": (lambda c: _cap_sweep(c, "T"), lambda c: [
         _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
         _at_ends("grid.T", thermo.checked_temperature, c, ("T",))], _run_thermal),
-    "fluence": (None, lambda c: [
+    "fluence": (lambda c: _cap_sweep(c, "F"), lambda c: [
         _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
         _checked("params.T", thermo.checked_temperature, c["params"]["T"]),
         _checked("params.delta_nu", bandmodel.checked_winding_change,
@@ -519,8 +534,7 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     if not cfg["output_path"]:
         raise ConfigError("field 'output_path' must be a non-empty string")
     cap, check, runner = _EXPERIMENTS[name]
-    if cap is not None:
-        cap(cfg)
+    cap(cfg)
     cfg["grid"] = {n: _points(axis, f"grid.{n}") for n, axis in cfg["grid"].items()}
     drive = cfg["params"].get("drive")
     if drive is not None and drive["omega"] is None:

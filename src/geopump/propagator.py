@@ -20,15 +20,18 @@ time; each point is computed on its own, so the blocks bound the working
 memory without changing a result. Within a block of N points the steps are
 built a slab at a time: B = _BLOCK_POINTS // N steps (at least 1, at most
 steps_per_cycle) take one pass of vectorized operations over a (B, N) slab,
-so a slab holds no more elements than a full block does, and a 2048-point
-block has B = 1. The s_j = sin(omega t_j) come from one math.sin pass per
-call. Every step is a real multiple of an SU(2) matrix, so the running
-product has the form [[a, -conj(b)], [b, conj(a)]] up to a real factor: the
-grid route folds the slab's steps into only the first column (a, b), one
-step at a time and in order, rebuilds the matrix once after the loop (_su2),
-and runs every per-step and per-cycle operation into buffers allocated once
-per block. Both routes enforce the same guards and are cross-checked in the
-tests; a grid error's indices count over the whole call.
+so a slab holds no more elements than a full block does, and a block of
+more than _BLOCK_POINTS // 2 points has B = 1. The s_j = sin(omega t_j) come
+from one math.sin pass per call. Every step is a real multiple of an SU(2)
+matrix, so the running product has the form [[a, -conj(b)], [b, conj(a)]]
+up to a real factor: the grid route folds the slab's steps into only the
+first column (a, b), one step at a time and in order, rebuilds the matrix
+once after the loop (_su2), and runs every per-step operation into buffers
+allocated once per block. The per-cycle measurement then runs half a block
+at a time (_measure), into buffers allocated once per half, so that it
+holds less memory than the fold. Both routes enforce the same guards and
+are cross-checked in the tests; a grid error's indices count over the whole
+call.
 
 Because H^2 = |d|^2 I, every step is ca I - i kappa H with r = |d| dt, and
 _step_coeffs alone decides (ca, kappa): the order-m Taylor truncation of
@@ -41,6 +44,7 @@ written out so that it can fill the grid route's buffers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,10 +61,12 @@ MODES = ("taylor", "exact")
 
 # Step matrices per block of a stacked fold, over all its chains: 128 KiB.
 _BLOCK_STEPS = 2048
-# Grid points per block in p_g_numeric_grid, whose buffers take a few hundred
-# bytes per point. On a 2-vCPU Xeon, 4096 ran the committed sweep-eps0 about
-# 15 % faster but raised its peak RSS by about 0.55 MiB (1.8 %).
-_BLOCK_POINTS = 2048
+# Grid points per block in p_g_numeric_grid, whose fold holds about 200 B per
+# point (its measurement, half a block at a time, less). On a 2-vCPU Xeon with
+# 2 MiB of L2 per core, 4096 ran the committed sweep-eps0 about 12 % faster
+# than 2048, for about 0.35 MiB (1.1 %) more peak RSS; 12288 was slower than
+# 4096 and cost about 1.8 MiB more.
+_BLOCK_POINTS = 4096
 
 
 class EvolutionError(Exception):
@@ -129,12 +135,14 @@ class PumpTrace:
     unitarity_defect: float
 
 
-def _step_coeffs(r, dt: float, mode: str, order: int, out=None):
+def _step_coeffs(r, dt: float, mode: str, order: int, out=None, y_nonzero=False):
     """(ca, kappa) of the step ca*I - i*kappa*(d . sigma), with r = |d| dt.
 
     exact: cos(r) and dt sin(r)/r; taylor: their series up to the r^order
     term of exp. `out` is an optional pair of float arrays shaped like r that
-    receives (ca, kappa), so a step loop can reuse its buffers.
+    receives (ca, kappa), so a step loop can reuse its buffers; ca may be a
+    strided view. `y_nonzero` tells the exact mode that no r / pi * pi is
+    zero, so it need not test for one.
     """
     r = np.asarray(r, dtype=float)
     ca, kappa = (np.empty_like(r), np.empty_like(r)) if out is None else out
@@ -143,7 +151,7 @@ def _step_coeffs(r, dt: float, mode: str, order: int, out=None):
         # and 1 at y = 0, which is np.sinc's value bit for bit
         y = np.multiply(np.divide(r, np.pi, out=kappa), np.pi, out=kappa)
         np.sin(y, out=ca)
-        if y.all():
+        if y_nonzero or y.all():
             np.divide(ca, y, out=kappa)
         else:
             nonzero = y != 0
@@ -399,25 +407,15 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
     if q is not None:
         q = _su2(q)
 
-    # ground state of the pristine H and excited state at the measurement time,
-    # phase-fixed the same way as eigensystem2 (largest component real positive)
-    c = np.array(_eig_components(d2, c3, lower=True))
-    m1 = np.conj(_eig_components(d2, c3 - a_ph * s_meas, lower=False))
-    prod = np.empty_like(u)
-    m = np.empty_like(c) if extra else None
-    amp = np.empty(k.size, dtype=complex)
-    p = np.empty(k.size)
+    # half a block at a time, so that the measurement's buffers stay smaller
+    # than the fold's
     acc = np.zeros(k.size)
     p_max = np.zeros(k.size)
+    for lo in range(0, k.size, _BLOCK_POINTS // 2):
+        part = slice(lo, lo + _BLOCK_POINTS // 2)
+        _measure(u[..., part], None if q is None else q[..., part], d2[part], c3[part],
+                 c3[part] - a_ph[part] * s_meas, cfg.n_cycles, acc[part], p_max[part])
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        for _ in range(cfg.n_cycles):
-            _apply(u, c, prod, out=c)
-            meas = c if q is None else _apply(q, c, prod, out=m)
-            np.multiply(m1, meas, out=prod[0])
-            np.add(prod[0, 0], prod[0, 1], out=amp)
-            np.square(np.abs(amp, out=p), out=p)
-            acc += p
-            np.maximum(p_max, p, out=p_max)  # propagates NaN
         if cfg.mode == "taylor":
             # Each step is a real multiple of an SU(2) matrix, so M = Q U^m,
             # measured after m cycles, has M^H M = det(M) I and the defect
@@ -459,17 +457,21 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     # buffers and take s_j as a scalar: NumPy spends more per call on a
     # broadcast operand than on a scalar one
     shape, s_slabs = ((b, n), sines.reshape(-1, b, 1)) if b > 1 else ((n,), sines)
-    d3, r, ca, kappa = (np.empty(shape) for _ in range(4))
+    d3, r, kappa = (np.empty(shape) for _ in range(3))
     # step = ca*I - i*kappa*(d2*sigma2 + d3*sigma3) = [[s00, -off], [off, s11]]
     # with s00, s11 = ca -/+ i*kappa*d3 and the real off = kappa*d2. The parts
-    # are written through real views: they round exactly like the complex
-    # expressions, up to the sign of a zero, which no later sum, product or
-    # modulus can turn into a nonzero difference.
+    # are written through real views (ca straight into s00's): they round
+    # exactly like the complex expressions, up to the sign of a zero, which no
+    # later sum, product or modulus can turn into a nonzero difference.
     slab = np.zeros((b, 2, 2, n), dtype=complex)
     s00, s01, s10, s11 = (slab[:, i // 2, i % 2].reshape(shape) for i in range(4))
     s00r, s00i, s01r, s10r, s11r, s11i = (s00.real, s00.imag, s01.real, s10.real,
                                           s11.real, s11.imag)
     slab_steps = list(slab)
+    # r = hypot(d2, d3) dt >= |d2| dt up to an ulp of hypot, and r / pi * pi
+    # rounds monotonely, so where every |d2| dt is a normal number no step's
+    # sinc argument is zero and the exact coefficients skip that test
+    y_nonzero = bool(np.min(np.abs(d2)) * dt >= sys.float_info.min)
     prod = np.empty((2, 2, n), dtype=complex)
     u = np.zeros((2, n), dtype=complex)
     u[0] = 1.0
@@ -479,15 +481,41 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
         if i == 0:
             np.subtract(c3, np.multiply(a_ph, s_slabs[j // b], out=d3), out=d3)
             np.multiply(np.hypot(d2, d3, out=r), dt, out=r)
-            _step_coeffs(r, dt, cfg.mode, cfg.taylor_order, out=(ca, kappa))
-            np.copyto(s00r, ca)
-            np.copyto(s11r, ca)
+            _step_coeffs(r, dt, cfg.mode, cfg.taylor_order, out=(s00r, kappa),
+                         y_nonzero=y_nonzero)
+            np.copyto(s11r, s00r)
             np.negative(np.multiply(kappa, d3, out=s11i), out=s00i)
             np.negative(np.multiply(kappa, d2, out=s10r), out=s01r)
         _apply(slab_steps[i], u, prod, out=u)
         if j + 1 == extra:
             q = u.copy()
     return u, q
+
+
+def _measure(u, q, d2, c3, d3_meas, n_cycles: int, acc, p_max):
+    """Add the excited-band probability after each of n_cycles cycles, from
+    the pristine ground state, into acc and keep its running max in p_max.
+
+    u and q are the (2, 2, N) cycle product and its prefix (None: the
+    identity); the state is measured against the excited state of
+    (0, d2, d3_meas). Both states are phase-fixed the same way as
+    eigensystem2 (largest component real positive).
+    """
+    c = np.array(_eig_components(d2, c3, lower=True))
+    m1 = np.conj(_eig_components(d2, d3_meas, lower=False))
+    prod = np.empty_like(u)
+    m = None if q is None else np.empty_like(c)
+    amp = np.empty(d2.size, dtype=complex)
+    p = np.empty(d2.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks p_max
+        for _ in range(n_cycles):
+            _apply(u, c, prod, out=c)
+            meas = c if q is None else _apply(q, c, prod, out=m)
+            np.multiply(m1, meas, out=prod[0])
+            np.add(prod[0, 0], prod[0, 1], out=amp)
+            np.square(np.abs(amp, out=p), out=p)
+            acc += p
+            np.maximum(p_max, p, out=p_max)  # propagates NaN
 
 
 def _su2(col: np.ndarray) -> np.ndarray:

@@ -89,7 +89,11 @@ def fermi(E: float, mu: float, T: float, kB: float = K_BOLTZMANN_MEV_PER_K) -> f
 
     T = 0 returns the zero-temperature step, with 1/2 exactly at E = mu.
     """
-    kT = kB * checked_temperature(T)
+    return _occupation(E, mu, kB * checked_temperature(T))
+
+
+def _occupation(E: float, mu: float, kT: float) -> float:
+    """fermi at the thermal energy kT = kB * T of a checked T."""
     if kT == 0.0:  # T = 0, or a subnormal T whose kB * T underflows
         if E < mu:
             return 1.0
@@ -125,7 +129,11 @@ def geometric_factor(f_v: float, f_c: float) -> float:
 
 def gp_probability(f_v: float, f_c: float, delta_nu: int) -> float:
     """Pumped fraction geometric_factor * 1/2, gated by the winding change."""
-    delta_nu = checked_winding_change(delta_nu)
+    return _pumped(f_v, f_c, checked_winding_change(delta_nu))
+
+
+def _pumped(f_v: float, f_c: float, delta_nu: int) -> float:
+    """gp_probability for a checked delta_nu."""
     g = geometric_factor(f_v, f_c)
     return 0.5 * g if delta_nu == 1 else 0.0
 
@@ -139,16 +147,18 @@ def temperature_sweep(model: ThermalModel, T_range, closable_gap: float = 0.0) -
     to treat the drive as always closing the gap.
     """
     T_range = np.asarray(T_range, dtype=float)
+    if T_range.size:  # the rule is an interval, so its lowest T covers the sweep
+        checked_temperature(float(T_range.min()))
     q_gp = np.empty(T_range.shape)
     q_fgr = np.empty(T_range.shape)
     # as Python floats, T / t_lif overflows to inf (the t_lif -> 0 limit) silently
     for i, T in enumerate(T_range.tolist()):
         delta = model.gap(T)
         mu = model.mu(T)
-        f_v = fermi(-0.5 * delta, mu, T, model.kB)
-        f_c = fermi(+0.5 * delta, mu, T, model.kB)
-        dnu = 1 if delta <= closable_gap else 0
-        q_gp[i] = gp_probability(f_v, f_c, dnu)
+        kT = model.kB * T
+        f_v = _occupation(-0.5 * delta, mu, kT)
+        f_c = _occupation(+0.5 * delta, mu, kT)
+        q_gp[i] = _pumped(f_v, f_c, 1 if delta <= closable_gap else 0)
         q_fgr[i] = fgr_factor(f_v, f_c)
     return PumpCurve(abscissa=T_range, q_gp=q_gp, q_fgr=q_fgr)
 
@@ -162,14 +172,16 @@ def fluence_sweep(model: ThermalModel, T: float, F_range, delta_nu: int = 1) -> 
     delta_nu = 1 by default since the sweep models the strongly driven case.
     """
     F_range = checked_fluences(F_range)
+    kT = model.kB * checked_temperature(T)
+    delta_nu = checked_winding_change(delta_nu)
     f_max = float(F_range.max())
     delta = model.gap(T)
     q_gp = np.empty(F_range.shape)
     q_fgr = np.empty(F_range.shape)
     for i, F in enumerate(F_range):
         mu_eff = model.mu(T) - model.fluence_slope * F
-        f_v = fermi(-0.5 * delta, mu_eff, T, model.kB)
-        f_c = fermi(+0.5 * delta, mu_eff, T, model.kB)
-        q_gp[i] = gp_probability(f_v, f_c, delta_nu)
+        f_v = _occupation(-0.5 * delta, mu_eff, kT)
+        f_c = _occupation(+0.5 * delta, mu_eff, kT)
+        q_gp[i] = _pumped(f_v, f_c, delta_nu)
         q_fgr[i] = fgr_factor(f_v, f_c) * (F / f_max)
     return PumpCurve(abscissa=F_range, q_gp=q_gp, q_fgr=q_fgr)

@@ -159,25 +159,27 @@ def test_chunked_sweep_equals_one_kernel_call():
 
 def test_failing_point_in_a_later_block_is_named_by_its_grid_index(capsys):
     # (eps0, k) = (-1, 0) closes the gap at t = 0; on the flattened
-    # 3 x 1100 sweep-eps0 grid it sits at index 2200, in the second block
-    eps0s, ks = np.meshgrid([-0.9, -0.95, -1.0], np.linspace(0.0, 0.5, 1100), indexing="ij")
-    assert propagator._BLOCK_POINTS < 2200 < 2 * propagator._BLOCK_POINTS
+    # 3 x n sweep-eps0 grid it sits at index 2n, in the second block
+    n = propagator._BLOCK_POINTS // 2 + 76  # 1100 for 2048-point blocks
+    i = 2 * n
+    eps0s, ks = np.meshgrid([-0.9, -0.95, -1.0], np.linspace(0.0, 0.5, n), indexing="ij")
+    assert propagator._BLOCK_POINTS < i < 2 * propagator._BLOCK_POINTS
     cfg = propagator.TrotterConfig(steps_per_cycle=100, n_cycles=2)
     with pytest.raises(propagator.DegenerateMeasurementBasis) as info:
         propagator.p_g_numeric_grid(ks, eps0s, 0.1, DEFAULT_OMEGA, cfg)
-    assert info.value.indices == (2200,)
-    assert str(info.value).endswith("; first failing grid index 2200: k=0.0, eps0=-1.0, "
+    assert info.value.indices == (i,)
+    assert str(info.value).endswith(f"; first failing grid index {i}: k=0.0, eps0=-1.0, "
                                     "a_ph=0.1")
     rc = cli.main(["sweep-eps0", "--set", "grid.eps0.values=[-0.9,-0.95,-1.0]",
                    "--set", "grid.k.min=0.0", "--set", "grid.k.max=0.5",
-                   "--set", "grid.k.count=1100",
+                   "--set", f"grid.k.count={n}",
                    "--set", "params.trotter.steps_per_cycle=100",
                    "--set", "params.trotter.n_cycles=2", "--out", "-"])
     assert rc == 3
     assert capsys.readouterr().err.splitlines() == [
         "geopump: running sweep-eps0",
         "geopump: compute error: sweep-eps0: gap closed at measurement time at 1 grid "
-        "point(s); first failing grid index 2200: k=0.0, eps0=-1.0, a_ph=0.1"]
+        f"point(s); first failing grid index {i}: k=0.0, eps0=-1.0, a_ph=0.1"]
 
 
 def test_main_writes_file_and_exit_zero(tmp_path):
@@ -278,6 +280,11 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     ("initial-states", ["params.trotter.n_cycles=1000000000"]),
     # more ensemble member values than cli.MAX_WORK
     ("ensemble", ["params.ensemble.t_max=1e12"]),
+    # a propagator work estimate beyond the float range
+    ("sweep-k", ["grid.k.count=1e308", "params.trotter.steps_per_cycle=1e308"]),
+    # more thermo sweep points than cli.MAX_SWEEP_POINTS
+    ("thermal", ["grid.T.count=1e9"]),
+    ("fluence", ["grid.F.count=1e9"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     def no_compute(*args, **kwargs):
@@ -502,8 +509,10 @@ def test_committed_configs_stay_under_the_work_cap(root, monkeypatch):
             run(resolve_config(experiment, doc))
     # every propagator, cycle-map and ensemble experiment had its work capped
     assert set(capped) == {"sweep-k", "sweep-eps0", "sweep-amplitude", "initial-states",
-                           "unitarity-report", "verify-cyclemap", "ensemble"}
+                           "unitarity-report", "verify-cyclemap", "ensemble", "thermal",
+                           "fluence"}
     assert max(capped.values()) <= cli.MAX_WORK
+    assert capped["thermal"] == 300 and capped["fluence"] == 81
     assert capped["verify-cyclemap"] == 2500 * 100000
     assert capped["ensemble"] == 1446 * 61  # n_t grid times x (n_systems + 1)
 
@@ -518,7 +527,9 @@ def test_work_cap_is_checked_before_any_axis_is_built(monkeypatch, capsys):
                  ["unitarity-report", "--set", "grid.steps_per_cycle.min=100",
                   "--set", "grid.steps_per_cycle.max=100",
                   "--set", "grid.steps_per_cycle.count=1e8"],
-                 ["verify-cyclemap", "--set", "grid.theta.count=1e8"]):
+                 ["verify-cyclemap", "--set", "grid.theta.count=1e8"],
+                 ["thermal", "--set", "grid.T.count=1e9"],
+                 ["fluence", "--set", "grid.F.count=1e9"]):
         assert cli.main(argv + ["--out", "-"]) == 2
         assert "exceeds the cap" in capsys.readouterr().err
 

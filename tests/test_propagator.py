@@ -341,7 +341,7 @@ def _four_component_reference(k, eps0, a_ph, omega, cfg):
 GRID_OFFSETS = [0.0, 0.5, 299 / 300, 0.999]
 
 
-@pytest.mark.parametrize("points", [1, 7, 2049])
+@pytest.mark.parametrize("points", sorted({1, 7, 2049, propagator._BLOCK_POINTS + 1}))
 @pytest.mark.parametrize("mode, order", [("exact", 4), ("taylor", 2), ("taylor", 3),
                                          ("taylor", 4)])
 def test_grid_kernel_equals_four_component_loop(points, mode, order):
@@ -583,10 +583,15 @@ def _slab_steps(points, steps):
     return max(1, min(propagator._BLOCK_POINTS // points, steps))
 
 
+_B = propagator._BLOCK_POINTS
+
+
 # steps_per_cycle = 203 is a multiple of no slab size below but 203 itself;
-# 2100 steps give a one-point grid a slab of 2048 steps and one of 52
-@pytest.mark.parametrize("points, steps", [(1, 203), (1, 2100), (101, 203), (401, 203),
-                                           (1024, 203), (1025, 203), (2048, 203)])
+# B + 52 steps give a one-point grid a slab of B steps and one of 52, and
+# B // 2, B // 2 + 1 and B points sit on both sides of the one-step slab
+@pytest.mark.parametrize("points, steps", sorted({
+    (1, 203), (1, 2100), (1, _B + 52), (101, 203), (401, 203), (1024, 203), (1025, 203),
+    (2048, 203), (_B // 2, 203), (_B // 2 + 1, 203), (_B, 203)}))
 def test_step_slabs_equal_per_step_columns(points, steps):
     rng = np.random.default_rng(points)
     k = rng.uniform(-0.05, 0.05, points)
@@ -608,7 +613,29 @@ def test_step_slabs_equal_per_step_columns(points, steps):
             assert q is None or q.tobytes() == q_ref.tobytes()
 
 
-@pytest.mark.parametrize("points", [1, 3, 101, 401, 1024, 1025, 1981, 2048])
+@pytest.mark.parametrize("points", [1, 3, 2048, 2049])
+def test_step_through_a_closed_gap_takes_sinc_one(points):
+    # d = 0 at the midpoint of step 37 for the first point: the exact step's
+    # dt sin(r) / r is dt there, which only the per-step zero test gives
+    steps = 203
+    omega = TPT_POINT.omega
+    dt = 2.0 * math.pi / omega / steps
+    rng = np.random.default_rng(points)
+    k = rng.uniform(0.01, 0.05, points)
+    d2 = np.sin(k)
+    a_ph = rng.uniform(0.02, 0.06, points)
+    c3 = -(rng.uniform(-1.03, -0.97, points) + np.cos(k))
+    d2[0] = 0.0
+    c3[0] = a_ph[0] * math.sin(omega * (37 + 0.5) * dt)
+    cfg = TrotterConfig(steps_per_cycle=steps)
+    u, _ = propagator._grid_columns(d2, c3, a_ph, omega, dt, 0, cfg)
+    u_ref, _ = _per_step_columns(d2, c3, a_ph, omega, dt, 0, cfg)
+    assert np.isfinite(u).all()
+    assert u.tobytes() == u_ref.tobytes()
+
+
+@pytest.mark.parametrize("points", sorted({1, 3, 101, 401, 1024, 1025, 1981, 2048,
+                                            _B // 2, _B // 2 + 1, _B}))
 def test_step_slab_stays_within_block_points(points, monkeypatch):
     shapes = []
 

@@ -148,3 +148,17 @@ def test_pump_curve_bounds_enforced():
     with pytest.raises(ValueError):
         thermo.PumpCurve(abscissa=np.array([1.0]), q_gp=np.array([0.7]),
                          q_fgr=np.array([0.0]))
+
+
+def test_sweeps_check_their_rules_once_per_sweep(monkeypatch):
+    calls = []
+    for name in ("checked_temperature", "checked_winding_change"):
+        def rule(x, name=name, owner=getattr(thermo, name)):
+            calls.append(name)
+            return owner(x)
+        monkeypatch.setattr(thermo, name, rule)
+    thermo.temperature_sweep(ThermalModel(), np.linspace(1.0, 300.0, 50))
+    assert calls == ["checked_temperature"]
+    calls.clear()
+    thermo.fluence_sweep(ThermalModel(), 20.0, np.linspace(40.0, 80.0, 50))
+    assert calls == ["checked_temperature", "checked_winding_change"]
