@@ -5,13 +5,17 @@ then a JSON config file, then --set overrides). `run` validates it in one pass
 before any computation starts: DEFAULTS is the schema, so every leaf must have
 its default's type; a propagator, cycle-map or ensemble experiment must ask
 for no more than MAX_WORK, and a thermo sweep for no more than
-MAX_SWEEP_POINTS points, checked from the counts before anything is built;
-and every range rule is the library's own (a constructor, or a rule function
-of the module that owns the field), applied with each grid axis at its min
-and at its max. It then dispatches to the owning module and serializes one
-rectangular result table. Execution is serial; the propagator kernel walks
-its grid in blocks and names a failing grid point, which `run` reports, like
-every other failure of a checked config's computation, as a ComputeError.
+MAX_SWEEP_POINTS points; every experiment's grid and output table must hold no
+more than MAX_SWEEP_POINTS points and rows, all checked from the counts
+before anything is built; and every range rule is the library's own (a
+constructor, or a rule function of the module that owns the field), applied
+with each grid axis at its min and at its max. It then dispatches to the
+owning module and returns one rectangular result table, held as one float64
+array per column. Execution is serial; the propagator kernel walks its grid
+in blocks and names a failing grid point, and a point run names its drive;
+`run` reports these, like every other failure of a checked config's
+computation, as a ComputeError. `emit_chunks` serializes a table as CSV a
+chunk of rows at a time, so the whole text is never held at once, or as JSON.
 """
 
 from __future__ import annotations
@@ -40,10 +44,14 @@ QUARTER_PI = math.pi / 4.0
 # the cap), a point run about 2.6e5 (an hour), and the cycle-map series about
 # 1e8 point-cycles (10 s).
 MAX_WORK = 1e9
-# The most points a thermal or fluence sweep may ask for: each is one row of a
-# Python loop, about 12 us and 0.4 KiB until emitted (12 s and 0.4 GB at the
-# cap).
+# The most grid points, and the most output rows, any experiment may ask for;
+# also the points of a thermal or fluence sweep, whose every row is one pass
+# of a Python loop of about 12 us (12 s at the cap). A row costs 8 B per
+# column until emitted (40 MB for five columns at the cap), and the CSV is
+# formatted _CHUNK_ROWS rows at a time.
 MAX_SWEEP_POINTS = 1e6
+# Rows per CSV chunk that emit_chunks formats and encodes at once.
+_CHUNK_ROWS = 256
 
 
 class ConfigError(Exception):
@@ -60,18 +68,36 @@ class IoError(Exception):
 
 @dataclass(frozen=True)
 class ResultTable:
+    """A rectangular table of finite numbers: `columns` names, `data` holds one
+    float64 array per column, and the first `keys` columns name a row in the
+    error that a non-finite value raises."""
     columns: tuple
-    rows: tuple
+    data: tuple
     metadata: dict
+    keys: int = 0
 
     def __post_init__(self):
-        width = len(self.columns)
-        for i, r in enumerate(self.rows):
-            if len(r) != width:
-                raise ValueError("table is not rectangular")
-            for column, v in zip(self.columns, r):
-                if not math.isfinite(v):
-                    raise ValueError(f"non-finite value {v} in row {i}, column {column!r}")
+        data = tuple(np.asarray(v, dtype=float) for v in self.data)
+        object.__setattr__(self, "data", data)
+        if len(data) != len(self.columns) or any(v.shape != (self.n_rows,) for v in data):
+            raise ValueError("table is not rectangular")
+        bad = [(int(np.argmin(ok)), j) for j, ok in enumerate(map(np.isfinite, data))
+               if not ok.all()]
+        if bad:
+            i, j = min(bad)  # the first in row-major order
+            row = f"row {i}"
+            if self.keys:
+                row += " (%s)" % ", ".join("%s=%.17g" % (name, v[i]) for name, v
+                                           in zip(self.columns[:self.keys], data))
+            raise ValueError(f"non-finite value {float(data[j][i])} in {row}, "
+                             f"column {self.columns[j]!r}")
+
+    @property
+    def n_rows(self) -> int:
+        return self.data[0].size if self.data else 0
+
+    def column(self, name: str) -> np.ndarray:
+        return self.data[self.columns.index(name)]
 
 
 _TROTTER = {"steps_per_cycle": 20000, "taylor_order": 4, "mode": "exact",
@@ -270,14 +296,32 @@ def _count(axis):
     return len(axis["values"]) if "values" in axis else axis["count"]
 
 
+def _shown(amount):
+    """An estimate as a cap message shows it; an integer can lie beyond the
+    float range, which math.log10 takes."""
+    if isinstance(amount, int) and amount > sys.float_info.max:
+        return f"10^{math.log10(amount):.1f}"
+    return f"{amount:.3g}"
+
+
 def _check_work(where, work, kind="propagator", unit="point-steps plus point-cycles",
                 cap=MAX_WORK):
     if work > cap:
-        # an integer estimate can lie beyond the float range, which math.log10 takes
-        big = isinstance(work, int) and work > sys.float_info.max
-        shown = f"10^{math.log10(work):.1f}" if big else f"{work:.3g}"
-        raise ConfigError(f"{where}: {kind} work of {shown} {unit} exceeds the cap of "
+        raise ConfigError(f"{where}: {kind} work of {_shown(work)} {unit} exceeds the cap of "
                           f"{cap:.0e}")
+
+
+def _check_size(where, size, what):
+    """The size cap: no more than MAX_SWEEP_POINTS grid points or output rows."""
+    if size > MAX_SWEEP_POINTS:
+        raise ConfigError(f"{where}: {_shown(size)} {what} exceed the cap of "
+                          f"{MAX_SWEEP_POINTS:.0e}")
+
+
+def _cap_size(c):
+    """The size cap on the grid: the product of the axis counts."""
+    _check_size(" and ".join(f"grid.{n}" for n in c["grid"]),
+                math.prod(_count(axis) for axis in c["grid"].values()), "grid points")
 
 
 def _cap_propagator(c, *axes, states=1):
@@ -287,6 +331,12 @@ def _cap_propagator(c, *axes, states=1):
     points = math.prod(_count(c["grid"][n]) for n in axes)
     _check_work(" and ".join(["params.trotter", *(f"grid.{n}" for n in axes)]),
                 points * (t["steps_per_cycle"] + states * t["n_cycles"]))
+
+
+def _cap_initial_states(c):
+    """The work cap, then the size cap on the table: one row per cycle."""
+    _cap_propagator(c, states=len(c["params"]["initial_weights"]))
+    _check_size("params.trotter.n_cycles", c["params"]["trotter"]["n_cycles"], "output rows")
 
 
 def _distinct(axis):
@@ -321,7 +371,7 @@ def _cap_verify_cyclemap(c):
 def _cap_ensemble(c):
     """The work cap on the ensemble: n_systems + 1 member values at each time
     of ensemble_average's grid, counted from the fields (a tau_cycle <= 0 is
-    left to EnsembleConfig)."""
+    left to EnsembleConfig); then the size cap on its one row per time."""
     e = c["params"]["ensemble"]
     if e["tau_cycle"] > 0.0:
         h = e["tau_cycle"] / ensemble.GRID_PER_CYCLE
@@ -329,6 +379,8 @@ def _cap_ensemble(c):
         n_t = math.floor(steps) + 1 if steps < math.inf else steps
         _check_work("params.ensemble.t_max and params.ensemble.n_systems",
                     float(n_t) * (e["n_systems"] + 1), "ensemble", "member values")
+        _check_size("params.ensemble.t_max and params.ensemble.tau_cycle", n_t,
+                    "output rows")
 
 
 def _check_propagator(c, *axes):
@@ -353,10 +405,15 @@ def _start_states(c):
     try:
         _, _, g0, g1 = eigensystem2(bandmodel.hamiltonian(p, 0.0))
     except DegenerateSpectrum as exc:
-        raise ComputeError(f"initial-states: start basis degenerate at k={p.k}, "
-                           f"eps0={p.eps0}") from exc
+        raise ComputeError("initial-states: start basis degenerate"
+                           + _at_drive(c["params"]["drive"])) from exc
     return p, propagator.checked_states(
         np.array([math.sqrt(w0) * g0 + math.sqrt(w1) * g1 for w0, w1 in weights]))
+
+
+def _at_drive(drive):
+    """The suffix that names a point run's drive in its compute errors."""
+    return f"; drive k={drive['k']}, eps0={drive['eps0']}, a_ph={drive['a_ph']}"
 
 
 def _run_sweep_k(c):
@@ -364,9 +421,8 @@ def _run_sweep_k(c):
     p_g = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
                                       TrotterConfig(**c["params"]["trotter"]))
     stats = bandmodel.gap_stats_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"])
-    rows = list(zip(ks.tolist(), p_g.tolist(), stats.delta_int.tolist(),
-                    stats.delta_min.tolist(), stats.delta_avg.tolist()))
-    return ("k", "p_g", "delta_int", "delta_min", "delta_avg"), rows
+    return (("k", "p_g", "delta_int", "delta_min", "delta_avg"),
+            (ks, p_g, stats.delta_int, stats.delta_min, stats.delta_avg))
 
 
 def _run_sweep_eps0(c):
@@ -376,8 +432,7 @@ def _run_sweep_eps0(c):
                                       TrotterConfig(**c["params"]["trotter"]))
     p_max = p_g.reshape(len(eps0s), len(ks)).max(axis=1)
     stats = bandmodel.gap_stats_grid(0.0, eps0s, drive["a_ph"], drive["omega"])
-    rows = list(zip(eps0s.tolist(), p_max.tolist(), stats.delta_min.tolist()))
-    return ("eps0", "p_g_max", "delta_min_k0"), rows
+    return ("eps0", "p_g_max", "delta_min_k0"), (eps0s, p_max, stats.delta_min)
 
 
 def _run_sweep_amplitude(c):
@@ -385,54 +440,48 @@ def _run_sweep_amplitude(c):
     amesh, kmesh = np.meshgrid(c["grid"]["a_ph"], c["grid"]["k"], indexing="ij")
     p_g = propagator.p_g_numeric_grid(kmesh, drive["eps0"], amesh, drive["omega"],
                                       TrotterConfig(**c["params"]["trotter"]))
-    rows = list(zip(kmesh.ravel().tolist(), amesh.ravel().tolist(), p_g.tolist()))
-    return ("k", "a_ph", "p_g"), rows
+    return ("k", "a_ph", "p_g"), (kmesh.ravel(), amesh.ravel(), p_g)
 
 
 def _run_initial_states(c):
     p, states = c["start_states"]
-    weights = c["params"]["initial_weights"]
+    weights, drive = c["params"]["initial_weights"], c["params"]["drive"]
     try:
         p_n = propagator.evolve(p, TrotterConfig(**c["params"]["trotter"]), initial=states).p_n
     except propagator.EvolutionError as exc:
         at = f" at weights {tuple(weights[exc.indices[0]])}" if exc.indices else ""
-        raise ComputeError(f"initial-states: {exc}{at}") from exc
+        raise ComputeError(f"initial-states: {exc}{at}{_at_drive(drive)}") from exc
     columns = ["cycle"] + [f"p_n_w{w_g:g}" for w_g, _ in weights]
-    rows = [(float(m + 1), *map(float, p_m)) for m, p_m in enumerate(p_n.T)]
-    return tuple(columns), rows
+    return tuple(columns), (np.arange(1.0, p_n.shape[1] + 1.0), *p_n)
 
 
 def _run_ensemble(c):
     trace = ensemble.ensemble_average(_ensemble_config(**c["params"]["ensemble"]))
-    rows = list(zip(trace.times.tolist(), trace.p_ens.tolist(), trace.entropy.tolist(),
-                    trace.p_first.tolist()))
-    return ("t", "p_ens", "entropy", "p_first"), rows
+    return (("t", "p_ens", "entropy", "p_first"),
+            (trace.times, trace.p_ens, trace.entropy, trace.p_first))
 
 
 def _run_verify_cyclemap(c):
     tmesh, pmesh = np.meshgrid(c["grid"]["theta"], c["grid"]["phi"], indexing="ij")
     tflat, pflat = tmesh.ravel(), pmesh.ravel()
     series = cyclemap.p_series_mean_grid(tflat, pflat, c["params"]["n_cycles"])
-    rows = []
-    for th, ph, s in zip(tflat, pflat, series):
-        closed = cyclemap.p_g_closed(CycleParams(theta=float(th), phi=float(ph)))
-        rows.append((float(th), float(ph), closed, float(s), abs(closed - float(s))))
-    return ("theta", "phi", "p_closed", "p_series_mean", "abs_diff"), rows
+    closed = np.fromiter((cyclemap.p_g_closed(CycleParams(theta=float(th), phi=float(ph)))
+                          for th, ph in zip(tflat, pflat)), float, count=tflat.size)
+    return (("theta", "phi", "p_closed", "p_series_mean", "abs_diff"),
+            (tflat, pflat, closed, series, np.abs(closed - series)))
 
 
 def _run_thermal(c):
     curve = thermo.temperature_sweep(ThermalModel(**c["params"]["thermo"]), c["grid"]["T"],
                                      closable_gap=c["params"]["closable_gap"])
-    return ("T", "q_gp", "q_fgr"), list(zip(curve.abscissa.tolist(), curve.q_gp.tolist(),
-                                            curve.q_fgr.tolist()))
+    return ("T", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr)
 
 
 def _run_fluence(c):
     p = c["params"]
     curve = thermo.fluence_sweep(ThermalModel(**p["thermo"]), p["T"], c["grid"]["F"],
                                  delta_nu=p["delta_nu"])
-    return ("F", "q_gp", "q_fgr"), list(zip(curve.abscissa.tolist(), curve.q_gp.tolist(),
-                                            curve.q_fgr.tolist()))
+    return ("F", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr)
 
 
 def _run_unitarity_report(c):
@@ -441,13 +490,17 @@ def _run_unitarity_report(c):
     report = propagator.unitarity_report(
         DriveParams(**c["params"]["drive"]),
         TrotterConfig(mode="taylor", n_cycles=c["params"]["n_cycles"]), orders, steps)
-    rows = [(float(o), float(n), *report[o, n]) for o in orders for n in steps]
-    return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows
+    rows = np.array([(o, n, *report[o, n]) for o in orders for n in steps], dtype=float)
+    # its order and step count name a row
+    return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows.T, 2
 
 
 # Each experiment's work cap, range checks and runner. The cap sees the typed
-# config before any grid axis is built, from the axis counts; the checks see
-# the built axes, still before any compute. A check is
+# config before any grid axis is built, from the axis counts, and may cap the
+# output rows too (run caps the grid points after it); the checks see the
+# built axes, still before any compute. A runner returns the column names and
+# one array per column, and, where leading columns name a row better than its
+# index, how many. A check is
 # only _checked calls of the library's rules: the constructors of the objects
 # an experiment builds and the checked_* functions of the modules that own
 # the fields. Each rule on a swept field is an interval, so checking it at
@@ -461,7 +514,7 @@ _EXPERIMENTS = {
     "sweep-amplitude": (lambda c: _cap_propagator(c, "a_ph", "k"),
                         lambda c: _check_propagator(c, "a_ph", "k"), _run_sweep_amplitude),
     "initial-states": (
-        lambda c: _cap_propagator(c, states=len(c["params"]["initial_weights"])),
+        _cap_initial_states,
         lambda c: [_check_propagator(c), c.update(start_states=_checked(
             "params.initial_weights", _start_states, c))],
         _run_initial_states),
@@ -535,6 +588,7 @@ def run(config: dict, workers: int = 1) -> ResultTable:
         raise ConfigError("field 'output_path' must be a non-empty string")
     cap, check, runner = _EXPERIMENTS[name]
     cap(cfg)
+    _cap_size(cfg)
     cfg["grid"] = {n: _points(axis, f"grid.{n}") for n, axis in cfg["grid"].items()}
     drive = cfg["params"].get("drive")
     if drive is not None and drive["omega"] is None:
@@ -544,27 +598,39 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     if drive is not None:  # echo the resolved omega
         metadata["params"]["drive"]["omega"] = drive["omega"]
     try:
-        columns, rows = runner(cfg)
-        return ResultTable(columns=tuple(columns), rows=tuple(rows), metadata=metadata)
+        columns, data, *keys = runner(cfg)
+        return ResultTable(tuple(columns), tuple(data), metadata, *keys)
     except (propagator.EvolutionError, GapClosedOnLoop, DegenerateSpectrum,
             InvalidDensityMatrix, ArithmeticError, ValueError, MemoryError) as exc:
         # the config passed every check, so the computation itself failed: e.g.
         # a grid point on a gap closing, a non-finite result, or an array too
-        # large to allocate
-        raise ComputeError(f"{name}: {exc}") from exc
+        # large to allocate. A grid kernel names its failing point; a point
+        # run, whose drive has a fixed k, is named by its drive.
+        at = _at_drive(drive) if drive is not None and "k" in drive else ""
+        raise ComputeError(f"{name}: {exc}{at}") from exc
+
+
+def emit_chunks(table: ResultTable, format: str = "csv"):
+    """Serialize a table as a sequence of byte chunks: CSV with
+    17-significant-digit numbers, the header and then _CHUNK_ROWS rows per
+    chunk, or JSON as one chunk."""
+    if format == "csv":
+        line = ",".join(["%.17g"] * len(table.columns)) + "\n"
+        yield (",".join(table.columns) + "\n").encode("utf-8")
+        for lo in range(0, table.n_rows, _CHUNK_ROWS):
+            rows = zip(*(v[lo:lo + _CHUNK_ROWS].tolist() for v in table.data))
+            yield "".join([line % row for row in rows]).encode("utf-8")
+    elif format == "json":
+        doc = {"metadata": table.metadata, "columns": list(table.columns),
+               "rows": [list(r) for r in zip(*(v.tolist() for v in table.data))]}
+        yield (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    else:
+        raise ConfigError(f"unknown output format '{format}'")
 
 
 def emit(table: ResultTable, format: str = "csv") -> bytes:
-    """Serialize a table: CSV with 17-significant-digit numbers, or JSON."""
-    if format == "csv":
-        row_format = ",".join(["%.17g"] * len(table.columns))
-        lines = [",".join(table.columns), *(row_format % tuple(row) for row in table.rows)]
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if format == "json":
-        doc = {"metadata": table.metadata, "columns": list(table.columns),
-               "rows": [list(r) for r in table.rows]}
-        return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
-    raise ConfigError(f"unknown output format '{format}'")
+    """The whole serialized table: the chunks of emit_chunks, joined."""
+    return b"".join(emit_chunks(table, format))
 
 
 def parse_table(data: bytes, format: str = "csv") -> ResultTable:
@@ -572,15 +638,15 @@ def parse_table(data: bytes, format: str = "csv") -> ResultTable:
     text = data.decode("utf-8")
     if format == "csv":
         lines = [ln for ln in text.split("\n") if ln]
-        columns = tuple(lines[0].split(","))
-        rows = tuple(tuple(float(v) for v in ln.split(",")) for ln in lines[1:])
-        return ResultTable(columns=columns, rows=rows, metadata={})
-    if format == "json":
+        doc = {"columns": lines[0].split(","), "metadata": {},
+               "rows": [[float(v) for v in ln.split(",")] for ln in lines[1:]]}
+    elif format == "json":
         doc = json.loads(text)
-        return ResultTable(columns=tuple(doc["columns"]),
-                           rows=tuple(tuple(r) for r in doc["rows"]),
-                           metadata=doc["metadata"])
-    raise ConfigError(f"unknown output format '{format}'")
+    else:
+        raise ConfigError(f"unknown output format '{format}'")
+    columns = tuple(doc["columns"])
+    values = np.array(doc["rows"], dtype=float).reshape(-1, len(columns))
+    return ResultTable(columns, tuple(values.T), doc["metadata"])
 
 
 def main(argv=None) -> int:
@@ -615,19 +681,19 @@ def main(argv=None) -> int:
 
         print(f"geopump: running {args.experiment}", file=sys.stderr)
         table = run(config)
-        data = emit(table, args.format)
+        chunks = emit_chunks(table, args.format)
 
         out = config["output_path"]
         if out == "-":
-            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.writelines(chunks)
             sys.stdout.buffer.flush()
         else:
             try:
                 with open(out, "wb") as fh:
-                    fh.write(data)
+                    fh.writelines(chunks)
             except OSError as exc:
                 raise IoError(f"cannot write '{out}': {exc}") from exc
-            print(f"geopump: wrote {len(table.rows)} rows to {out}", file=sys.stderr)
+            print(f"geopump: wrote {table.n_rows} rows to {out}", file=sys.stderr)
         return 0
     except ConfigError as exc:
         print(f"geopump: config error: {exc}", file=sys.stderr)

@@ -368,14 +368,16 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
     block's failing positions, counted over the whole call, and its message
     names the first of them.
     """
-    k, eps0, a_ph = np.broadcast_arrays(
-        np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
-        np.asarray(a_ph, dtype=float))
-    k = k.ravel(); eps0 = eps0.ravel(); a_ph = a_ph.ravel()
+    grid = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
+                               np.asarray(a_ph, dtype=float))
+    size = grid[0].size
+    # a flat view of a contiguous input; a broadcast one (a scalar a_ph, say) is
+    # copied a block at a time through its flat iterator, not whole
+    k, eps0, a_ph = (x.ravel() if x.flags.c_contiguous else x.flat for x in grid)
     tau = drive_period(omega)
     checked_trotter(cfg)
-    p_g = np.empty(k.size)
-    for lo in range(0, k.size, _BLOCK_POINTS):
+    p_g = np.empty(size)
+    for lo in range(0, size, _BLOCK_POINTS):
         block = slice(lo, lo + _BLOCK_POINTS)
         try:
             p_g[block] = _p_g_block(k[block], eps0[block], a_ph[block], omega, tau, cfg)

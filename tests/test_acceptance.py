@@ -36,11 +36,6 @@ def committed_config(name):
     return cli.resolve_config(doc["experiment"], doc)
 
 
-def column(table, name):
-    i = table.columns.index(name)
-    return np.array([r[i] for r in table.rows])
-
-
 def test_criterion_01_analytic_dichotomy():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
@@ -57,7 +52,7 @@ def test_criterion_01_analytic_dichotomy():
 def test_criterion_02_closed_form_vs_ergodic_series():
     t0 = time.perf_counter()
     table = cli.run(committed_config("verify_cyclemap.json"), workers=os.cpu_count() or 1)
-    diff = column(table, "abs_diff")
+    diff = table.column("abs_diff")
     dt = time.perf_counter() - t0
     worst, med = float(diff.max()), float(np.median(diff))
     record(2, worst <= 1e-2 and med <= 1e-3 and dt < 60.0,
@@ -80,9 +75,9 @@ def test_criterion_03_orbit_integration_identity():
 def test_criterion_04_tpt_step():
     t0 = time.perf_counter()
     table = cli.run(committed_config("sweep_eps0.json"), workers=os.cpu_count() or 1)
-    eps0 = column(table, "eps0")
-    p = column(table, "p_g_max")
-    dmin0 = column(table, "delta_min_k0")
+    eps0 = table.column("eps0")
+    p = table.column("p_g_max")
+    dmin0 = table.column("delta_min_k0")
     p_low = float(p[np.isclose(eps0, -0.95)][0])
     p_high = float(p[np.isclose(eps0, -0.80)][0])
     window = (eps0 >= -0.9201) & (eps0 <= -0.8799)
@@ -102,8 +97,8 @@ def test_criterion_04_tpt_step():
 def test_criterion_05_fractionality_ceiling():
     t0 = time.perf_counter()
     table = cli.run(committed_config("sweep_amplitude.json"), workers=os.cpu_count() or 1)
-    a = column(table, "a_ph")
-    p = column(table, "p_g")
+    a = table.column("a_ph")
+    p = table.column("p_g")
     peaks = {amp: float(p[np.isclose(a, amp)].max()) for amp in (0.05, 0.1, 0.2, 0.4)}
     dt = time.perf_counter() - t0
     record(5, all(v <= 0.55 for v in peaks.values()),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -72,16 +73,17 @@ def test_run_small_sweep_shape():
     cfg = fast_sweep_config()
     table = run(cfg)
     assert table.columns == ("k", "p_g", "delta_int", "delta_min", "delta_avg")
-    assert len(table.rows) == 7
+    assert table.n_rows == 7
+    assert all(v.dtype == np.float64 and v.shape == (7,) for v in table.data)
     assert table.metadata["params"]["drive"]["omega"] is not None  # resolved echo
-    ks = [r[0] for r in table.rows]
+    ks = table.column("k").tolist()
     assert ks == sorted(ks)
-    for r in table.rows:
-        assert 0.0 <= r[1] <= 1.0
+    for p_g in table.column("p_g").tolist():
+        assert 0.0 <= p_g <= 1.0
 
 
 def test_csv_emission_format():
-    table = ResultTable(columns=("a", "b"), rows=((1.0, 0.5), (-0.25, 2.0)),
+    table = ResultTable(columns=("a", "b"), data=((1.0, -0.25), (0.5, 2.0)),
                         metadata={})
     data = emit(table, "csv")
     text = data.decode("utf-8")
@@ -91,21 +93,23 @@ def test_csv_emission_format():
 
 def test_round_trip_csv_and_json():
     table = ResultTable(columns=("x", "y"),
-                        rows=((math.pi, 1.0 / 3.0), (6.02e23, -1e-300)),
+                        data=((math.pi, 6.02e23), (1.0 / 3.0, -1e-300)),
                         metadata={"experiment": "thermal", "n": 3})
     back_csv = parse_table(emit(table, "csv"), "csv")
     assert back_csv.columns == table.columns
-    assert back_csv.rows == table.rows  # 17 significant digits round-trip exactly
+    # 17 significant digits round-trip exactly
+    assert [v.tobytes() for v in back_csv.data] == [v.tobytes() for v in table.data]
     back_json = parse_table(emit(table, "json"), "json")
-    assert back_json.rows == table.rows
+    assert [v.tobytes() for v in back_json.data] == [v.tobytes() for v in table.data]
     assert back_json.metadata == table.metadata
 
 
 def test_non_finite_rows_rejected(capsys):
     with pytest.raises(ValueError, match=r"non-finite value nan in row 1, column 'b'"):
-        ResultTable(columns=("a", "b"), rows=((1.0, 2.0), (3.0, float("nan"))), metadata={})
+        ResultTable(columns=("a", "b"), data=((1.0, 3.0), (2.0, float("nan"))), metadata={})
     # the unbudgeted taylor run overflows to a NaN row: one error line, no
-    # warnings; the worst defect is NaN too, so it names the first such column
+    # warnings; the worst defect is NaN too, so it names the first such column,
+    # its row by the order and step count, and the drive
     for n_cycles in (2, 3):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -117,8 +121,31 @@ def test_non_finite_rows_rejected(capsys):
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err.splitlines() == [
             "geopump: running unitarity-report",
-            "geopump: compute error: unitarity-report: non-finite value nan in row 0, "
-            "column 'defect_taylor'"]
+            "geopump: compute error: unitarity-report: non-finite value nan in row 0 "
+            "(taylor_order=2, steps_per_cycle=100), column 'defect_taylor'; "
+            "drive k=0.02, eps0=3.0, a_ph=0.1"]
+
+
+def test_first_non_finite_value_is_named_in_row_major_order():
+    # non-finite values at (2, a), (1, c) and (1, b): row 1 comes first, and
+    # within it column b
+    data = ([0.0, 1.0, math.inf], [0.0, -math.inf, 2.0], [0.0, math.nan, 3.0])
+    with pytest.raises(ValueError, match=r"^non-finite value -inf in row 1, column 'b'$"):
+        ResultTable(columns=("a", "b", "c"), data=data, metadata={})
+    # leading key columns name the row after its index
+    with pytest.raises(ValueError, match=r"^non-finite value nan in row 1 \(a=1, b=-0\.5\), "
+                                         r"column 'c'$"):
+        ResultTable(columns=("a", "b", "c"), data=([0.0, 1.0], [0.0, -0.5], [0.0, math.nan]),
+                    metadata={}, keys=2)
+
+
+def test_point_run_compute_errors_name_the_drive(capsys):
+    # (eps0, k) = (-1, 0) closes the gap at t = 0, so the start basis is degenerate
+    assert cli.main(["initial-states", "--set", "params.drive.eps0=-1",
+                     "--set", "params.drive.k=0", "--out", "-"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "geopump: compute error: initial-states: start basis degenerate; "
+        "drive k=0.0, eps0=-1.0, a_ph=0.1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -140,7 +167,9 @@ def test_subnormal_inputs_run_without_warnings(argv):
 
 def test_table_must_be_rectangular():
     with pytest.raises(ValueError):
-        ResultTable(columns=("a", "b"), rows=((1.0,),), metadata={})
+        ResultTable(columns=("a", "b"), data=((1.0,),), metadata={})
+    with pytest.raises(ValueError, match="not rectangular"):
+        ResultTable(columns=("a", "b"), data=((1.0, 2.0), (3.0,)), metadata={})
 
 
 def test_chunked_sweep_equals_one_kernel_call():
@@ -151,10 +180,10 @@ def test_chunked_sweep_equals_one_kernel_call():
     result = run(cfg)
     table = parse_table(emit(result, "csv"), "csv")
     drive = result.metadata["params"]["drive"]
-    ks = np.array([r[0] for r in table.rows])
+    ks = table.column("k")
     direct = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
                                          propagator.TrotterConfig(**cfg["params"]["trotter"]))
-    assert np.array_equal(np.array([r[1] for r in table.rows]), direct)
+    assert np.array_equal(table.column("p_g"), direct)
 
 
 def test_failing_point_in_a_later_block_is_named_by_its_grid_index(capsys):
@@ -180,6 +209,41 @@ def test_failing_point_in_a_later_block_is_named_by_its_grid_index(capsys):
         "geopump: running sweep-eps0",
         "geopump: compute error: sweep-eps0: gap closed at measurement time at 1 grid "
         f"point(s); first failing grid index {i}: k=0.0, eps0=-1.0, a_ph=0.1"]
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_file_stdout_and_emit_bytes_are_equal(format, tmp_path, capsysbinary):
+    # 600 rows: two full chunks of 256 rows and a partial one
+    assert cli._CHUNK_ROWS == 256
+    argv = ["thermal", "--set", "grid.T.count=600", "--format", format]
+    out = tmp_path / f"t.{format}"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert cli.main(argv + ["--out", "-"]) == 0
+    stdout = capsysbinary.readouterr().out
+    # the JSON metadata echoes output_path, so emit() sees the same path
+    for path, data in ((str(out), out.read_bytes()), ("-", stdout)):
+        table = run(resolve_config("thermal", None, ["grid.T.count=600",
+                                                     f"output_path={path}"]))
+        assert table.n_rows == 600
+        assert emit(table, format) == data
+    if format == "csv":
+        assert out.read_bytes() == stdout
+        chunks = list(cli.emit_chunks(table, "csv"))
+        assert [c.count(b"\n") for c in chunks] == [1, 256, 256, 88]
+
+
+def test_verify_cyclemap_output_peaks_below_the_table_text(tmp_path):
+    # the 2500-row table as column arrays, written a chunk of rows at a time;
+    # row tuples and the whole text at once peaked at 1.2 MiB
+    argv = ["verify-cyclemap", "--set", "params.n_cycles=10", "--out", str(tmp_path / "v.csv")]
+    assert cli.main(argv) == 0  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2**20
 
 
 def test_main_writes_file_and_exit_zero(tmp_path):
@@ -318,8 +382,8 @@ def test_grid_axis_takes_either_form(capsysbinary):
     assert cli.main(["sweep-amplitude", *base, "--set", "grid.k.count=2",
                      "--set", "grid.a_ph.min=0.1", "--set", "grid.a_ph.max=0.3",
                      "--set", "grid.a_ph.count=3"]) == 0
-    rows = parse_table(capsysbinary.readouterr().out).rows
-    assert sorted({r[1] for r in rows}) == [0.1, 0.2, 0.3]
+    a_ph = parse_table(capsysbinary.readouterr().out).column("a_ph")
+    assert sorted(set(a_ph.tolist())) == [0.1, 0.2, 0.3]
 
 
 def _leaves(node, path=""):
@@ -417,6 +481,11 @@ def test_grid_configs_reproduce_committed_output(stem, tmp_path):
     _reproduces_committed_output(stem, tmp_path)
 
 
+@pytest.mark.parametrize("stem", ["ensemble", "thermal", "fluence"])
+def test_ensemble_and_thermo_configs_reproduce_committed_output(stem, tmp_path):
+    _reproduces_committed_output(stem, tmp_path)
+
+
 def test_initial_states_runner_columns():
     cfg = resolve_config("initial-states", None, [
         "params.trotter.steps_per_cycle=200",
@@ -425,8 +494,8 @@ def test_initial_states_runner_columns():
     ])
     table = run(cfg)
     assert table.columns == ("cycle", "p_n_w1", "p_n_w0.5")
-    assert len(table.rows) == 8
-    assert [r[0] for r in table.rows] == [float(m) for m in range(1, 9)]
+    assert table.n_rows == 8
+    assert table.column("cycle").tolist() == [float(m) for m in range(1, 9)]
 
 
 def test_unitarity_report_runner_orders():
@@ -438,7 +507,8 @@ def test_unitarity_report_runner_orders():
     table = run(cfg)
     assert table.columns == ("taylor_order", "steps_per_cycle", "defect_taylor",
                              "max_dev_vs_exact")
-    defects = {int(r[0]): r[2] for r in table.rows}
+    defects = dict(zip(table.column("taylor_order").tolist(),
+                       table.column("defect_taylor").tolist()))
     assert defects[1] > defects[2]
 
 
@@ -459,7 +529,7 @@ def test_initial_states_runs_one_stacked_evolution(monkeypatch):
     for i, (w0, w1) in enumerate(cfg["params"]["initial_weights"], start=1):
         state = math.sqrt(w0) * g0 + math.sqrt(w1) * g1
         p_n = evolve(p, tcfg, initial=state).p_n
-        assert np.array([r[i] for r in table.rows]).tobytes() == p_n.tobytes()
+        assert table.data[i].tobytes() == p_n.tobytes()
 
 
 def test_initial_states_error_names_the_failing_weights(capsys):
@@ -472,7 +542,7 @@ def test_initial_states_error_names_the_failing_weights(capsys):
                    "--set", "params.initial_weights=[[1,0],[0,1]]", "--out", "-"])
     assert rc == 3
     assert capsys.readouterr().err.splitlines()[-1].endswith(
-        "beyond tolerance at weights (0.0, 1.0)")
+        "beyond tolerance at weights (0.0, 1.0); drive k=0.3, eps0=-0.5, a_ph=0.1")
 
 
 class _ComputeStarted(Exception):
@@ -532,6 +602,40 @@ def test_work_cap_is_checked_before_any_axis_is_built(monkeypatch, capsys):
                  ["fluence", "--set", "grid.F.count=1e9"]):
         assert cli.main(argv + ["--out", "-"]) == 2
         assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # under the work cap, but 1e9 points: two 8 GB meshgrids and a 1e9-row table
+    (["verify-cyclemap", "--set", "params.n_cycles=1", "--set", "grid.theta.count=31622",
+      "--set", "grid.phi.count=31622"],
+     "grid.theta and grid.phi: 1e+09 grid points exceed the cap of 1e+06"),
+    # 9.1e8 point-steps plus point-cycles, but a 9e6-row table
+    (["sweep-k", "--set", "params.trotter.steps_per_cycle=100",
+      "--set", "params.trotter.n_cycles=1", "--set", "grid.k.count=9000000"],
+     "grid.k: 9e+06 grid points exceed the cap of 1e+06"),
+    (["initial-states", "--set", "params.trotter.steps_per_cycle=100",
+      "--set", "params.trotter.n_cycles=2000000"],
+     "params.trotter.n_cycles: 2e+06 output rows exceed the cap of 1e+06"),
+    (["ensemble", "--set", "params.ensemble.n_systems=1",
+      "--set", "params.ensemble.t_max=1e4"],
+     "params.ensemble.t_max and params.ensemble.tau_cycle: 1.2e+06 output rows exceed the "
+     "cap of 1e+06"),
+    # a grid-point count beyond the float range
+    (["verify-cyclemap", "--set", "params.n_cycles=0", "--set", "grid.theta.count=1e200",
+      "--set", "grid.phi.count=1e200"],
+     "grid.theta and grid.phi: 10^400.0 grid points exceed the cap of 1e+06"),
+], ids=["verify-cyclemap", "sweep-k", "initial-states", "ensemble", "beyond-float"])
+def test_grid_points_and_output_rows_are_capped(argv, message, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a grid or a result was built")
+
+    for module, name in ((cli.np, "meshgrid"), (cli.np, "linspace"),
+                         (propagator, "p_g_numeric_grid"), (propagator, "evolve"),
+                         (cli.ensemble, "ensemble_average"),
+                         (cli.cyclemap, "p_series_mean_grid")):
+        monkeypatch.setattr(module, name, no_build)
+    assert cli.main(argv + ["--out", "-"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"geopump: config error: {message}"
 
 
 def test_cyclemap_series_work_is_capped(monkeypatch, capsys):

@@ -195,6 +195,27 @@ def test_batched_grid_matches_scalar_route():
         assert abs(grid[i] - scalar) < 1e-12
 
 
+def test_broadcast_inputs_equal_full_arrays_across_blocks(monkeypatch):
+    # a scalar a_ph and eps0, and a Fortran-ordered k grid, are sliced a block
+    # at a time; every block gets arrays of at most _BLOCK_POINTS points
+    sizes = []
+
+    def block(k, eps0, a_ph, *args):
+        sizes.append((k.size, eps0.size, a_ph.size))
+        return p_g_block(k, eps0, a_ph, *args)
+
+    p_g_block = propagator._p_g_block
+    monkeypatch.setattr(propagator, "_p_g_block", block)
+    n = propagator._BLOCK_POINTS + 52
+    ks = np.asfortranarray(np.linspace(0.01, 0.5, n).reshape(2, n // 2))
+    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2)
+    broadcast = propagator.p_g_numeric_grid(ks, -0.95, 0.1, TPT_POINT.omega, cfg)
+    full = propagator.p_g_numeric_grid(np.ascontiguousarray(ks).ravel(), np.full(n, -0.95),
+                                       np.full(n, 0.1), TPT_POINT.omega, cfg)
+    assert broadcast.tobytes() == full.tobytes()
+    assert sizes == [(propagator._BLOCK_POINTS,) * 3, (52,) * 3] * 2
+
+
 def test_measure_offset_shifts_basis_and_snaps():
     cfg_half = TrotterConfig(steps_per_cycle=500, n_cycles=20, measure_offset=0.5)
     trace = propagator.evolve(TPT_POINT, cfg_half)
