@@ -4,18 +4,18 @@ Each named experiment resolves a layered configuration (built-in defaults,
 then a JSON config file, then --set overrides). `run` validates it in one pass
 before any computation starts: DEFAULTS is the schema, so every leaf must have
 its default's type; a propagator, cycle-map or ensemble experiment must ask
-for no more than MAX_WORK, and a thermo sweep for no more than
-MAX_SWEEP_POINTS points; every experiment's grid and output table must hold no
-more than MAX_SWEEP_POINTS points and rows, all checked from the counts
-before anything is built; and every range rule is the library's own (a
-constructor, or a rule function of the module that owns the field), applied
-with each grid axis at its min and at its max. It then dispatches to the
-owning module and returns one rectangular result table, held as one float64
-array per column. Execution is serial; the propagator kernel walks its grid
-in blocks and names a failing grid point, and a point run names its drive;
-`run` reports these, like every other failure of a checked config's
-computation, as a ComputeError. `emit_chunks` serializes a table as CSV a
-chunk of rows at a time, so the whole text is never held at once, or as JSON.
+for no more than MAX_WORK; every experiment's grid and output table must hold
+no more than MAX_SWEEP_POINTS points and rows, which alone bounds a thermo
+sweep; all are checked from the counts before anything is built; and every
+range rule is the library's own (a constructor, or a rule function of the
+module that owns the field), applied with each grid axis at its min and at
+its max. It then dispatches to the owning module and returns one rectangular
+result table, held as one float64 array per column. Execution is serial; the
+propagator kernel walks its grid in blocks and names a failing grid point,
+and a point run names its drive; `run` reports these, like every other
+failure of a checked config's computation, as a ComputeError. `emit_chunks`
+serializes a table as CSV a chunk of rows at a time, so the whole text is
+never held at once, or as JSON.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ QUARTER_PI = math.pi / 4.0
 # 1e8 point-cycles (10 s).
 MAX_WORK = 1e9
 # The most grid points, and the most output rows, any experiment may ask for;
-# also the points of a thermal or fluence sweep, whose every row is one pass
-# of a Python loop of about 12 us (12 s at the cap). A row costs 8 B per
-# column until emitted (40 MB for five columns at the cap), and the CSV is
-# formatted _CHUNK_ROWS rows at a time.
+# the only cap on a thermal or fluence sweep, which costs a few array passes
+# per point. A row costs 8 B per column until emitted (40 MB for five columns
+# at the cap), and the CSV is formatted _CHUNK_ROWS rows at a time.
 MAX_SWEEP_POINTS = 1e6
 # Rows per CSV chunk that emit_chunks formats and encodes at once.
 _CHUNK_ROWS = 256
@@ -304,11 +303,10 @@ def _shown(amount):
     return f"{amount:.3g}"
 
 
-def _check_work(where, work, kind="propagator", unit="point-steps plus point-cycles",
-                cap=MAX_WORK):
-    if work > cap:
+def _check_work(where, work, kind="propagator", unit="point-steps plus point-cycles"):
+    if work > MAX_WORK:
         raise ConfigError(f"{where}: {kind} work of {_shown(work)} {unit} exceeds the cap of "
-                          f"{cap:.0e}")
+                          f"{MAX_WORK:.0e}")
 
 
 def _check_size(where, size, what):
@@ -326,11 +324,13 @@ def _cap_size(c):
 
 def _cap_propagator(c, *axes, states=1):
     """The work cap on a propagator experiment over the named axes: every
-    point steps one cycle and measures `states` states."""
+    point steps one cycle, a taylor step costing the 1 + order // 2 array
+    passes of its build (_step_coeffs), and measures `states` states."""
     t = c["params"]["trotter"]
     points = math.prod(_count(c["grid"][n]) for n in axes)
+    cost = 1 + t["taylor_order"] // 2 if t["mode"] == "taylor" else 1
     _check_work(" and ".join(["params.trotter", *(f"grid.{n}" for n in axes)]),
-                points * (t["steps_per_cycle"] + states * t["n_cycles"]))
+                points * (t["steps_per_cycle"] * cost + states * t["n_cycles"]))
 
 
 def _cap_initial_states(c):
@@ -349,17 +349,13 @@ def _distinct(axis):
 
 
 def _cap_unitarity_report(c):
-    # each step count folds every distinct order and one exact reference
-    orders, _ = _distinct(c["grid"]["taylor_order"])
+    # each step count folds one exact reference and every distinct order o, a
+    # step of which costs 1 + o // 2 (the sum of o // 2 is at most the sum // 2)
+    orders, order_sum = _distinct(c["grid"]["taylor_order"])
     n_steps, steps = _distinct(c["grid"]["steps_per_cycle"])
     _check_work("params.n_cycles, grid.taylor_order and grid.steps_per_cycle",
-                (orders + 1) * (steps + n_steps * c["params"]["n_cycles"]))
-
-
-def _cap_sweep(c, axis):
-    """The cap on a thermo sweep over the named axis: one row per point."""
-    _check_work(f"grid.{axis}", _count(c["grid"][axis]), "thermo sweep", "points",
-                MAX_SWEEP_POINTS)
+                (orders + 1 + order_sum // 2) * steps
+                + (orders + 1) * n_steps * c["params"]["n_cycles"])
 
 
 def _cap_verify_cyclemap(c):
@@ -497,15 +493,15 @@ def _run_unitarity_report(c):
 
 # Each experiment's work cap, range checks and runner. The cap sees the typed
 # config before any grid axis is built, from the axis counts, and may cap the
-# output rows too (run caps the grid points after it); the checks see the
-# built axes, still before any compute. A runner returns the column names and
-# one array per column, and, where leading columns name a row better than its
-# index, how many. A check is
-# only _checked calls of the library's rules: the constructors of the objects
-# an experiment builds and the checked_* functions of the modules that own
-# the fields. Each rule on a swept field is an interval, so checking it at
-# both ends of every axis covers the axis (the fluence rule reads the whole
-# axis). initial-states' check leaves its start states for the runner.
+# output rows too (run caps the grid points after it, which alone bounds the
+# thermo sweeps). The checks see the built axes, still before any compute. A
+# runner returns the column names and one array per column, and, where leading
+# columns name a row better than its index, how many. A check is only _checked
+# calls of the library's rules: the constructors of the objects an experiment
+# builds and the checked_* functions of the modules that own the fields. Each
+# rule on a swept field is an interval, so checking it at both ends of every
+# axis covers the axis (the fluence rule reads the whole axis). initial-states'
+# check leaves its start states for the runner.
 _EXPERIMENTS = {
     "sweep-k": (lambda c: _cap_propagator(c, "k"), lambda c: _check_propagator(c, "k"),
                 _run_sweep_k),
@@ -524,10 +520,10 @@ _EXPERIMENTS = {
         _at_ends("grid.theta and grid.phi", CycleParams, c, ("theta", "phi")),
         _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])],
         _run_verify_cyclemap),
-    "thermal": (lambda c: _cap_sweep(c, "T"), lambda c: [
+    "thermal": (None, lambda c: [
         _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
         _at_ends("grid.T", thermo.checked_temperature, c, ("T",))], _run_thermal),
-    "fluence": (lambda c: _cap_sweep(c, "F"), lambda c: [
+    "fluence": (None, lambda c: [
         _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
         _checked("params.T", thermo.checked_temperature, c["params"]["T"]),
         _checked("params.delta_nu", bandmodel.checked_winding_change,
@@ -587,7 +583,8 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     if not cfg["output_path"]:
         raise ConfigError("field 'output_path' must be a non-empty string")
     cap, check, runner = _EXPERIMENTS[name]
-    cap(cfg)
+    if cap is not None:
+        cap(cfg)
     _cap_size(cfg)
     cfg["grid"] = {n: _points(axis, f"grid.{n}") for n, axis in cfg["grid"].items()}
     drive = cfg["params"].get("drive")

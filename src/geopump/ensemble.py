@@ -70,9 +70,10 @@ class EnsembleTrace:
             raise ValueError("entropy left [0, ln 2]")
 
 
-def transition_count(t: float, tau_cycle: float) -> int:
-    """Number of amplitude maxima (at (m + 1/4) tau) passed by time t, >= 0."""
-    return max(0, int(math.floor(t / tau_cycle - 0.25)) + 1)
+def transition_count(t, tau_cycle: float):
+    """Number of amplitude maxima (at (m + 1/4) tau) passed by time t, >= 0, per element."""
+    with np.errstate(invalid="raise"):  # a t whose count is no int64 raises, not casts
+        return np.maximum(np.floor(np.divide(t, tau_cycle) - 0.25).astype(int) + 1, 0)[()]
 
 
 def p1_staircase(c: CycleParams, tau_cycle: float, t: float) -> float:
@@ -109,7 +110,7 @@ def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
     # transition counts of the undelayed first member, which can be one cycle
     # ahead of every staggered one: counts rise with t and fall with the delay,
     # so its last count is the largest of all members
-    first_counts = np.maximum(np.floor(times / cfg.tau_cycle - 0.25).astype(int) + 1, 0)
+    first_counts = transition_count(times, cfg.tau_cycle)
     u = cycle_unitary(cfg.cycle)
     n_max = int(first_counts[-1])
     amp0 = np.empty(n_max + 1, dtype=complex)
@@ -128,7 +129,7 @@ def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
         hi = min(lo + rows, n_t)
         elapsed = times[lo:hi, None] - delays[None, :]
         # members not started yet (t < 0) stay in the ground state
-        counts = np.maximum(np.floor(elapsed / cfg.tau_cycle - 0.25).astype(int) + 1, 0)
+        counts = transition_count(elapsed, cfg.tau_cycle)
         rho[lo:hi, 0, 0] = np.mean(w0[counts], axis=1)
         rho[lo:hi, 1, 1] = p_ens[lo:hi] = np.mean(w1[counts], axis=1)
         rho[lo:hi, 0, 1] = np.mean(x01[counts], axis=1)

@@ -10,7 +10,9 @@ temperature and fluence sweeps are designed to expose.
 
 Band-edge energies, gap, and chemical potential follow a deliberately coarse
 linear model in T; the fluence model shifts the chemical potential linearly
-and leaves the bands alone.
+and leaves the bands alone. Both sweeps are one array kernel, _sweep; fermi
+is the one-point case of its _fermi, which maps math.exp over the array
+(np.exp rounds 4.6 % of arguments in [-700, 0] differently).
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ import numpy as np
 
 from .bandmodel import checked_winding_change
 from .units import K_BOLTZMANN_MEV_PER_K
+
+# no warnings: an overflow is the T -> 0 or t -> 0 limit, a NaN fails the occupancy check
+_LIMITS = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -42,13 +48,16 @@ class ThermalModel:
         if not self.kB > 0.0:
             raise ValueError(f"kB must be > 0, got {self.kB}")
 
-    def gap(self, T: float) -> float:
+    @_LIMITS
+    def gap(self, T):
         """Static gap, closing linearly at t_berry: gap0 * max(0, 1 - T/t_berry)."""
-        return self.gap0 * max(0.0, 1.0 - T / self.t_berry)
+        closing = 1.0 - np.divide(T, self.t_berry)
+        return self.gap0 * np.where(closing > 0.0, closing, 0.0)[()]
 
-    def mu(self, T: float) -> float:
+    @_LIMITS
+    def mu(self, T):
         """Chemical potential, crossing zero at t_lif: mu0 * (1 - T/t_lif)."""
-        return self.mu0 * (1.0 - T / self.t_lif)
+        return self.mu0 * (1.0 - np.divide(T, self.t_lif))
 
 
 @dataclass(frozen=True)
@@ -89,35 +98,36 @@ def fermi(E: float, mu: float, T: float, kB: float = K_BOLTZMANN_MEV_PER_K) -> f
 
     T = 0 returns the zero-temperature step, with 1/2 exactly at E = mu.
     """
-    return _occupation(E, mu, kB * checked_temperature(T))
+    return float(_fermi(E, mu, kB * checked_temperature(T)))
 
 
-def _occupation(E: float, mu: float, kT: float) -> float:
-    """fermi at the thermal energy kT = kB * T of a checked T."""
-    if kT == 0.0:  # T = 0, or a subnormal T whose kB * T underflows
-        if E < mu:
-            return 1.0
-        return 0.5 if E == mu else 0.0
-    with np.errstate(over="ignore"):  # x = +/-inf is the T -> 0 limit of the occupation
-        x = (E - mu) / kT
-    if x >= 0.0:
-        e = math.exp(-x)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(x))
+@_LIMITS
+def _fermi(E, mu, kT) -> np.ndarray:
+    """fermi per element at kT = kB * T: e/(1 + e) for x = (E - mu)/kT >= 0, else
+    1/(1 + e), with e = exp(-|x|); at kT = 0 (T = 0, or a subnormal T whose
+    kB * T underflows) x is -inf below mu, 0 at mu and +inf elsewhere."""
+    E, mu, kT = (np.asarray(v, dtype=float) for v in (E, mu, kT))
+    x = np.where(kT == 0.0, np.where(E < mu, -np.inf, np.where(E == mu, 0.0, np.inf)),
+                 (E - mu) / kT)
+    e = np.asarray(_exp(-np.abs(x)), dtype=float)
+    return np.where(x >= 0.0, e, 1.0) / (1.0 + e)
 
 
-def _check_occupancy(f_v: float, f_c: float):
-    if not (-1e-12 <= f_v <= 1.0 + 1e-12 and -1e-12 <= f_c <= 1.0 + 1e-12):
-        raise ValueError(f"occupancies must lie in [0, 1], got f_v={f_v}, f_c={f_c}")
+def _check_occupancy(f_v, f_c):
+    v, c = (np.ravel(f) for f in np.broadcast_arrays(f_v, f_c))
+    ok = (-1e-12 <= v) & (v <= 1.0 + 1e-12) & (-1e-12 <= c) & (c <= 1.0 + 1e-12)
+    if not ok.all():
+        i = np.argmin(ok)
+        raise ValueError(f"occupancies must lie in [0, 1], got f_v={v[i]}, f_c={c[i]}")
 
 
-def fgr_factor(f_v: float, f_c: float) -> float:
+def fgr_factor(f_v, f_c):
     """Occupancy difference f_v - f_c; antisymmetric under band exchange."""
     _check_occupancy(f_v, f_c)
     return f_v - f_c
 
 
-def geometric_factor(f_v: float, f_c: float) -> float:
+def geometric_factor(f_v, f_c):
     """Probability that exactly one band is occupied: f_v + f_c - 2 f_v f_c.
 
     Symmetric under band exchange and confined to [0, 1]; stays positive
@@ -127,17 +137,26 @@ def geometric_factor(f_v: float, f_c: float) -> float:
     return f_v + f_c - 2.0 * f_v * f_c
 
 
-def gp_probability(f_v: float, f_c: float, delta_nu: int) -> float:
+def gp_probability(f_v, f_c, delta_nu: int):
     """Pumped fraction geometric_factor * 1/2, gated by the winding change."""
-    return _pumped(f_v, f_c, checked_winding_change(delta_nu))
+    return _pumped(f_v, f_c, checked_winding_change(delta_nu) == 1)
 
 
-def _pumped(f_v: float, f_c: float, delta_nu: int) -> float:
-    """gp_probability for a checked delta_nu."""
-    g = geometric_factor(f_v, f_c)
-    return 0.5 * g if delta_nu == 1 else 0.0
+def _pumped(f_v, f_c, gate):
+    """gp_probability where the gate (delta_nu == 1, per point or for all) is set, else 0."""
+    return np.where(gate, 0.5 * geometric_factor(f_v, f_c), 0.0)[()]
 
 
+def _sweep(abscissa, gap, mu, kT, gate, scale=1.0) -> PumpCurve:
+    """Both weights at the band edges +-gap/2 over a whole axis: the pumped
+    fraction where `gate` is set, and the occupancy difference times `scale`."""
+    f_v = _fermi(-0.5 * gap, mu, kT)
+    f_c = _fermi(+0.5 * gap, mu, kT)
+    return PumpCurve(abscissa=abscissa, q_gp=_pumped(f_v, f_c, gate),
+                     q_fgr=fgr_factor(f_v, f_c) * scale)
+
+
+@_LIMITS
 def temperature_sweep(model: ThermalModel, T_range, closable_gap: float = 0.0) -> PumpCurve:
     """Evaluate both weights at the band edges +-gap(T)/2 across T_range.
 
@@ -149,20 +168,11 @@ def temperature_sweep(model: ThermalModel, T_range, closable_gap: float = 0.0) -
     T_range = np.asarray(T_range, dtype=float)
     if T_range.size:  # the rule is an interval, so its lowest T covers the sweep
         checked_temperature(float(T_range.min()))
-    q_gp = np.empty(T_range.shape)
-    q_fgr = np.empty(T_range.shape)
-    # as Python floats, T / t_lif overflows to inf (the t_lif -> 0 limit) silently
-    for i, T in enumerate(T_range.tolist()):
-        delta = model.gap(T)
-        mu = model.mu(T)
-        kT = model.kB * T
-        f_v = _occupation(-0.5 * delta, mu, kT)
-        f_c = _occupation(+0.5 * delta, mu, kT)
-        q_gp[i] = _pumped(f_v, f_c, 1 if delta <= closable_gap else 0)
-        q_fgr[i] = fgr_factor(f_v, f_c)
-    return PumpCurve(abscissa=T_range, q_gp=q_gp, q_fgr=q_fgr)
+    gap = model.gap(T_range)
+    return _sweep(T_range, gap, model.mu(T_range), model.kB * T_range, gap <= closable_gap)
 
 
+@_LIMITS
 def fluence_sweep(model: ThermalModel, T: float, F_range, delta_nu: int = 1) -> PumpCurve:
     """Shift the chemical potential down linearly with fluence at fixed T.
 
@@ -173,15 +183,5 @@ def fluence_sweep(model: ThermalModel, T: float, F_range, delta_nu: int = 1) -> 
     """
     F_range = checked_fluences(F_range)
     kT = model.kB * checked_temperature(T)
-    delta_nu = checked_winding_change(delta_nu)
-    f_max = float(F_range.max())
-    delta = model.gap(T)
-    q_gp = np.empty(F_range.shape)
-    q_fgr = np.empty(F_range.shape)
-    for i, F in enumerate(F_range):
-        mu_eff = model.mu(T) - model.fluence_slope * F
-        f_v = _occupation(-0.5 * delta, mu_eff, kT)
-        f_c = _occupation(+0.5 * delta, mu_eff, kT)
-        q_gp[i] = _pumped(f_v, f_c, delta_nu)
-        q_fgr[i] = fgr_factor(f_v, f_c) * (F / f_max)
-    return PumpCurve(abscissa=F_range, q_gp=q_gp, q_fgr=q_fgr)
+    return _sweep(F_range, model.gap(T), model.mu(T) - model.fluence_slope * F_range, kT,
+                  checked_winding_change(delta_nu) == 1, F_range / F_range.max())

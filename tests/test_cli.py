@@ -154,10 +154,12 @@ def test_point_run_compute_errors_name_the_drive(capsys):
     ["thermal", "--set", "grid.T.values=[5e-324, 10]"],
     ["thermal", "--set", "params.thermo.t_lif=5e-324",
      "--set", "params.thermo.t_berry=1e-320"],
+    ["fluence", "--set", "params.thermo.fluence_slope=1e300", "--set", "grid.F.max=1e10"],
 ])
 def test_subnormal_inputs_run_without_warnings(argv):
-    # the drive's critical point, the thermal exponent and T / t_lif go to
-    # +/-inf and are clipped on purpose; that is no reason to warn
+    # the drive's critical point, the thermal exponent, T / t_lif and the
+    # fluence shift go to +/-inf and are clipped on purpose; that is no reason
+    # to warn
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = cli.main(argv + ["--out", "-"])
@@ -346,9 +348,15 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     ("ensemble", ["params.ensemble.t_max=1e12"]),
     # a propagator work estimate beyond the float range
     ("sweep-k", ["grid.k.count=1e308", "params.trotter.steps_per_cycle=1e308"]),
-    # more thermo sweep points than cli.MAX_SWEEP_POINTS
+    # more thermal or fluence grid points than cli.MAX_SWEEP_POINTS
     ("thermal", ["grid.T.count=1e9"]),
     ("fluence", ["grid.F.count=1e9"]),
+    # a huge taylor order: each step build makes taylor_order // 2 array passes
+    ("sweep-k", ["params.trotter.mode=taylor", "params.trotter.taylor_order=1e12",
+                 "params.trotter.steps_per_cycle=100", "params.trotter.n_cycles=1",
+                 "grid.k.count=1"]),
+    ("unitarity-report", ["grid.taylor_order.values=[100000000]",
+                          "grid.steps_per_cycle.values=[100]", "params.n_cycles=1"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     def no_compute(*args, **kwargs):
@@ -560,14 +568,19 @@ def test_committed_configs_stay_under_the_work_cap(root, monkeypatch):
     monkeypatch.setattr(cli.cyclemap, "p_series_mean_grid", started)
     for name in ("temperature_sweep", "fluence_sweep"):
         monkeypatch.setattr(cli.thermo, name, started)
-    capped = {}
-    cap = cli._check_work
+    capped, sized = {}, {}
+    cap, size_cap = cli._check_work, cli._check_size
 
     def check_work(where, work, *args):
         capped[experiment] = work
         return cap(where, work, *args)
 
+    def check_size(where, size, what):
+        sized[experiment, what] = size
+        return size_cap(where, size, what)
+
     monkeypatch.setattr(cli, "_check_work", check_work)
+    monkeypatch.setattr(cli, "_check_size", check_size)
     root = os.path.join(os.path.dirname(__file__), "..", root)
     names = sorted(os.listdir(root))
     assert len(names) == 9
@@ -577,12 +590,15 @@ def test_committed_configs_stay_under_the_work_cap(root, monkeypatch):
         experiment = doc["experiment"]
         with pytest.raises(_ComputeStarted):  # every check passed
             run(resolve_config(experiment, doc))
-    # every propagator, cycle-map and ensemble experiment had its work capped
+    # every propagator, cycle-map and ensemble experiment had its work capped,
+    # and every experiment its grid points
     assert set(capped) == {"sweep-k", "sweep-eps0", "sweep-amplitude", "initial-states",
-                           "unitarity-report", "verify-cyclemap", "ensemble", "thermal",
-                           "fluence"}
+                           "unitarity-report", "verify-cyclemap", "ensemble"}
     assert max(capped.values()) <= cli.MAX_WORK
-    assert capped["thermal"] == 300 and capped["fluence"] == 81
+    assert {name for name, what in sized if what == "grid points"} == set(cli.EXPERIMENTS)
+    assert max(sized.values()) <= cli.MAX_SWEEP_POINTS
+    assert sized["thermal", "grid points"] == 300 and sized["fluence", "grid points"] == 81
+    assert capped["unitarity-report"] == 7 * 22000 + 4 * 2 * 100  # orders 1, 2 and 4
     assert capped["verify-cyclemap"] == 2500 * 100000
     assert capped["ensemble"] == 1446 * 61  # n_t grid times x (n_systems + 1)
 
@@ -597,9 +613,7 @@ def test_work_cap_is_checked_before_any_axis_is_built(monkeypatch, capsys):
                  ["unitarity-report", "--set", "grid.steps_per_cycle.min=100",
                   "--set", "grid.steps_per_cycle.max=100",
                   "--set", "grid.steps_per_cycle.count=1e8"],
-                 ["verify-cyclemap", "--set", "grid.theta.count=1e8"],
-                 ["thermal", "--set", "grid.T.count=1e9"],
-                 ["fluence", "--set", "grid.F.count=1e9"]):
+                 ["verify-cyclemap", "--set", "grid.theta.count=1e8"]):
         assert cli.main(argv + ["--out", "-"]) == 2
         assert "exceeds the cap" in capsys.readouterr().err
 
@@ -624,7 +638,13 @@ def test_work_cap_is_checked_before_any_axis_is_built(monkeypatch, capsys):
     (["verify-cyclemap", "--set", "params.n_cycles=0", "--set", "grid.theta.count=1e200",
       "--set", "grid.phi.count=1e200"],
      "grid.theta and grid.phi: 10^400.0 grid points exceed the cap of 1e+06"),
-], ids=["verify-cyclemap", "sweep-k", "initial-states", "ensemble", "beyond-float"])
+    # the size cap is the only cap on a thermo sweep
+    (["thermal", "--set", "grid.T.count=1e9"],
+     "grid.T: 1e+09 grid points exceed the cap of 1e+06"),
+    (["fluence", "--set", "grid.F.count=1e9"],
+     "grid.F: 1e+09 grid points exceed the cap of 1e+06"),
+], ids=["verify-cyclemap", "sweep-k", "initial-states", "ensemble", "beyond-float", "thermal",
+        "fluence"])
 def test_grid_points_and_output_rows_are_capped(argv, message, monkeypatch, capsys):
     def no_build(*args, **kwargs):
         raise AssertionError("a grid or a result was built")
@@ -632,7 +652,8 @@ def test_grid_points_and_output_rows_are_capped(argv, message, monkeypatch, caps
     for module, name in ((cli.np, "meshgrid"), (cli.np, "linspace"),
                          (propagator, "p_g_numeric_grid"), (propagator, "evolve"),
                          (cli.ensemble, "ensemble_average"),
-                         (cli.cyclemap, "p_series_mean_grid")):
+                         (cli.cyclemap, "p_series_mean_grid"),
+                         (cli.thermo, "temperature_sweep"), (cli.thermo, "fluence_sweep")):
         monkeypatch.setattr(module, name, no_build)
     assert cli.main(argv + ["--out", "-"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"geopump: config error: {message}"

@@ -33,6 +33,23 @@ def test_transition_count_boundaries():
     assert ensemble.transition_count(1.25 * tau, tau) == 2
 
 
+def test_transition_count_takes_arrays():
+    tau = 0.83
+    t = np.concatenate([[-2.0, 0.0, 0.25 * tau, 1.25 * tau, 1e12],
+                        np.random.default_rng(0).uniform(-1.0, 20.0, 200)])
+    counts = ensemble.transition_count(t.reshape(5, -1), tau)
+    assert counts.shape == (5, 41)
+    # the scalar rule as written before it took arrays
+    assert counts.ravel().tolist() == [max(0, int(math.floor(x / tau - 0.25)) + 1)
+                                       for x in t.tolist()]
+    # a time whose count is no int64 raises instead of wrapping to a bogus count
+    for bad in (math.inf, math.nan, 1e30):
+        with pytest.raises(FloatingPointError):
+            ensemble.transition_count(np.array([0.0, bad]), tau)
+        with pytest.raises(FloatingPointError):
+            p1_staircase(PI_CYCLE, tau, bad)
+
+
 def test_staircase_square_wave_at_pi():
     tau = 0.83
     assert p1_staircase(PI_CYCLE, tau, -0.5) == 0.0

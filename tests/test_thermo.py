@@ -162,3 +162,101 @@ def test_sweeps_check_their_rules_once_per_sweep(monkeypatch):
     calls.clear()
     thermo.fluence_sweep(ThermalModel(), 20.0, np.linspace(40.0, 80.0, 50))
     assert calls == ["checked_temperature", "checked_winding_change"]
+
+
+# The per-row loops that the array kernel replaced, kept verbatim (their
+# scalar helpers inlined) as the byte-for-byte reference for both sweeps.
+def _reference_occupation(E, mu, kT):
+    if kT == 0.0:
+        if E < mu:
+            return 1.0
+        return 0.5 if E == mu else 0.0
+    with np.errstate(over="ignore"):
+        x = (E - mu) / kT
+    if x >= 0.0:
+        e = math.exp(-x)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(x))
+
+
+def _reference_pumped(f_v, f_c, delta_nu):
+    g = f_v + f_c - 2.0 * f_v * f_c
+    return 0.5 * g if delta_nu == 1 else 0.0
+
+
+def _reference_temperature_sweep(model, T_range, closable_gap=0.0):
+    T_range = np.asarray(T_range, dtype=float)
+    q_gp = np.empty(T_range.shape)
+    q_fgr = np.empty(T_range.shape)
+    for i, T in enumerate(T_range.tolist()):
+        delta = model.gap0 * max(0.0, 1.0 - T / model.t_berry)
+        mu = model.mu0 * (1.0 - T / model.t_lif)
+        kT = model.kB * T
+        f_v = _reference_occupation(-0.5 * delta, mu, kT)
+        f_c = _reference_occupation(+0.5 * delta, mu, kT)
+        q_gp[i] = _reference_pumped(f_v, f_c, 1 if delta <= closable_gap else 0)
+        q_fgr[i] = f_v - f_c
+    return q_gp, q_fgr
+
+
+def _reference_fluence_sweep(model, T, F_range, delta_nu=1):
+    F_range = np.asarray(F_range, dtype=float)
+    kT = model.kB * T
+    f_max = float(F_range.max())
+    delta = model.gap0 * max(0.0, 1.0 - T / model.t_berry)
+    q_gp = np.empty(F_range.shape)
+    q_fgr = np.empty(F_range.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # fluence_slope * F as np.float64
+        for i, F in enumerate(F_range):
+            mu_eff = model.mu0 * (1.0 - T / model.t_lif) - model.fluence_slope * F
+            f_v = _reference_occupation(-0.5 * delta, mu_eff, kT)
+            f_c = _reference_occupation(+0.5 * delta, mu_eff, kT)
+            q_gp[i] = _reference_pumped(f_v, f_c, delta_nu)
+            q_fgr[i] = (f_v - f_c) * (F / f_max)
+    return q_gp, q_fgr
+
+
+_T_GRID = np.linspace(1.0, 300.0, 300)  # configs/thermal.json
+_F_GRID = np.linspace(40.0, 80.0, 81)  # configs/fluence.json
+
+
+def _shifted(grid, seed):
+    rng = np.random.default_rng(seed)
+    return np.abs(grid + rng.uniform(-1.0, 1.0, grid.size) * rng.uniform(0.0, 5.0))
+
+
+_TEMPERATURE_CASES = [
+    (ThermalModel(), _T_GRID, 0.0),
+    (ThermalModel(), _T_GRID, math.inf),
+    (ThermalModel(), np.array([0.0, 5e-324, 1e-310, 50.0, 160.0, 1e308]), 0.0),
+    (ThermalModel(mu0=-10.0), np.array([0.0, 5e-324, 50.0, 1e308]), math.inf),
+    (ThermalModel(t_lif=5e-324, t_berry=1e-320), np.array([5e-324, 1e-320, 10.0]), 0.0),
+    (ThermalModel(t_lif=5e-324, t_berry=1e-320), np.array([0.0, 5e-324, 10.0]), math.inf),
+    *[(ThermalModel(), _shifted(_T_GRID, seed), closable)
+      for seed in range(8) for closable in (0.0, 25.0)],
+]
+_FLUENCE_CASES = [
+    (ThermalModel(), 20.0, _F_GRID),
+    (ThermalModel(), 0.0, _F_GRID),
+    (ThermalModel(), 5e-324, _F_GRID),
+    (ThermalModel(), 20.0, np.array([0.0, 50.0])),
+    (ThermalModel(fluence_slope=1e300), 20.0, np.linspace(40.0, 1e10, 81)),
+    (ThermalModel(t_lif=5e-324, t_berry=1e-320), 10.0, _F_GRID),
+    *[(ThermalModel(), T, _shifted(_F_GRID, seed)) for seed in range(8) for T in (20.0, 300.0)],
+]
+
+
+@pytest.mark.parametrize("model, T_range, closable_gap", _TEMPERATURE_CASES)
+def test_temperature_sweep_equals_the_row_loop_bit_for_bit(model, T_range, closable_gap):
+    curve = thermo.temperature_sweep(model, T_range, closable_gap=closable_gap)
+    q_gp, q_fgr = _reference_temperature_sweep(model, T_range, closable_gap)
+    assert curve.q_gp.tobytes() == q_gp.tobytes()
+    assert curve.q_fgr.tobytes() == q_fgr.tobytes()
+
+
+@pytest.mark.parametrize("model, T, F_range", _FLUENCE_CASES)
+def test_fluence_sweep_equals_the_row_loop_bit_for_bit(model, T, F_range):
+    curve = thermo.fluence_sweep(model, T, F_range)
+    q_gp, q_fgr = _reference_fluence_sweep(model, T, F_range)
+    assert curve.q_gp.tobytes() == q_gp.tobytes()
+    assert curve.q_fgr.tobytes() == q_fgr.tobytes()
