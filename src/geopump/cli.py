@@ -21,19 +21,20 @@ never held at once, or as JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bandmodel, cyclemap, ensemble, propagator, thermo
-from .bandmodel import DriveParams, GapClosedOnLoop
+from .bandmodel import DriveParams
 from .cyclemap import CycleParams
 from .propagator import TrotterConfig
-from .su2 import DegenerateSpectrum, InvalidDensityMatrix, eigensystem2
+from .su2 import InvalidDensityMatrix
 from .thermo import ThermalModel
 from .units import DEFAULT_OMEGA
 
@@ -99,8 +100,7 @@ class ResultTable:
         return self.data[self.columns.index(name)]
 
 
-_TROTTER = {"steps_per_cycle": 20000, "taylor_order": 4, "mode": "exact",
-            "n_cycles": 100, "measure_offset": 0.0}
+_TROTTER = asdict(TrotterConfig())
 
 DEFAULTS = {
     "sweep-k": {
@@ -258,12 +258,7 @@ def _points(axis, path):
     """The points of a typed grid axis; an integer axis must land on integers."""
     if "values" in axis:
         return np.asarray(axis["values"], dtype=float)
-    if axis["count"] < 1:
-        raise ConfigError(f"field '{path}.count' must be >= 1, got {axis['count']}")
-    try:
-        points = np.linspace(axis["min"], axis["max"], axis["count"])
-    except (ValueError, MemoryError) as exc:  # more points than fit in memory
-        raise ConfigError(f"field '{path}.count' is too large: {exc}") from exc
+    points = np.linspace(axis["min"], axis["max"], axis["count"])
     if isinstance(axis["min"], int) and not np.array_equal(points, np.round(points)):
         raise ConfigError(f"field '{path}' must hold integers, got {points.tolist()}")
     return points
@@ -278,11 +273,11 @@ def _checked(where, rule, *args, **fields):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _at_ends(where, rule, c, axes, **fields):
-    """_checked(where, rule, **fields) with the named grid axes all at their
-    min, then all at their max."""
+def _at_ends(where, rule, c, **fields):
+    """_checked(where, rule, **fields) with the experiment's grid axes all at
+    their min, then all at their max."""
     for end in (np.min, np.max):
-        _checked(where, rule, **fields, **{n: float(end(c["grid"][n])) for n in axes})
+        _checked(where, rule, **fields, **{n: float(end(x)) for n, x in c["grid"].items()})
 
 
 def _ensemble_config(theta, phi, omega_az, **fields):
@@ -290,9 +285,11 @@ def _ensemble_config(theta, phi, omega_az, **fields):
     return ensemble.EnsembleConfig(cycle=cycle, **fields)
 
 
-def _count(axis):
-    """The number of points of a typed grid axis, without building it."""
-    return len(axis["values"]) if "values" in axis else axis["count"]
+def _grid_points(c):
+    """The number of points of the typed grid, the product of its axis
+    counts, without building it."""
+    return math.prod(len(a["values"]) if "values" in a else a["count"]
+                     for a in c["grid"].values())
 
 
 def _shown(amount):
@@ -318,19 +315,18 @@ def _check_size(where, size, what):
 
 def _cap_size(c):
     """The size cap on the grid: the product of the axis counts."""
-    _check_size(" and ".join(f"grid.{n}" for n in c["grid"]),
-                math.prod(_count(axis) for axis in c["grid"].values()), "grid points")
+    _check_size(" and ".join(f"grid.{n}" for n in c["grid"]), _grid_points(c),
+                "grid points")
 
 
-def _cap_propagator(c, *axes, states=1):
-    """The work cap on a propagator experiment over the named axes: every
-    point steps one cycle, a taylor step costing the 1 + order // 2 array
-    passes of its build (_step_coeffs), and measures `states` states."""
+def _cap_propagator(c, states=1):
+    """The work cap on a propagator experiment: every grid point steps one
+    cycle, a taylor step costing the 1 + order // 2 array passes of its build
+    (_step_coeffs), and measures `states` states."""
     t = c["params"]["trotter"]
-    points = math.prod(_count(c["grid"][n]) for n in axes)
     cost = 1 + t["taylor_order"] // 2 if t["mode"] == "taylor" else 1
-    _check_work(" and ".join(["params.trotter", *(f"grid.{n}" for n in axes)]),
-                points * (t["steps_per_cycle"] * cost + states * t["n_cycles"]))
+    _check_work(" and ".join(["params.trotter", *(f"grid.{n}" for n in c["grid"])]),
+                _grid_points(c) * (t["steps_per_cycle"] * cost + states * t["n_cycles"]))
 
 
 def _cap_initial_states(c):
@@ -359,9 +355,8 @@ def _cap_unitarity_report(c):
 
 
 def _cap_verify_cyclemap(c):
-    points = _count(c["grid"]["theta"]) * _count(c["grid"]["phi"])
-    _check_work("grid.theta, grid.phi and params.n_cycles", points * c["params"]["n_cycles"],
-                "cycle-map series", "point-cycles")
+    _check_work("grid.theta, grid.phi and params.n_cycles",
+                _grid_points(c) * c["params"]["n_cycles"], "cycle-map series", "point-cycles")
 
 
 def _cap_ensemble(c):
@@ -370,41 +365,43 @@ def _cap_ensemble(c):
     left to EnsembleConfig); then the size cap on its one row per time."""
     e = c["params"]["ensemble"]
     if e["tau_cycle"] > 0.0:
-        h = e["tau_cycle"] / ensemble.GRID_PER_CYCLE
-        steps = e["t_max"] / h + 1e-9 if h > 0.0 else math.inf
-        n_t = math.floor(steps) + 1 if steps < math.inf else steps
+        _, n_t = ensemble.time_grid(e["tau_cycle"], e["t_max"])
         _check_work("params.ensemble.t_max and params.ensemble.n_systems",
                     float(n_t) * (e["n_systems"] + 1), "ensemble", "member values")
         _check_size("params.ensemble.t_max and params.ensemble.tau_cycle", n_t,
                     "output rows")
 
 
-def _check_propagator(c, *axes):
+def _check_propagator(c):
     """DriveParams at the ends of the swept drive axes, and the TrotterConfig
     under evolve's own rule."""
-    _at_ends(" and ".join(["params.drive", *(f"grid.{n}" for n in axes)]), DriveParams, c,
-             axes, **c["params"]["drive"])
+    _at_ends(" and ".join(["params.drive", *(f"grid.{n}" for n in c["grid"])]), DriveParams,
+             c, **c["params"]["drive"])
     _checked("params.trotter", propagator.checked_trotter,
              _checked("params.trotter", TrotterConfig, **c["params"]["trotter"]))
 
 
 def _start_states(c):
-    """The drive and the (S, 2) start states sqrt(w0) g0 + sqrt(w1) g1 of
-    params.initial_weights, over the band eigenvectors at t = 0; a ValueError
-    names a pair that is not two weights >= 0, or a state that fails evolve's
-    own norm test (checked_states)."""
+    """The (S, 2) start states sqrt(w0) g0 + sqrt(w1) g1 of
+    params.initial_weights, over the band basis at t = 0; a ValueError names
+    an entry that is not two weights >= 0, or a state that fails evolve's own
+    norm test (checked_states)."""
     weights = c["params"]["initial_weights"]
     for w in weights:
         if len(w) != 2 or not min(w) >= 0.0:
             raise ValueError(f"entry {w!r} is not two weights >= 0")
-    p = DriveParams(**c["params"]["drive"])
-    try:
-        _, _, g0, g1 = eigensystem2(bandmodel.hamiltonian(p, 0.0))
-    except DegenerateSpectrum as exc:
-        raise ComputeError("initial-states: start basis degenerate"
-                           + _at_drive(c["params"]["drive"])) from exc
-    return p, propagator.checked_states(
+    g0, g1 = propagator.band_basis(DriveParams(**c["params"]["drive"]), 0.0, "the start time")
+    return propagator.checked_states(
         np.array([math.sqrt(w0) * g0 + math.sqrt(w1) * g1 for w0, w1 in weights]))
+
+
+def _check_initial_states(c):
+    """_check_propagator, and the start states as the runner builds them; a
+    degenerate start basis leaves no state to check and is the runner's
+    compute error."""
+    _check_propagator(c)
+    with contextlib.suppress(propagator.DegenerateMeasurementBasis):
+        _checked("params.initial_weights", _start_states, c)
 
 
 def _at_drive(drive):
@@ -440,10 +437,10 @@ def _run_sweep_amplitude(c):
 
 
 def _run_initial_states(c):
-    p, states = c["start_states"]
     weights, drive = c["params"]["initial_weights"], c["params"]["drive"]
     try:
-        p_n = propagator.evolve(p, TrotterConfig(**c["params"]["trotter"]), initial=states).p_n
+        p_n = propagator.evolve(DriveParams(**drive), TrotterConfig(**c["params"]["trotter"]),
+                                initial=_start_states(c)).p_n
     except propagator.EvolutionError as exc:
         at = f" at weights {tuple(weights[exc.indices[0]])}" if exc.indices else ""
         raise ComputeError(f"initial-states: {exc}{at}{_at_drive(drive)}") from exc
@@ -500,29 +497,21 @@ def _run_unitarity_report(c):
 # calls of the library's rules: the constructors of the objects an experiment
 # builds and the checked_* functions of the modules that own the fields. Each
 # rule on a swept field is an interval, so checking it at both ends of every
-# axis covers the axis (the fluence rule reads the whole axis). initial-states'
-# check leaves its start states for the runner.
+# axis covers the axis (the fluence rule reads the whole axis).
 _EXPERIMENTS = {
-    "sweep-k": (lambda c: _cap_propagator(c, "k"), lambda c: _check_propagator(c, "k"),
-                _run_sweep_k),
-    "sweep-eps0": (lambda c: _cap_propagator(c, "eps0", "k"),
-                   lambda c: _check_propagator(c, "eps0", "k"), _run_sweep_eps0),
-    "sweep-amplitude": (lambda c: _cap_propagator(c, "a_ph", "k"),
-                        lambda c: _check_propagator(c, "a_ph", "k"), _run_sweep_amplitude),
-    "initial-states": (
-        _cap_initial_states,
-        lambda c: [_check_propagator(c), c.update(start_states=_checked(
-            "params.initial_weights", _start_states, c))],
-        _run_initial_states),
+    "sweep-k": (_cap_propagator, _check_propagator, _run_sweep_k),
+    "sweep-eps0": (_cap_propagator, _check_propagator, _run_sweep_eps0),
+    "sweep-amplitude": (_cap_propagator, _check_propagator, _run_sweep_amplitude),
+    "initial-states": (_cap_initial_states, _check_initial_states, _run_initial_states),
     "ensemble": (_cap_ensemble, lambda c: _checked(
         "params.ensemble", _ensemble_config, **c["params"]["ensemble"]), _run_ensemble),
     "verify-cyclemap": (_cap_verify_cyclemap, lambda c: [
-        _at_ends("grid.theta and grid.phi", CycleParams, c, ("theta", "phi")),
+        _at_ends("grid.theta and grid.phi", CycleParams, c),
         _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])],
         _run_verify_cyclemap),
     "thermal": (None, lambda c: [
         _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
-        _at_ends("grid.T", thermo.checked_temperature, c, ("T",))], _run_thermal),
+        _at_ends("grid.T", thermo.checked_temperature, c)], _run_thermal),
     "fluence": (None, lambda c: [
         _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
         _checked("params.T", thermo.checked_temperature, c["params"]["T"]),
@@ -532,8 +521,7 @@ _EXPERIMENTS = {
     "unitarity-report": (_cap_unitarity_report, lambda c: [
         _checked("params.drive", DriveParams, **c["params"]["drive"]),
         _at_ends("params.n_cycles, grid.taylor_order and grid.steps_per_cycle", TrotterConfig,
-                 c, ("taylor_order", "steps_per_cycle"), mode="taylor",
-                 n_cycles=c["params"]["n_cycles"])], _run_unitarity_report),
+                 c, mode="taylor", n_cycles=c["params"]["n_cycles"])], _run_unitarity_report),
 }
 
 
@@ -582,6 +570,9 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     cfg = _typed(config, {"experiment": name, **DEFAULTS[name]})
     if not cfg["output_path"]:
         raise ConfigError("field 'output_path' must be a non-empty string")
+    for n, axis in cfg["grid"].items():
+        if axis.get("count", 1) < 1:
+            raise ConfigError(f"field 'grid.{n}.count' must be >= 1, got {axis['count']}")
     cap, check, runner = _EXPERIMENTS[name]
     if cap is not None:
         cap(cfg)
@@ -597,8 +588,8 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     try:
         columns, data, *keys = runner(cfg)
         return ResultTable(tuple(columns), tuple(data), metadata, *keys)
-    except (propagator.EvolutionError, GapClosedOnLoop, DegenerateSpectrum,
-            InvalidDensityMatrix, ArithmeticError, ValueError, MemoryError) as exc:
+    except (propagator.EvolutionError, InvalidDensityMatrix, ArithmeticError, ValueError,
+            MemoryError) as exc:
         # the config passed every check, so the computation itself failed: e.g.
         # a grid point on a gap closing, a non-finite result, or an array too
         # large to allocate. A grid kernel names its failing point; a point

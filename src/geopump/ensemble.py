@@ -53,6 +53,9 @@ class EnsembleConfig:
             raise ValueError("dt_mismatch must be smaller than tau_cycle")
         if not self.t_max > 0.0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if not math.isfinite(self.n_systems * self.dt_mismatch):
+            raise ValueError("the last delay n_systems * dt_mismatch must be finite, got "
+                             f"{self.n_systems} * {self.dt_mismatch}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,15 @@ class EnsembleTrace:
             raise ValueError("trace arrays are not aligned")
         if np.any(self.entropy < -1e-12) or np.any(self.entropy > math.log(2.0) + 1e-12):
             raise ValueError("entropy left [0, ln 2]")
+
+
+def time_grid(tau_cycle: float, t_max: float):
+    """The step h = tau_cycle / GRID_PER_CYCLE of ensemble_average's time grid
+    and its number of times n_t = floor(t_max / h + 1e-9) + 1; n_t is inf
+    where h underflows to 0 or t_max / h overflows."""
+    h = tau_cycle / GRID_PER_CYCLE
+    steps = t_max / h + 1e-9 if h > 0.0 else math.inf
+    return h, math.floor(steps) + 1 if steps < math.inf else steps
 
 
 def transition_count(t, tau_cycle: float):
@@ -103,8 +115,7 @@ def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
     matrix, built from the same staircase states. A density that fails its
     check raises InvalidDensityMatrix naming its time index and t.
     """
-    h = cfg.tau_cycle / GRID_PER_CYCLE
-    n_t = int(math.floor(cfg.t_max / h + 1e-9)) + 1
+    h, n_t = time_grid(cfg.tau_cycle, cfg.t_max)
     times = np.arange(n_t) * h
 
     # transition counts of the undelayed first member, which can be one cycle

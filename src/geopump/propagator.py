@@ -81,7 +81,8 @@ class EvolutionError(Exception):
 
 
 class DegenerateMeasurementBasis(EvolutionError):
-    """Instantaneous gap at the measurement time is below the degeneracy tolerance."""
+    """Instantaneous gap at the measurement time or at the start time is below
+    the degeneracy tolerance."""
 
 
 class NonUnitaryEvolution(EvolutionError):
@@ -206,17 +207,23 @@ def _step_grid(tau: float, cfg: TrotterConfig):
     return dt, int(round(cfg.measure_offset * cfg.steps_per_cycle))
 
 
+def band_basis(p: DriveParams, t: float, when: str):
+    """The ground and excited states of H(p, t), phase-fixed as eigensystem2
+    fixes them; DegenerateMeasurementBasis names the instant `when` where the
+    gap is closed."""
+    try:
+        _, _, n0, n1 = eigensystem2(hamiltonian(p, t))
+    except DegenerateSpectrum as exc:
+        raise DegenerateMeasurementBasis(
+            f"gap closed at {when} (k={p.k}, eps0={p.eps0})") from exc
+    return n0, n1
+
+
 def _measurement_setup(p: DriveParams, cfg: TrotterConfig):
     """Snapped offset step count and the (fixed) measured excited state."""
     dt, extra = _step_grid(p.tau_cycle, cfg)
     t_meas = extra * dt
-    try:
-        _, _, _, n1 = eigensystem2(hamiltonian(p, t_meas))
-    except DegenerateSpectrum as exc:
-        raise DegenerateMeasurementBasis(
-            f"gap closed at measurement time {t_meas:.6g} (k={p.k}, eps0={p.eps0})"
-        ) from exc
-    return extra, n1
+    return extra, band_basis(p, t_meas, f"measurement time {t_meas:.6g}")[1]
 
 
 def _cycle_unitaries(p: DriveParams, cfgs):
@@ -264,10 +271,8 @@ def _evolve_impl(p: DriveParams, cfgs, initial):
     (which also share n_cycles) and every start state in `initial` (None:
     the ground state at t = 0)."""
     extra, n1 = _measurement_setup(p, cfgs[0])
-    if initial is None:
-        _, _, g0, _ = eigensystem2(hamiltonian(p, 0.0))
-        initial = g0
-    states = checked_states(initial)
+    states = checked_states(band_basis(p, 0.0, "the start time")[0]
+                            if initial is None else initial)
     n1 = n1.conj()
     p_j = np.empty((len(cfgs), len(states), cfgs[0].n_cycles))
     defects = np.zeros(len(cfgs))
@@ -302,11 +307,11 @@ def evolve(p: DriveParams, cfg: TrotterConfig, initial: np.ndarray | None = None
     with the offset snapped to the step grid. An (S, 2) stack of start states
     shares one one-cycle product, and each state is measured as on its own.
 
-    Raises DegenerateMeasurementBasis when that basis is ill-defined, and, in
-    taylor mode, NonUnitaryEvolution when the truncation defect exceeds the
-    module budget; NonUnitaryEvolution for probabilities outside [0, 1] names
-    the failing states of a stack in `indices`. taylor mode requires
-    taylor_order >= 2 here (checked_trotter).
+    Raises DegenerateMeasurementBasis when that basis, or the default start
+    state's at t = 0, is ill-defined, and, in taylor mode, NonUnitaryEvolution
+    when the truncation defect exceeds the module budget; NonUnitaryEvolution
+    for probabilities outside [0, 1] names the failing states of a stack in
+    `indices`. taylor mode requires taylor_order >= 2 here (checked_trotter).
     """
     checked_trotter(cfg)
     stacked = np.ndim(initial) == 2

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 DEGENERACY_TOL = 1e-9
-UNITARITY_TOL = 1e-10
 DENSITY_TOL = 1e-12
 
 PAULI = {

@@ -114,10 +114,12 @@ def _fermi(E, mu, kT) -> np.ndarray:
 
 
 def _check_occupancy(f_v, f_c):
-    v, c = (np.ravel(f) for f in np.broadcast_arrays(f_v, f_c))
-    ok = (-1e-12 <= v) & (v <= 1.0 + 1e-12) & (-1e-12 <= c) & (c <= 1.0 + 1e-12)
+    """A ValueError naming the first pair, in broadcast order, outside [0, 1]."""
+    ok = np.logical_and(np.logical_and(-1e-12 <= f_v, f_v <= 1.0 + 1e-12),
+                        np.logical_and(-1e-12 <= f_c, f_c <= 1.0 + 1e-12))
     if not ok.all():
         i = np.argmin(ok)
+        v, c = (np.ravel(f) for f in np.broadcast_arrays(f_v, f_c))
         raise ValueError(f"occupancies must lie in [0, 1], got f_v={v[i]}, f_c={c[i]}")
 
 

@@ -11,7 +11,7 @@ import math
 
 HBAR_MEV_PS = 0.6582119569
 
-# 1 model energy unit in meV (configurable at the CLI level)
+# 1 model energy unit in meV
 ENERGY_UNIT_MEV = 100.0
 
 # one drive cycle, laboratory picoseconds
@@ -19,16 +19,5 @@ TAU_CYCLE_PS = 0.83
 
 K_BOLTZMANN_MEV_PER_K = 0.08617
 
-
-def model_time_unit_ps(energy_unit_mev: float = ENERGY_UNIT_MEV) -> float:
-    """Duration of one model time unit in ps."""
-    return HBAR_MEV_PS / energy_unit_mev
-
-
-def omega_for_cycle(tau_ps: float = TAU_CYCLE_PS,
-                    energy_unit_mev: float = ENERGY_UNIT_MEV) -> float:
-    """Angular drive frequency (rad per model time unit) for a cycle of tau_ps."""
-    return 2.0 * math.pi * model_time_unit_ps(energy_unit_mev) / tau_ps
-
-
-DEFAULT_OMEGA = omega_for_cycle()
+# angular drive frequency (rad per model time unit) of one TAU_CYCLE_PS cycle
+DEFAULT_OMEGA = 2.0 * math.pi * (HBAR_MEV_PS / ENERGY_UNIT_MEV) / TAU_CYCLE_PS

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geopump import cli, propagator
+from geopump import cli, propagator, su2
 from geopump.cli import ConfigError, ResultTable, emit, parse_table, resolve_config, run
 from geopump.units import DEFAULT_OMEGA
 
@@ -144,8 +144,8 @@ def test_point_run_compute_errors_name_the_drive(capsys):
     assert cli.main(["initial-states", "--set", "params.drive.eps0=-1",
                      "--set", "params.drive.k=0", "--out", "-"]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "geopump: compute error: initial-states: start basis degenerate; "
-        "drive k=0.0, eps0=-1.0, a_ph=0.1")
+        "geopump: compute error: initial-states: gap closed at the start time "
+        "(k=0.0, eps0=-1.0); drive k=0.0, eps0=-1.0, a_ph=0.1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,6 +357,9 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
                  "grid.k.count=1"]),
     ("unitarity-report", ["grid.taylor_order.values=[100000000]",
                           "grid.steps_per_cycle.values=[100]", "params.n_cycles=1"]),
+    # the later members' delays j * dt_mismatch overflow to inf
+    ("ensemble", ["params.ensemble.tau_cycle=1e308", "params.ensemble.t_max=1e308",
+                  "params.ensemble.dt_mismatch=1e307"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     def no_compute(*args, **kwargs):
@@ -375,6 +378,76 @@ def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypa
     # the message names the mapping that holds the offending field
     section = overrides[-1].partition("=")[0].rpartition(".")[0]
     assert section in capsys.readouterr().err
+
+
+def _config_file(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return str(path)
+
+
+_ONE_CELL = ResultTable(columns=("a",), data=((1.0,),), metadata={})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: cli.main(["sweep-k", "--set", "params=3"]),
+     "expected a mapping at 'params', got int"),
+    (lambda tmp: run({**resolve_config("thermal"), "params": 3}),
+     "field 'params' must be a mapping, got 3"),
+    (lambda tmp: run({k: v for k, v in resolve_config("thermal").items()
+                      if k != "output_path"}),
+     "field 'output_path' is missing"),
+    (lambda tmp: cli.main(["unitarity-report", "--set", "grid.steps_per_cycle.min=100",
+                           "--set", "grid.steps_per_cycle.max=150",
+                           "--set", "grid.steps_per_cycle.count=4", "--out", "-"]),
+     "field 'grid.steps_per_cycle' must hold integers, "
+     "got [100.0, 116.66666666666667, 133.33333333333334, 150.0]"),
+    (lambda tmp: cli.main(["initial-states", "--set", "params.initial_weights=[[0.5,-0.5]]",
+                           "--out", "-"]),
+     "params.initial_weights: entry [0.5, -0.5] is not two weights >= 0"),
+    (lambda tmp: cli.main(["thermal", "--config", _config_file(tmp, "[1]")]),
+     "config file must contain a JSON object"),
+    (lambda tmp: cli.main(["thermal", "--config", _config_file(tmp, "{")]),
+     "config '{config}' is not valid JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    (lambda tmp: cli.main(["sweep-k", "--set", "grid.k.count"]),
+     "--set expects key=value, got 'grid.k.count'"),
+    (lambda tmp: run({"experiment": "nope"}), "unknown experiment 'nope'"),
+    (lambda tmp: cli.main(["thermal", "--set", 'output_path=""']),
+     "field 'output_path' must be a non-empty string"),
+    (lambda tmp: emit(_ONE_CELL, "xml"), "unknown output format 'xml'"),
+    (lambda tmp: parse_table(b"a\n1\n", "xml"), "unknown output format 'xml'"),
+], ids=["set-non-mapping", "run-non-mapping", "run-missing-field", "non-integral-range",
+        "negative-weight", "file-not-object", "file-not-json", "set-without-value",
+        "run-unknown-experiment", "empty-output-path", "emit-format", "parse-format"])
+def test_each_config_error_exits_2_with_its_message(call, message, tmp_path, capsys):
+    try:
+        rc = call(tmp_path)
+        err = capsys.readouterr().err.splitlines()[-1]
+    except ConfigError as exc:  # an API call; main reports it so, with exit code 2
+        rc, err = 2, f"geopump: config error: {exc}"
+    assert rc == 2
+    message = message.format(config=tmp_path / "config.json")
+    assert err == f"geopump: config error: {message}"
+
+
+@pytest.mark.parametrize("argv, axis, count", [
+    # the product of the counts is 0, so neither cap would stop the 2e8-point axis
+    (["sweep-eps0", "--set", "grid.eps0.count=200000000", "--set", "grid.k.count=0"], "k", 0),
+    # two negative counts make a positive product
+    (["verify-cyclemap", "--set", "grid.theta.count=-1",
+      "--set", "grid.phi.count=-1000000000"], "theta", -1),
+], ids=["zero", "negative"])
+def test_axis_counts_are_checked_before_any_cap(argv, axis, count, monkeypatch, capsys):
+    def no_call(*args, **kwargs):
+        raise AssertionError("a cap ran or an axis was built")
+
+    for name in ("_check_work", "_check_size"):
+        monkeypatch.setattr(cli, name, no_call)
+    monkeypatch.setattr(cli.np, "linspace", no_call)
+    assert cli.main(argv + ["--out", "-"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"geopump: config error: field 'grid.{axis}.count' must be >= 1, got {count}")
 
 
 def test_grid_axis_takes_either_form(capsysbinary):
@@ -533,7 +606,7 @@ def test_initial_states_runs_one_stacked_evolution(monkeypatch):
     # five separate evolutions from the same start states
     p = cli.DriveParams(**table.metadata["params"]["drive"])
     tcfg = propagator.TrotterConfig(**cfg["params"]["trotter"])
-    _, _, g0, g1 = cli.eigensystem2(cli.bandmodel.hamiltonian(p, 0.0))
+    _, _, g0, g1 = su2.eigensystem2(cli.bandmodel.hamiltonian(p, 0.0))
     for i, (w0, w1) in enumerate(cfg["params"]["initial_weights"], start=1):
         state = math.sqrt(w0) * g0 + math.sqrt(w1) * g1
         p_n = evolve(p, tcfg, initial=state).p_n

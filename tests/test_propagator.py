@@ -238,6 +238,17 @@ def test_degenerate_measurement_basis_raises():
                                     np.array([0.1]), p.omega, cfg)
 
 
+def test_degenerate_start_basis_raises_on_every_route():
+    # gap closed at t = 0 only: the measurement basis a quarter cycle later is sound
+    p = DriveParams(eps0=-1.0, a_ph=0.1, k=0.0)
+    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2, measure_offset=0.25)
+    for call in (lambda: propagator.evolve(p, cfg),
+                 lambda: propagator.unitarity_report(p, cfg),
+                 lambda: propagator.p_g_numeric_grid(p.k, p.eps0, p.a_ph, p.omega, cfg)):
+        with pytest.raises(DegenerateMeasurementBasis, match="^gap closed at the start time"):
+            call()
+
+
 def test_taylor_mode_budget_enforced():
     # order 2 at the coarsest step size accumulates defect past the budget
     cfg = TrotterConfig(steps_per_cycle=100, taylor_order=2, mode="taylor",
