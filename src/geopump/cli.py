@@ -14,8 +14,8 @@ result table, held as one float64 array per column. Execution is serial; the
 propagator kernel walks its grid in blocks and names a failing grid point,
 and a point run names its drive; `run` reports these, like every other
 failure of a checked config's computation, as a ComputeError. `emit_chunks`
-serializes a table as CSV a chunk of rows at a time, so the whole text is
-never held at once, or as JSON.
+serializes a table as CSV or JSON a chunk of rows at a time, so the whole
+text is never held at once.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ MAX_WORK = 1e9
 # The most grid points, and the most output rows, any experiment may ask for;
 # the only cap on a thermal or fluence sweep, which costs a few array passes
 # per point. A row costs 8 B per column until emitted (40 MB for five columns
-# at the cap), and the CSV is formatted _CHUNK_ROWS rows at a time.
+# at the cap), and the output is formatted _CHUNK_ROWS rows at a time.
 MAX_SWEEP_POINTS = 1e6
-# Rows per CSV chunk that emit_chunks formats and encodes at once.
+# Rows per chunk that emit_chunks formats and encodes at once.
 _CHUNK_ROWS = 256
 
 
@@ -573,6 +573,10 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     for n, axis in cfg["grid"].items():
         if axis.get("count", 1) < 1:
             raise ConfigError(f"field 'grid.{n}.count' must be >= 1, got {axis['count']}")
+        lo, hi = float(axis.get("min", 0.0)), float(axis.get("max", 0.0))
+        if not math.isfinite(hi - lo):  # np.linspace would make NaN points
+            raise ConfigError(f"field 'grid.{n}' spans min={lo!r} to max={hi!r}, "
+                              "a width beyond the float range")
     cap, check, runner = _EXPERIMENTS[name]
     if cap is not None:
         cap(cfg)
@@ -599,21 +603,27 @@ def run(config: dict, workers: int = 1) -> ResultTable:
 
 
 def emit_chunks(table: ResultTable, format: str = "csv"):
-    """Serialize a table as a sequence of byte chunks: CSV with
-    17-significant-digit numbers, the header and then _CHUNK_ROWS rows per
-    chunk, or JSON as one chunk."""
+    """Serialize a table as a sequence of byte chunks: a head, then _CHUNK_ROWS
+    rows per chunk. CSV has 17-significant-digit numbers under a header line;
+    JSON is the text of json.dumps(doc, sort_keys=True, indent=1) of the doc
+    {"metadata", "columns", "rows"}, whose last key, "rows", is streamed."""
     if format == "csv":
-        line = ",".join(["%.17g"] * len(table.columns)) + "\n"
-        yield (",".join(table.columns) + "\n").encode("utf-8")
-        for lo in range(0, table.n_rows, _CHUNK_ROWS):
-            rows = zip(*(v[lo:lo + _CHUNK_ROWS].tolist() for v in table.data))
-            yield "".join([line % row for row in rows]).encode("utf-8")
+        head = ",".join(table.columns) + "\n"
+        line, sep, tail = ",".join(["%.17g"] * len(table.columns)) + "\n", "", ""
     elif format == "json":
-        doc = {"metadata": table.metadata, "columns": list(table.columns),
-               "rows": [list(r) for r in zip(*(v.tolist() for v in table.data))]}
-        yield (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+        doc = json.dumps({"metadata": table.metadata, "columns": list(table.columns),
+                          "rows": []}, sort_keys=True, indent=1) + "\n"
+        head, tail = ((doc[:-len("[]\n}\n")] + "[\n", "\n ]\n}\n") if table.n_rows
+                      else (doc, ""))
+        line, sep = "  [\n" + ",\n".join(["   %r"] * len(table.columns)) + "\n  ]", ",\n"
     else:
         raise ConfigError(f"unknown output format '{format}'")
+    yield head.encode("utf-8")
+    for lo in range(0, table.n_rows, _CHUNK_ROWS):
+        rows = zip(*(v[lo:lo + _CHUNK_ROWS].tolist() for v in table.data))
+        yield ((sep if lo else "") + sep.join([line % row for row in rows])).encode("utf-8")
+    if tail:
+        yield tail.encode("utf-8")
 
 
 def emit(table: ResultTable, format: str = "csv") -> bytes:

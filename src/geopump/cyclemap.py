@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandmodel import checked_winding_change
-from .su2 import IDENTITY2
+from .su2 import unitarity_defect
 
 IDENTITY_TOL = 1e-12
 
@@ -221,4 +221,4 @@ def theta_from_tpt(delta_nu: int) -> float:
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(u.conj().T @ u - IDENTITY2)) <= tol)
+    return bool(unitarity_defect(u) <= tol)

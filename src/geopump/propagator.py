@@ -274,21 +274,19 @@ def _evolve_impl(p: DriveParams, cfgs, initial):
     states = checked_states(band_basis(p, 0.0, "the start time")[0]
                             if initial is None else initial)
     n1 = n1.conj()
-    p_j = np.empty((len(cfgs), len(states), cfgs[0].n_cycles))
+    amps = np.empty((len(cfgs), len(states), cfgs[0].n_cycles), dtype=complex)
     defects = np.zeros(len(cfgs))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as NaN in p_j
         u_cycles, u_partials = _cycle_unitaries(p, cfgs)
-        for c, (u_cycle, u_partial) in enumerate(zip(u_cycles, u_partials)):
-            w = su2.IDENTITY2
-            defect = 0.0
-            for m in range(cfgs[0].n_cycles):
-                w = u_cycle @ w
-                meas = u_partial @ w if extra else w
-                defect = np.maximum(defect, su2.unitarity_defect(meas))  # keeps a NaN
-                for s, psi0 in enumerate(states):
-                    p_j[c, s, m] = abs(n1 @ (meas @ psi0)) ** 2
-            defects[c] = defect
-    return p_j, defects
+        w = su2.IDENTITY2
+        for m in range(cfgs[0].n_cycles):
+            w = u_cycles @ w
+            meas = u_partials @ w if extra else w
+            defects = np.maximum(defects, su2.unitarity_defect(meas))  # keeps a NaN
+            amps[..., m] = (n1 @ (meas[:, None] @ states[:, :, None]))[..., 0]
+        # abs of each complex scalar, as an array np.abs rounds some moduli differently
+        p_j = np.fromiter((abs(a) ** 2 for a in amps.flat), float, amps.size)
+        return p_j.reshape(amps.shape), defects
 
 
 def _running_mean(p_j: np.ndarray):
@@ -400,29 +398,31 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
     dt, extra = _step_grid(tau, cfg)
     d2 = np.sin(k)
     c3 = -(eps0 + np.cos(k))  # d3(t) = c3 - a_ph * sin(omega t)
-
-    # measurement-time and start-time bases; both pristine-periodic instants
     s_meas = math.sin(omega * extra * dt)
-    for when, d3 in (("measurement time", c3 - a_ph * s_meas), ("the start time", c3)):
-        closed = np.nonzero(2.0 * np.hypot(d2, d3) < su2.DEGENERACY_TOL)[0]
-        if closed.size:
-            raise DegenerateMeasurementBasis(
-                f"gap closed at {when} at {closed.size} grid point(s)", closed)
 
-    u, q = _grid_columns(d2, c3, a_ph, omega, dt, extra, cfg)
-    u = _su2(u)
-    if q is not None:
-        q = _su2(q)
+    # a huge drive overflows to inf or NaN in p_max or the defect, which the
+    # checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        # measurement-time and start-time bases; both pristine-periodic instants
+        for when, d3 in (("measurement time", c3 - a_ph * s_meas), ("the start time", c3)):
+            closed = np.nonzero(2.0 * np.hypot(d2, d3) < su2.DEGENERACY_TOL)[0]
+            if closed.size:
+                raise DegenerateMeasurementBasis(
+                    f"gap closed at {when} at {closed.size} grid point(s)", closed)
 
-    # half a block at a time, so that the measurement's buffers stay smaller
-    # than the fold's
-    acc = np.zeros(k.size)
-    p_max = np.zeros(k.size)
-    for lo in range(0, k.size, _BLOCK_POINTS // 2):
-        part = slice(lo, lo + _BLOCK_POINTS // 2)
-        _measure(u[..., part], None if q is None else q[..., part], d2[part], c3[part],
-                 c3[part] - a_ph[part] * s_meas, cfg.n_cycles, acc[part], p_max[part])
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        u, q = _grid_columns(d2, c3, a_ph, omega, dt, extra, cfg)
+        u = _su2(u)
+        if q is not None:
+            q = _su2(q)
+
+        # half a block at a time, so that the measurement's buffers stay smaller
+        # than the fold's
+        acc = np.zeros(k.size)
+        p_max = np.zeros(k.size)
+        for lo in range(0, k.size, _BLOCK_POINTS // 2):
+            part = slice(lo, lo + _BLOCK_POINTS // 2)
+            _measure(u[..., part], None if q is None else q[..., part], d2[part], c3[part],
+                     c3[part] - a_ph[part] * s_meas, cfg.n_cycles, acc[part], p_max[part])
         if cfg.mode == "taylor":
             # Each step is a real multiple of an SU(2) matrix, so M = Q U^m,
             # measured after m cycles, has M^H M = det(M) I and the defect
@@ -501,7 +501,8 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
 
 def _measure(u, q, d2, c3, d3_meas, n_cycles: int, acc, p_max):
     """Add the excited-band probability after each of n_cycles cycles, from
-    the pristine ground state, into acc and keep its running max in p_max.
+    the pristine ground state, into acc and keep its running max in p_max,
+    which the caller checks (under its np.errstate).
 
     u and q are the (2, 2, N) cycle product and its prefix (None: the
     identity); the state is measured against the excited state of
@@ -514,15 +515,14 @@ def _measure(u, q, d2, c3, d3_meas, n_cycles: int, acc, p_max):
     m = None if q is None else np.empty_like(c)
     amp = np.empty(d2.size, dtype=complex)
     p = np.empty(d2.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks p_max
-        for _ in range(n_cycles):
-            _apply(u, c, prod, out=c)
-            meas = c if q is None else _apply(q, c, prod, out=m)
-            np.multiply(m1, meas, out=prod[0])
-            np.add(prod[0, 0], prod[0, 1], out=amp)
-            np.square(np.abs(amp, out=p), out=p)
-            acc += p
-            np.maximum(p_max, p, out=p_max)  # propagates NaN
+    for _ in range(n_cycles):
+        _apply(u, c, prod, out=c)
+        meas = c if q is None else _apply(q, c, prod, out=m)
+        np.multiply(m1, meas, out=prod[0])
+        np.add(prod[0, 0], prod[0, 1], out=amp)
+        np.square(np.abs(amp, out=p), out=p)
+        acc += p
+        np.maximum(p_max, p, out=p_max)  # propagates NaN
 
 
 def _su2(col: np.ndarray) -> np.ndarray:

@@ -167,6 +167,26 @@ def test_subnormal_inputs_run_without_warnings(argv):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("experiment, overrides, point", [
+    ("sweep-k", ["params.drive.eps0=1e308"], "k=-0.7853981633974483, eps0=1e+308"),
+    ("sweep-eps0", ["grid.eps0.min=-1e308", "grid.eps0.max=-1e307", "grid.eps0.count=3"],
+     "k=0.005, eps0=-1e+308"),
+], ids=["sweep-k", "sweep-eps0"])
+def test_huge_drive_values_exit_3_without_warnings(experiment, overrides, point, capsys):
+    # the gap test and the band states overflow to NaN, which the probability
+    # check names
+    argv = [experiment, "--set", "grid.k.count=3", "--set", "params.trotter.steps_per_cycle=100",
+            "--set", "params.trotter.n_cycles=2", "--out", "-"]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"geopump: compute error: {experiment}: probability nan outside [0, 1] beyond "
+        f"tolerance; first failing grid index 0: {point}, a_ph=0.1")
+
+
 def test_table_must_be_rectangular():
     with pytest.raises(ValueError):
         ResultTable(columns=("a", "b"), data=((1.0,),), metadata={})
@@ -234,18 +254,41 @@ def test_file_stdout_and_emit_bytes_are_equal(format, tmp_path, capsysbinary):
         assert [c.count(b"\n") for c in chunks] == [1, 256, 256, 88]
 
 
-def test_verify_cyclemap_output_peaks_below_the_table_text(tmp_path):
-    # the 2500-row table as column arrays, written a chunk of rows at a time;
-    # row tuples and the whole text at once peaked at 1.2 MiB
-    argv = ["verify-cyclemap", "--set", "params.n_cycles=10", "--out", str(tmp_path / "v.csv")]
+@pytest.mark.parametrize("n_rows", [0, 1, 256, 600])
+def test_streamed_json_equals_one_dump(n_rows):
+    # the rows, the document's last key, go out a chunk at a time; an empty
+    # table keeps "rows": []
+    table = ResultTable(columns=("a", "b"),
+                        data=(np.arange(n_rows) / 7.0, -np.arange(n_rows) * 1e300),
+                        metadata={"rows": [], "grid": {"x": [1, 2.5]}})
+    doc = {"metadata": table.metadata, "columns": list(table.columns),
+           "rows": [list(r) for r in zip(*(v.tolist() for v in table.data))]}
+    assert emit(table, "json") == (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+
+def _traced_peak(argv):
+    """The tracemalloc peak of cli.main(argv), after one warm-up run."""
     assert cli.main(argv) == 0  # warm up lazy imports and caches
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.75 * 2**20
+
+
+def test_verify_cyclemap_output_peaks_below_the_table_text(tmp_path):
+    # the 2500-row table as column arrays, written a chunk of rows at a time;
+    # row tuples and the whole text at once peaked at 1.2 MiB
+    argv = ["verify-cyclemap", "--set", "params.n_cycles=10", "--out", str(tmp_path / "v.csv")]
+    assert _traced_peak(argv) < 0.75 * 2**20
+
+
+def test_verify_cyclemap_json_output_peaks_below_the_table_text(tmp_path):
+    # the same bound as CSV; the whole document at once peaked at 2.1 MiB
+    argv = ["verify-cyclemap", "--set", "params.n_cycles=10", "--format", "json",
+            "--out", str(tmp_path / "v.json")]
+    assert _traced_peak(argv) < 0.75 * 2**20
 
 
 def test_main_writes_file_and_exit_zero(tmp_path):
@@ -360,6 +403,15 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     # the later members' delays j * dt_mismatch overflow to inf
     ("ensemble", ["params.ensemble.tau_cycle=1e308", "params.ensemble.t_max=1e308",
                   "params.ensemble.dt_mismatch=1e307"]),
+    # an axis whose max - min overflows: np.linspace would make NaN points
+    ("thermal", ["grid.T.min=-1.7e308", "grid.T.max=1.7e308", "grid.T.count=3"]),
+    ("verify-cyclemap", ["grid.theta.min=-1.7e308", "grid.theta.max=1.7e308",
+                         "grid.theta.count=3"]),
+    ("sweep-k", ["grid.k.min=-1.7e308", "grid.k.max=1.7e308", "grid.k.count=3"]),
+    # eps0 has no range rule, so only the span rule keeps a NaN out of the kernel
+    ("sweep-eps0", ["params.trotter.steps_per_cycle=100", "params.trotter.n_cycles=2",
+                    "grid.k.count=3", "grid.eps0.min=-1.7e308", "grid.eps0.max=1.7e308",
+                    "grid.eps0.count=3"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     def no_compute(*args, **kwargs):
@@ -374,10 +426,17 @@ def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypa
     argv = [experiment, "--out", "-"]
     for item in overrides:
         argv += ["--set", item]
-    assert cli.main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
     # the message names the mapping that holds the offending field
     section = overrides[-1].partition("=")[0].rpartition(".")[0]
-    assert section in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert section in err
+    if f"{section}.max=1.7e308" in overrides:
+        assert err.splitlines()[-1] == (
+            f"geopump: config error: field '{section}' spans min=-1.7e+308 to "
+            "max=1.7e+308, a width beyond the float range")
 
 
 def _config_file(tmp_path, text):

@@ -481,12 +481,15 @@ def test_stacked_fold_builds_blocks_of_block_steps_over_c(n_chains, monkeypatch)
                      for _ in chains]
 
 
-def _per_row_evolution(p, cfg):
-    """(p_n, defect) of _evolve_impl as it was before stacked folds: one chain,
-    a ground start, the one-chain fold, no budget gate."""
+def _per_row_evolution(p, cfg, states=None):
+    """(p_n, defect) of _evolve_impl as it was before stacked folds and
+    stacked measurements: one chain, the one-chain fold, each start state of
+    `states` (default: the ground state) measured on its own, no budget gate.
+    p_n has a leading state axis."""
     extra, n1 = propagator._measurement_setup(p, cfg)
-    _, _, psi0, _ = su2.eigensystem2(hamiltonian(p, 0.0))
-    p_j = np.empty(cfg.n_cycles)
+    if states is None:
+        states = [su2.eigensystem2(hamiltonian(p, 0.0))[2]]
+    p_j = np.empty((len(states), cfg.n_cycles))
     w = su2.IDENTITY2
     defect = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -495,16 +498,17 @@ def _per_row_evolution(p, cfg):
             w = u_cycle @ w
             meas = u_partial @ w if extra else w
             defect = np.maximum(defect, su2.unitarity_defect(meas))
-            amp = (n1.conj() @ (meas @ psi0))
-            p_j[m] = abs(amp) ** 2
+            for s, psi0 in enumerate(states):
+                amp = (n1.conj() @ (meas @ psi0))
+                p_j[s, m] = abs(amp) ** 2
     p_j = np.where(np.isfinite(p_j), np.clip(p_j, 0.0, 1.0), np.nan)
-    return np.cumsum(p_j) / np.arange(1, cfg.n_cycles + 1), float(defect)
+    return np.cumsum(p_j, axis=-1) / np.arange(1, cfg.n_cycles + 1), float(defect)
 
 
 def _per_row_report(p, cfg):
     """unitarity_report as it was: a taylor and an exact evolution per row."""
-    p_t, defect = _per_row_evolution(p, replace(cfg, mode="taylor"))
-    p_e, _ = _per_row_evolution(p, replace(cfg, mode="exact"))
+    (p_t,), defect = _per_row_evolution(p, replace(cfg, mode="taylor"))
+    (p_e,), _ = _per_row_evolution(p, replace(cfg, mode="exact"))
     return float(defect), float(np.max(np.abs(p_t - p_e)))
 
 
@@ -553,6 +557,12 @@ def test_evolve_stack_equals_separate_evolutions():
         assert stacked.p_j[i].tobytes() == single.p_j.tobytes()
         assert stacked.p_n[i].tobytes() == single.p_n.tobytes()
         assert stacked.unitarity_defect == single.unitarity_defect
+    # and each state as the pre-stack loop measured it, in both modes
+    for c in (cfg, replace(cfg, mode="taylor", taylor_order=3)):
+        p_n, defect = _per_row_evolution(TPT_POINT, c, states)
+        trace = propagator.evolve(TPT_POINT, c, initial=states)
+        assert trace.p_n.tobytes() == p_n.tobytes()
+        assert trace.unitarity_defect == defect
 
 
 def test_evolve_stack_names_its_failing_states():

@@ -82,6 +82,22 @@ def test_exact_step_unitary_and_det(dvals, dt):
     assert abs(np.linalg.det(u) - 1.0) < 1e-13  # traceless generator
 
 
+def test_unitarity_defect_of_a_stack_is_each_matrix_own():
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(3, 4, 2, 2)) + 1j * rng.normal(size=(3, 4, 2, 2))
+    u[0, 1] = su2.exact_step(np.array([0.3, -0.2, 0.9]), 0.4)
+    u[1, 2, 0, 1] = math.nan
+    u[2, 3, 1, 0] = math.inf
+    with np.errstate(invalid="ignore"):  # inf * 0 in U^H U
+        defects = su2.unitarity_defect(u)
+        own = [su2.unitarity_defect(m) for m in u.reshape(-1, 2, 2)]
+    assert defects.shape == (3, 4)
+    assert all(isinstance(d, float) for d in own)
+    assert defects.tobytes() == np.array(own).tobytes()
+    assert math.isnan(defects[1, 2]) and math.isnan(defects[2, 3])
+    assert defects[0, 1] < 1e-14
+
+
 def test_exact_step_zero_field_is_identity():
     u = su2.exact_step(np.zeros(3), 0.37)
     assert np.allclose(u, np.eye(2), atol=1e-16)
