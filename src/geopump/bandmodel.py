@@ -125,21 +125,24 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA,
     dense_min = np.empty(k.size)
     delta_avg = np.empty(k.size)
     block = max(1, 8192 // samples_per_cycle)
-    for lo in range(0, k.size, block):
-        rows = slice(lo, lo + block)
-        gaps = _gap_at_drive(d2[rows, None], eps0[rows, None], a_ph[rows, None],
-                             cos_k[rows, None], s)
-        dense_min[rows] = gaps.min(axis=1)
-        delta_avg[rows] = gaps.mean(axis=1)
-    # the analytic critical drive values: s = +/-1 and, for a_ph > 0, the
-    # interior extremum of |d3| (a stand-in -1 where a_ph = 0)
-    s_star = np.full(k.size, -1.0)
-    with np.errstate(over="ignore"):  # a subnormal a_ph: +/-inf, clipped to +/-1
+    # a huge drive overflows a gap or a mean to inf, which a result table
+    # rejects; a subnormal a_ph makes s_star +/-inf, clipped to +/-1
+    with np.errstate(over="ignore"):
+        for lo in range(0, k.size, block):
+            rows = slice(lo, lo + block)
+            gaps = _gap_at_drive(d2[rows, None], eps0[rows, None], a_ph[rows, None],
+                                 cos_k[rows, None], s)
+            dense_min[rows] = gaps.min(axis=1)
+            delta_avg[rows] = gaps.mean(axis=1)
+        # the analytic critical drive values: s = +/-1 and, for a_ph > 0, the
+        # interior extremum of |d3| (a stand-in -1 where a_ph = 0)
+        s_star = np.full(k.size, -1.0)
         np.divide(-(eps0 + cos_k), a_ph, out=s_star, where=a_ph > 0.0)
-    crit = np.stack([np.full(k.size, -1.0), np.full(k.size, 1.0),
-                     np.clip(s_star, -1.0, 1.0)], axis=1)
-    gap_crit = _gap_at_drive(d2[:, None], eps0[:, None], a_ph[:, None], cos_k[:, None], crit)
-    delta_int = _gap_at_drive(d2, eps0, a_ph, cos_k, 0.0)
+        crit = np.stack([np.full(k.size, -1.0), np.full(k.size, 1.0),
+                         np.clip(s_star, -1.0, 1.0)], axis=1)
+        gap_crit = _gap_at_drive(d2[:, None], eps0[:, None], a_ph[:, None], cos_k[:, None],
+                                 crit)
+        delta_int = _gap_at_drive(d2, eps0, a_ph, cos_k, 0.0)
     energy_ratio = np.full(k.size, np.inf)
     np.divide(omega, delta_avg, out=energy_ratio, where=delta_avg > 0.0)
     return GapStats(delta_int=delta_int, delta_min=np.minimum(dense_min, gap_crit.min(axis=1)),

@@ -21,7 +21,6 @@ text is never held at once.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import json
 import math
@@ -101,6 +100,9 @@ class ResultTable:
 
 
 _TROTTER = asdict(TrotterConfig())
+_THERMO = asdict(ThermalModel())
+_ENSEMBLE = asdict(ensemble.EnsembleConfig())
+_ENSEMBLE.update(_ENSEMBLE.pop("cycle"))  # flat: theta, phi and omega_az
 
 DEFAULTS = {
     "sweep-k": {
@@ -145,9 +147,7 @@ DEFAULTS = {
     },
     "ensemble": {
         "params": {
-            "ensemble": {"n_systems": 60, "dt_mismatch": 0.1, "tau_cycle": 0.83,
-                         "t_max": 12.0, "theta": math.pi, "phi": 0.0,
-                         "omega_az": 0.0},
+            "ensemble": dict(_ENSEMBLE),
         },
         "grid": {},
         "output_path": "ensemble.csv",
@@ -162,8 +162,7 @@ DEFAULTS = {
     },
     "thermal": {
         "params": {
-            "thermo": {"gap0": 40.0, "t_berry": 160.0, "t_lif": 50.0,
-                       "mu0": 10.0, "fluence_slope": 0.2},
+            "thermo": dict(_THERMO),
             "closable_gap": 0.0,
         },
         "grid": {"T": {"min": 1.0, "max": 300.0, "count": 300}},
@@ -171,8 +170,7 @@ DEFAULTS = {
     },
     "fluence": {
         "params": {
-            "thermo": {"gap0": 40.0, "t_berry": 160.0, "t_lif": 50.0,
-                       "mu0": 10.0, "fluence_slope": 0.2},
+            "thermo": dict(_THERMO),
             "T": 20.0,
             "delta_nu": 1,
         },
@@ -373,118 +371,107 @@ def _cap_ensemble(c):
 
 
 def _check_propagator(c):
-    """DriveParams at the ends of the swept drive axes, and the TrotterConfig
-    under evolve's own rule."""
-    _at_ends(" and ".join(["params.drive", *(f"grid.{n}" for n in c["grid"])]), DriveParams,
-             c, **c["params"]["drive"])
-    _checked("params.trotter", propagator.checked_trotter,
-             _checked("params.trotter", TrotterConfig, **c["params"]["trotter"]))
+    """DriveParams at the ends of the swept drive axes (None), and the
+    TrotterConfig under evolve's own rule."""
+    return [_at_ends(" and ".join(["params.drive", *(f"grid.{n}" for n in c["grid"])]),
+                     DriveParams, c, **c["params"]["drive"]),
+            _checked("params.trotter", propagator.checked_trotter,
+                     _checked("params.trotter", TrotterConfig, **c["params"]["trotter"]))]
 
 
-def _start_states(c):
-    """The (S, 2) start states sqrt(w0) g0 + sqrt(w1) g1 of
-    params.initial_weights, over the band basis at t = 0; a ValueError names
-    an entry that is not two weights >= 0, or a state that fails evolve's own
-    norm test (checked_states)."""
-    weights = c["params"]["initial_weights"]
+def _start_states(drive, weights):
+    """The (S, 2) start states sqrt(w0) g0 + sqrt(w1) g1 of `weights`, over
+    the band basis of `drive` at t = 0; a ValueError names an entry that is
+    not two weights >= 0, or a state that fails evolve's own norm test
+    (checked_states)."""
     for w in weights:
         if len(w) != 2 or not min(w) >= 0.0:
             raise ValueError(f"entry {w!r} is not two weights >= 0")
-    g0, g1 = propagator.band_basis(DriveParams(**c["params"]["drive"]), 0.0, "the start time")
+    g0, g1 = propagator.band_basis(drive, 0.0, "the start time")
     return propagator.checked_states(
         np.array([math.sqrt(w0) * g0 + math.sqrt(w1) * g1 for w0, w1 in weights]))
 
 
 def _check_initial_states(c):
-    """_check_propagator, and the start states as the runner builds them; a
-    degenerate start basis leaves no state to check and is the runner's
-    compute error."""
-    _check_propagator(c)
-    with contextlib.suppress(propagator.DegenerateMeasurementBasis):
-        _checked("params.initial_weights", _start_states, c)
+    """The DriveParams and _check_propagator's TrotterConfig, and the start
+    states; a degenerate start basis raises DegenerateMeasurementBasis, which
+    run reports as a compute error."""
+    _, trotter = _check_propagator(c)
+    drive = DriveParams(**c["params"]["drive"])
+    return drive, trotter, _checked("params.initial_weights", _start_states, drive,
+                                    c["params"]["initial_weights"])
 
 
-def _at_drive(drive):
-    """The suffix that names a point run's drive in its compute errors."""
-    return f"; drive k={drive['k']}, eps0={drive['eps0']}, a_ph={drive['a_ph']}"
-
-
-def _run_sweep_k(c):
+def _run_sweep_k(c, _, trotter):
     drive, ks = c["params"]["drive"], c["grid"]["k"]
-    p_g = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"],
-                                      TrotterConfig(**c["params"]["trotter"]))
+    p_g = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"], trotter)
     stats = bandmodel.gap_stats_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"])
     return (("k", "p_g", "delta_int", "delta_min", "delta_avg"),
-            (ks, p_g, stats.delta_int, stats.delta_min, stats.delta_avg))
+            (ks, p_g, stats.delta_int, stats.delta_min, stats.delta_avg), 1)
 
 
-def _run_sweep_eps0(c):
+def _run_sweep_eps0(c, _, trotter):
     drive, eps0s, ks = c["params"]["drive"], c["grid"]["eps0"], c["grid"]["k"]
     emesh, kmesh = np.meshgrid(eps0s, ks, indexing="ij")
-    p_g = propagator.p_g_numeric_grid(kmesh, emesh, drive["a_ph"], drive["omega"],
-                                      TrotterConfig(**c["params"]["trotter"]))
+    p_g = propagator.p_g_numeric_grid(kmesh, emesh, drive["a_ph"], drive["omega"], trotter)
     p_max = p_g.reshape(len(eps0s), len(ks)).max(axis=1)
     stats = bandmodel.gap_stats_grid(0.0, eps0s, drive["a_ph"], drive["omega"])
-    return ("eps0", "p_g_max", "delta_min_k0"), (eps0s, p_max, stats.delta_min)
+    return ("eps0", "p_g_max", "delta_min_k0"), (eps0s, p_max, stats.delta_min), 1
 
 
-def _run_sweep_amplitude(c):
+def _run_sweep_amplitude(c, _, trotter):
     drive = c["params"]["drive"]
     amesh, kmesh = np.meshgrid(c["grid"]["a_ph"], c["grid"]["k"], indexing="ij")
-    p_g = propagator.p_g_numeric_grid(kmesh, drive["eps0"], amesh, drive["omega"],
-                                      TrotterConfig(**c["params"]["trotter"]))
-    return ("k", "a_ph", "p_g"), (kmesh.ravel(), amesh.ravel(), p_g)
+    p_g = propagator.p_g_numeric_grid(kmesh, drive["eps0"], amesh, drive["omega"], trotter)
+    return ("k", "a_ph", "p_g"), (kmesh.ravel(), amesh.ravel(), p_g), 2
 
 
-def _run_initial_states(c):
-    weights, drive = c["params"]["initial_weights"], c["params"]["drive"]
+def _run_initial_states(c, drive, trotter, states):
+    weights = c["params"]["initial_weights"]
     try:
-        p_n = propagator.evolve(DriveParams(**drive), TrotterConfig(**c["params"]["trotter"]),
-                                initial=_start_states(c)).p_n
-    except propagator.EvolutionError as exc:
-        at = f" at weights {tuple(weights[exc.indices[0]])}" if exc.indices else ""
-        raise ComputeError(f"initial-states: {exc}{at}{_at_drive(drive)}") from exc
+        p_n = propagator.evolve(drive, trotter, initial=states).p_n
+    except propagator.EvolutionError as exc:  # run names the drive
+        if not exc.indices:
+            raise
+        raise type(exc)(f"{exc} at weights {tuple(weights[exc.indices[0]])}",
+                        exc.indices) from exc
     columns = ["cycle"] + [f"p_n_w{w_g:g}" for w_g, _ in weights]
-    return tuple(columns), (np.arange(1.0, p_n.shape[1] + 1.0), *p_n)
+    return tuple(columns), (np.arange(1.0, p_n.shape[1] + 1.0), *p_n), 1
 
 
-def _run_ensemble(c):
-    trace = ensemble.ensemble_average(_ensemble_config(**c["params"]["ensemble"]))
+def _run_ensemble(c, config):
+    trace = ensemble.ensemble_average(config)
     return (("t", "p_ens", "entropy", "p_first"),
-            (trace.times, trace.p_ens, trace.entropy, trace.p_first))
+            (trace.times, trace.p_ens, trace.entropy, trace.p_first), 1)
 
 
-def _run_verify_cyclemap(c):
+def _run_verify_cyclemap(c, _, n_cycles):
     tmesh, pmesh = np.meshgrid(c["grid"]["theta"], c["grid"]["phi"], indexing="ij")
     tflat, pflat = tmesh.ravel(), pmesh.ravel()
-    series = cyclemap.p_series_mean_grid(tflat, pflat, c["params"]["n_cycles"])
+    series = cyclemap.p_series_mean_grid(tflat, pflat, n_cycles)
     closed = np.fromiter((cyclemap.p_g_closed(CycleParams(theta=float(th), phi=float(ph)))
                           for th, ph in zip(tflat, pflat)), float, count=tflat.size)
     return (("theta", "phi", "p_closed", "p_series_mean", "abs_diff"),
-            (tflat, pflat, closed, series, np.abs(closed - series)))
+            (tflat, pflat, closed, series, np.abs(closed - series)), 2)
 
 
-def _run_thermal(c):
-    curve = thermo.temperature_sweep(ThermalModel(**c["params"]["thermo"]), c["grid"]["T"],
+def _run_thermal(c, model, _):
+    curve = thermo.temperature_sweep(model, c["grid"]["T"],
                                      closable_gap=c["params"]["closable_gap"])
-    return ("T", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr)
+    return ("T", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr), 1
 
 
-def _run_fluence(c):
-    p = c["params"]
-    curve = thermo.fluence_sweep(ThermalModel(**p["thermo"]), p["T"], c["grid"]["F"],
-                                 delta_nu=p["delta_nu"])
-    return ("F", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr)
+def _run_fluence(c, model, T, delta_nu, F):
+    curve = thermo.fluence_sweep(model, T, F, delta_nu=delta_nu)
+    return ("F", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr), 1
 
 
-def _run_unitarity_report(c):
+def _run_unitarity_report(c, drive, _):
     orders = [int(o) for o in c["grid"]["taylor_order"]]
     steps = [int(n) for n in c["grid"]["steps_per_cycle"]]
     report = propagator.unitarity_report(
-        DriveParams(**c["params"]["drive"]),
-        TrotterConfig(mode="taylor", n_cycles=c["params"]["n_cycles"]), orders, steps)
+        drive, TrotterConfig(mode="taylor", n_cycles=c["params"]["n_cycles"]), orders, steps)
     rows = np.array([(o, n, *report[o, n]) for o in orders for n in steps], dtype=float)
-    # its order and step count name a row
     return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows.T, 2
 
 
@@ -492,19 +479,20 @@ def _run_unitarity_report(c):
 # config before any grid axis is built, from the axis counts, and may cap the
 # output rows too (run caps the grid points after it, which alone bounds the
 # thermo sweeps). The checks see the built axes, still before any compute. A
-# runner returns the column names and one array per column, and, where leading
-# columns name a row better than its index, how many. A check is only _checked
-# calls of the library's rules: the constructors of the objects an experiment
-# builds and the checked_* functions of the modules that own the fields. Each
-# rule on a swept field is an interval, so checking it at both ends of every
-# axis covers the axis (the fluence rule reads the whole axis).
+# check is only _checked calls of the library's rules: the constructors of the
+# objects an experiment builds and the checked_* functions of the modules that
+# own the fields. Each rule on a swept field is an interval, so checking it at
+# both ends of every axis covers the axis (the fluence rule reads the whole
+# axis). A check returns what its rules built, in order (None for an _at_ends
+# entry), and the runner takes them after the config. A runner returns the
+# column names, one array per column, and how many leading columns name a row.
 _EXPERIMENTS = {
     "sweep-k": (_cap_propagator, _check_propagator, _run_sweep_k),
     "sweep-eps0": (_cap_propagator, _check_propagator, _run_sweep_eps0),
     "sweep-amplitude": (_cap_propagator, _check_propagator, _run_sweep_amplitude),
     "initial-states": (_cap_initial_states, _check_initial_states, _run_initial_states),
-    "ensemble": (_cap_ensemble, lambda c: _checked(
-        "params.ensemble", _ensemble_config, **c["params"]["ensemble"]), _run_ensemble),
+    "ensemble": (_cap_ensemble, lambda c: [_checked(
+        "params.ensemble", _ensemble_config, **c["params"]["ensemble"])], _run_ensemble),
     "verify-cyclemap": (_cap_verify_cyclemap, lambda c: [
         _at_ends("grid.theta and grid.phi", CycleParams, c),
         _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])],
@@ -585,20 +573,21 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     drive = cfg["params"].get("drive")
     if drive is not None and drive["omega"] is None:
         drive["omega"] = DEFAULT_OMEGA
-    check(cfg)
     metadata = copy.deepcopy(config)
     if drive is not None:  # echo the resolved omega
         metadata["params"]["drive"]["omega"] = drive["omega"]
     try:
-        columns, data, *keys = runner(cfg)
-        return ResultTable(tuple(columns), tuple(data), metadata, *keys)
+        columns, data, keys = runner(cfg, *check(cfg))
+        return ResultTable(tuple(columns), tuple(data), metadata, keys)
     except (propagator.EvolutionError, InvalidDensityMatrix, ArithmeticError, ValueError,
             MemoryError) as exc:
-        # the config passed every check, so the computation itself failed: e.g.
-        # a grid point on a gap closing, a non-finite result, or an array too
-        # large to allocate. A grid kernel names its failing point; a point
-        # run, whose drive has a fixed k, is named by its drive.
-        at = _at_drive(drive) if drive is not None and "k" in drive else ""
+        # the config passed every range check (a failed one is a ConfigError),
+        # so the computation itself failed: e.g. a grid point or a start on a
+        # gap closing, a non-finite result, or an array too large to allocate.
+        # A grid kernel names its failing point; a point run, whose drive has
+        # a fixed k, is named by its drive.
+        at = (f"; drive k={drive['k']}, eps0={drive['eps0']}, a_ph={drive['a_ph']}"
+              if drive is not None and "k" in drive else "")
         raise ComputeError(f"{name}: {exc}{at}") from exc
 
 

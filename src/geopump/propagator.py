@@ -425,12 +425,12 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
                      c3[part] - a_ph[part] * s_meas, cfg.n_cycles, acc[part], p_max[part])
         if cfg.mode == "taylor":
             # Each step is a real multiple of an SU(2) matrix, so M = Q U^m,
-            # measured after m cycles, has M^H M = det(M) I and the defect
-            # |det Q det(U)^m - 1|, monotone in m: largest at m = 1 or n_cycles.
-            det_q = 1.0 if q is None else np.abs(q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0])
-            det_u = np.abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
-            defect = np.maximum(np.abs(det_q * det_u - 1.0),
-                                np.abs(det_q * det_u ** cfg.n_cycles - 1.0))
+            # measured after m cycles, has M^H M = |det M| I and a defect
+            # monotone in m: largest at m = 1 or n_cycles.
+            u = np.moveaxis(u, -1, 0)
+            q = su2.IDENTITY2 if q is None else np.moveaxis(q, -1, 0)
+            defect = np.maximum(su2.unitarity_defect(q @ u), su2.unitarity_defect(
+                q @ np.linalg.matrix_power(u, cfg.n_cycles)))
             over = np.nonzero(~(defect <= UNITARITY_BUDGET))[0]
             if over.size:
                 raise NonUnitaryEvolution(

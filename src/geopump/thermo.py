@@ -3,7 +3,9 @@
 The rate-style account weighs a transition by the occupancy difference
 f_v - f_c; the cycle-map account weighs it by the probability that exactly
 one of the two levels is occupied, f_v(1 - f_c) + f_c(1 - f_v), times the
-one-half pumped fraction that requires a band crossing during the cycle.
+pumped fraction of the cycle map's closed form (cyclemap.p_g_closed): one
+half for a cycle that crosses a band transition (theta = pi), none for one
+that does not (theta = 0).
 The two factors respond oppositely when the gap closes (the difference
 vanishes, the exactly-one weight stays finite), which is what the
 temperature and fluence sweeps are designed to expose.
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandmodel import checked_winding_change
+from .cyclemap import CycleParams, p_g_closed, theta_from_tpt
 from .units import K_BOLTZMANN_MEV_PER_K
 
 # no warnings: an overflow is the T -> 0 or t -> 0 limit, a NaN fails the occupancy check
@@ -37,7 +40,7 @@ class ThermalModel:
     t_lif: float = 50.0
     mu0: float = 10.0
     fluence_slope: float = 0.2
-    kB: float = K_BOLTZMANN_MEV_PER_K
+    kB = K_BOLTZMANN_MEV_PER_K  # a class constant, not a field
 
     def __post_init__(self):
         if not self.gap0 > 0.0:
@@ -45,8 +48,6 @@ class ThermalModel:
         if not self.t_berry > self.t_lif > 0.0:
             raise ValueError("temperatures must satisfy t_berry > t_lif > 0, got "
                              f"t_berry={self.t_berry}, t_lif={self.t_lif}")
-        if not self.kB > 0.0:
-            raise ValueError(f"kB must be > 0, got {self.kB}")
 
     @_LIMITS
     def gap(self, T):
@@ -140,13 +141,16 @@ def geometric_factor(f_v, f_c):
 
 
 def gp_probability(f_v, f_c, delta_nu: int):
-    """Pumped fraction geometric_factor * 1/2, gated by the winding change."""
+    """Pumped fraction p_g_closed * geometric_factor of the cycle that the
+    winding change selects: the crossing cycle's 1/2, or 0."""
     return _pumped(f_v, f_c, checked_winding_change(delta_nu) == 1)
 
 
 def _pumped(f_v, f_c, gate):
-    """gp_probability where the gate (delta_nu == 1, per point or for all) is set, else 0."""
-    return np.where(gate, 0.5 * geometric_factor(f_v, f_c), 0.0)[()]
+    """gp_probability, with the crossing cycle where the gate (delta_nu == 1,
+    per point or for all) is set and the trivial cycle elsewhere."""
+    crossing, trivial = (p_g_closed(CycleParams(theta_from_tpt(nu), 0.0)) for nu in (1, 0))
+    return np.where(gate, crossing, trivial) * geometric_factor(f_v, f_c)
 
 
 def _sweep(abscissa, gap, mu, kT, gate, scale=1.0) -> PumpCurve:

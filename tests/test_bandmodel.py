@@ -1,5 +1,7 @@
 """Driven two-band model: gap statistics and winding detection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,3 +177,13 @@ def test_gap_stats_grid_broadcasts_and_rejects_bad_inputs():
         bandmodel.gap_stats_grid(0.0, -0.9, 0.1, samples_per_cycle=8)
     with pytest.raises(ValueError):
         bandmodel.gap_stats_grid(0.0, -0.9, 0.1, omega=1e-310)
+
+
+@pytest.mark.parametrize("a_ph", [1e306, 1e307, 1e308])
+def test_gap_stats_at_huge_drive_amplitudes_raise_no_warning(a_ph):
+    # a gap or the 256-sample sum overflows to inf, which a result table rejects
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = bandmodel.gap_stats_grid([0.0, 0.3], -0.95, a_ph)
+    assert np.isposinf(stats.delta_avg).all()
+    assert np.isfinite(stats.delta_int).all() and np.isfinite(stats.delta_min).all()

@@ -1,5 +1,6 @@
 """Config resolution, validation, emission formats, exit codes, blocked execution."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geopump import cli, propagator, su2
+from geopump import cli, ensemble, propagator, su2, thermo
 from geopump.cli import ConfigError, ResultTable, emit, parse_table, resolve_config, run
 from geopump.units import DEFAULT_OMEGA
 
@@ -33,6 +34,19 @@ def test_defaults_cover_every_experiment():
         cfg = resolve_config(name)
         assert cfg["experiment"] == name
         assert isinstance(cfg["output_path"], str)
+
+
+def test_thermo_and_ensemble_defaults_are_the_dataclasses():
+    def defaults(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+    model = defaults(thermo.ThermalModel())
+    assert cli.DEFAULTS["thermal"]["params"]["thermo"] == model
+    assert cli.DEFAULTS["fluence"]["params"]["thermo"] == model
+    config = ensemble.EnsembleConfig()
+    flat = {**defaults(config), **defaults(config.cycle)}
+    del flat["cycle"]
+    assert cli.DEFAULTS["ensemble"]["params"]["ensemble"] == flat
 
 
 def test_resolve_config_layering():
@@ -165,6 +179,63 @@ def test_subnormal_inputs_run_without_warnings(argv):
         rc = cli.main(argv + ["--out", "-"])
     assert rc == 0
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("experiment, extra, rc, message", [
+    ("sweep-eps0", ["grid.eps0.count=2"], 0, None),
+    ("sweep-k", [], 3, "geopump: compute error: sweep-k: non-finite value inf in row 0 "
+                       "(k=-0.78539816339744828), column 'delta_avg'"),
+])
+def test_huge_drive_amplitudes_run_without_warnings(experiment, extra, rc, message,
+                                                    capsysbinary):
+    # the sampled gaps and their mean overflow to inf; sweep-eps0 emits no mean
+    argv = [experiment, "--set", "params.drive.a_ph=1e308", "--set", "grid.k.count=3",
+            "--set", "params.trotter.steps_per_cycle=100", "--set", "params.trotter.n_cycles=2"]
+    for item in extra:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--out", "-"]) == rc
+    err = capsysbinary.readouterr().err.decode().splitlines()
+    assert err[-1] == (message or f"geopump: running {experiment}")
+
+
+@pytest.mark.parametrize("experiment, overrides, keys", [
+    ("sweep-k", FAST_OVERRIDES, ("k",)),
+    ("sweep-eps0", ["grid.eps0.count=2", *FAST_OVERRIDES], ("eps0",)),
+    ("sweep-amplitude", ["grid.a_ph.values=[0.1]", *FAST_OVERRIDES], ("k", "a_ph")),
+    ("initial-states", ["params.trotter.steps_per_cycle=200", "params.trotter.n_cycles=4"],
+     ("cycle",)),
+    ("ensemble", ["params.ensemble.t_max=1.0"], ("t",)),
+    ("verify-cyclemap", ["grid.theta.count=3", "grid.phi.count=2", "params.n_cycles=10"],
+     ("theta", "phi")),
+    ("thermal", [], ("T",)),
+    ("fluence", [], ("F",)),
+    ("unitarity-report", ["grid.taylor_order.values=[2]", "grid.steps_per_cycle.values=[200]",
+                          "params.n_cycles=3"], ("taylor_order", "steps_per_cycle")),
+])
+def test_every_table_names_its_rows_by_their_coordinates(experiment, overrides, keys):
+    table = run(resolve_config(experiment, None, overrides))
+    assert table.columns[:table.keys] == keys
+
+
+def test_runners_take_the_objects_their_checks_built(monkeypatch):
+    built = []
+
+    def counting(name, make):
+        def counted(*args, **kwargs):
+            built.append(name)
+            return make(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+
+    counting("TrotterConfig", cli.TrotterConfig)
+    run(fast_sweep_config())
+    assert built == ["TrotterConfig"]
+    built.clear()
+    counting("_start_states", cli._start_states)
+    run(resolve_config("initial-states", None, ["params.trotter.steps_per_cycle=200",
+                                                "params.trotter.n_cycles=4"]))
+    assert built.count("_start_states") == 1
 
 
 @pytest.mark.parametrize("experiment, overrides, point", [
@@ -605,9 +676,23 @@ def _reproduces_committed_output(stem, tmp_path):
     with open(config) as fh:
         experiment = json.load(fh)["experiment"]
     out = tmp_path / f"{stem}.csv"
-    assert cli.main([experiment, "--config", config, "--out", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([experiment, "--config", config, "--out", str(out)]) == 0
     with open(os.path.join(root, "out", f"{stem}.csv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_bench_copies_of_the_configs_and_outputs_are_identical():
+    # the benchmark checks its own copies; a regenerated output must move both
+    root = os.path.join(os.path.dirname(__file__), "..")
+    for ours, twin in (("configs", "bench/configs"), ("out", "bench/reference")):
+        names = sorted(os.listdir(os.path.join(root, ours)))
+        assert len(names) == 9
+        for name in names:
+            with open(os.path.join(root, ours, name), "rb") as a, \
+                    open(os.path.join(root, twin, name), "rb") as b:
+                assert a.read() == b.read(), f"{ours}/{name} differs from {twin}/{name}"
 
 
 @pytest.mark.parametrize("stem", ["initial_states", "unitarity_report"])

@@ -274,6 +274,23 @@ def test_grid_guards_match_evolve():
     assert list(info.value.indices) == failing
 
 
+@pytest.mark.parametrize("n_cycles", [3, 50])
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_grid_and_point_runs_report_one_taylor_defect(n_cycles, offset):
+    # the defect grows past 1e186 by cycle 3 and overflows to NaN by cycle 50;
+    # both routes take it from su2.unitarity_defect, so both report the same
+    p = DriveParams(eps0=0.5, a_ph=0.1, k=0.02)
+    cfg = TrotterConfig(steps_per_cycle=100, taylor_order=2, mode="taylor",
+                        n_cycles=n_cycles, measure_offset=offset)
+    with pytest.raises(NonUnitaryEvolution, match="^unitarity defect ") as point:
+        propagator.evolve(p, cfg)
+    with pytest.raises(NonUnitaryEvolution) as grid:
+        propagator.p_g_numeric_grid(np.array([p.k]), p.eps0, p.a_ph, p.omega, cfg)
+    assert str(grid.value) == (f"{point.value}; first failing grid index 0: "
+                               "k=0.02, eps0=0.5, a_ph=0.1")
+    assert ("nan" in str(point.value)) == (n_cycles == 50)
+
+
 def test_taylor_mode_below_second_order_rejected_by_evolve():
     cfg = TrotterConfig(steps_per_cycle=2000, taylor_order=1, mode="taylor",
                         n_cycles=10)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geopump import thermo
+from geopump.cyclemap import CycleParams, p_g_closed, theta_from_tpt
 from geopump.thermo import ThermalModel, fermi, fgr_factor, geometric_factor, gp_probability
+from geopump.units import K_BOLTZMANN_MEV_PER_K
 
 unit = st.floats(0.0, 1.0)
 
@@ -20,10 +22,13 @@ def test_model_validation():
         ThermalModel(t_berry=40.0, t_lif=50.0)
     with pytest.raises(ValueError):
         ThermalModel(t_lif=-1.0)
+    with pytest.raises(TypeError):  # kB is a constant, not a field
+        ThermalModel(kB=1.0)
 
 
 def test_linear_model_anchors():
     m = ThermalModel()
+    assert m.kB == K_BOLTZMANN_MEV_PER_K
     assert m.gap(0.0) == 40.0
     assert m.gap(160.0) == 0.0
     assert m.gap(240.0) == 0.0  # clamped, never negative
@@ -260,3 +265,48 @@ def test_fluence_sweep_equals_the_row_loop_bit_for_bit(model, T, F_range):
     q_gp, q_fgr = _reference_fluence_sweep(model, T, F_range)
     assert curve.q_gp.tobytes() == q_gp.tobytes()
     assert curve.q_fgr.tobytes() == q_fgr.tobytes()
+
+
+def _closed_form_weight(f_v, f_c, delta_nu):
+    """The cycle map's long-run fraction of the cycle that delta_nu selects,
+    times the geometric factor."""
+    return p_g_closed(CycleParams(theta_from_tpt(delta_nu), 0.0)) * geometric_factor(f_v, f_c)
+
+
+def test_pumped_fraction_is_the_cycle_maps_closed_form(monkeypatch):
+    rng = np.random.default_rng(3)
+    f_v, f_c = rng.random(64), rng.random(64)
+    for delta_nu in (0, 1):
+        expected = _closed_form_weight(f_v, f_c, delta_nu)
+        assert gp_probability(f_v, f_c, delta_nu).tobytes() == expected.tobytes()
+        assert gp_probability(0.3, 0.9, delta_nu) == _closed_form_weight(0.3, 0.9, delta_nu)
+    # the fraction is the cycle map's: the crossing and the trivial cycle at phi = 0
+    seen = []
+    monkeypatch.setattr(thermo, "p_g_closed", lambda c: seen.append(c) or p_g_closed(c))
+    gp_probability(0.3, 0.9, 1)
+    assert sorted(seen, key=lambda c: c.theta) == [CycleParams(0.0, 0.0), CycleParams(math.pi, 0.0)]
+
+
+@pytest.mark.parametrize("closable_gap", [0.0, 25.0, math.inf])
+def test_temperature_sweep_weighs_the_cycle_maps_fraction(closable_gap):
+    model = ThermalModel()
+    curve = thermo.temperature_sweep(model, _T_GRID, closable_gap=closable_gap)
+    expected = []
+    for T in _T_GRID.tolist():
+        gap, mu = model.gap(T), model.mu(T)
+        expected.append(_closed_form_weight(fermi(-0.5 * gap, mu, T), fermi(0.5 * gap, mu, T),
+                                            1 if gap <= closable_gap else 0))
+    assert curve.q_gp.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("delta_nu", [0, 1])
+def test_fluence_sweep_weighs_the_cycle_maps_fraction(delta_nu):
+    model, T = ThermalModel(), 20.0
+    curve = thermo.fluence_sweep(model, T, _F_GRID, delta_nu=delta_nu)
+    gap = model.gap(T)
+    expected = []
+    for F in _F_GRID.tolist():
+        mu = model.mu(T) - model.fluence_slope * F
+        expected.append(_closed_form_weight(fermi(-0.5 * gap, mu, T), fermi(0.5 * gap, mu, T),
+                                            delta_nu))
+    assert curve.q_gp.tobytes() == np.array(expected).tobytes()
