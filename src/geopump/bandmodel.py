@@ -125,8 +125,7 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA,
     dense_min = np.empty(k.size)
     delta_avg = np.empty(k.size)
     block = max(1, 8192 // samples_per_cycle)
-    # a huge drive overflows a gap or a mean to inf, which a result table
-    # rejects; a subnormal a_ph makes s_star +/-inf, clipped to +/-1
+    # a huge drive overflows a gap or a mean to inf, which a result table rejects
     with np.errstate(over="ignore"):
         for lo in range(0, k.size, block):
             rows = slice(lo, lo + block)
@@ -134,28 +133,23 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA,
                                  cos_k[rows, None], s)
             dense_min[rows] = gaps.min(axis=1)
             delta_avg[rows] = gaps.mean(axis=1)
-        # the analytic critical drive values: s = +/-1 and, for a_ph > 0, the
-        # interior extremum of |d3| (a stand-in -1 where a_ph = 0)
-        s_star = np.full(k.size, -1.0)
-        np.divide(-(eps0 + cos_k), a_ph, out=s_star, where=a_ph > 0.0)
-        crit = np.stack([np.full(k.size, -1.0), np.full(k.size, 1.0),
-                         np.clip(s_star, -1.0, 1.0)], axis=1)
-        gap_crit = _gap_at_drive(d2[:, None], eps0[:, None], a_ph[:, None], cos_k[:, None],
-                                 crit)
+        # the least gap over s in [-1, 1], as gap_stats says
+        gap_crit = np.where(np.abs(eps0 + cos_k) <= a_ph, 2.0 * np.abs(d2), np.minimum(
+            *(_gap_at_drive(d2, eps0, a_ph, cos_k, s) for s in (-1.0, 1.0))))
         delta_int = _gap_at_drive(d2, eps0, a_ph, cos_k, 0.0)
     energy_ratio = np.full(k.size, np.inf)
     np.divide(omega, delta_avg, out=energy_ratio, where=delta_avg > 0.0)
-    return GapStats(delta_int=delta_int, delta_min=np.minimum(dense_min, gap_crit.min(axis=1)),
+    return GapStats(delta_int=delta_int, delta_min=np.minimum(dense_min, gap_crit),
                     delta_avg=delta_avg, energy_ratio=energy_ratio)
 
 
 def gap_stats(p: DriveParams, samples_per_cycle: int = 256) -> GapStats:
     """Gap statistics over one drive cycle: the one-row case of gap_stats_grid.
 
-    delta_min uses the dense samples plus the analytic critical drive values
-    (the interior extremum of |d3| and the endpoints s = +/-1), so an exact
-    in-cycle gap closing yields delta_min = 0 exactly rather than a small
-    sampling residue.
+    delta_min uses the dense samples plus the least gap over the drive values
+    s in [-1, 1]: 2 |d2| where |eps0 + cos k| <= a_ph (the drive reaches the
+    zero of d3), else the gap at s = +/-1. An in-cycle gap closing thus yields
+    delta_min = 0 exactly, at any a_ph, rather than a sampling residue.
     """
     g = gap_stats_grid(p.k, p.eps0, p.a_ph, p.omega, samples_per_cycle)
     return GapStats(*(float(v[0]) for v in (g.delta_int, g.delta_min, g.delta_avg,

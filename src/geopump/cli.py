@@ -192,10 +192,10 @@ DEFAULTS = {
 
 
 def _merge(base, override, path=""):
-    """Deep-merge override into a copy of base; unknown keys are rejected.
+    """Deep-merge override into a copy of base; _typed rejects unknown keys.
 
     A grid axis takes either a `values` list or min/max/count; a layer that
-    names one form drops the other.
+    names one form drops the other form of the layers below it.
     """
     if not isinstance(override, dict):
         raise ConfigError(f"expected a mapping at '{path or '<root>'}', got {type(override).__name__}")
@@ -203,9 +203,8 @@ def _merge(base, override, path=""):
     for key, val in override.items():
         here = f"{path}.{key}" if path else key
         if path.startswith("grid.") and key in ("values", "min", "max", "count"):
-            out = {k: v for k, v in out.items() if (k == "values") == (key == "values")}
-        elif key not in base:
-            raise ConfigError(f"unknown config field '{here}'")
+            out = {k: v for k, v in out.items()
+                   if (k == "values") == (key == "values") or k in override}
         if isinstance(base.get(key), dict):
             out[key] = _merge(base[key], val, here)
         else:
@@ -217,7 +216,8 @@ def _typed(value, default, path=""):
     """A copy of value with the type that its DEFAULTS entry fixes: a float
     default takes a finite number, an int default an integral one, a None
     default a finite number or null, a str default a string, a list default a
-    non-empty list of its first element's type, a mapping default its keys."""
+    non-empty list of its first element's type, a mapping default its keys
+    and no other (the first unknown one, in value's order, is named)."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"field '{path}' must be a mapping, got {value!r}")
@@ -225,12 +225,15 @@ def _typed(value, default, path=""):
             x = default["values"][0] if "values" in default else default["min"]
             default = ({"values": [x]} if "values" in value
                        else {"min": x, "max": x, "count": 1})
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in default:
+                raise ConfigError(f"unknown config field '{prefix}{key}'")
         typed = {}
         for key, sub in default.items():
-            here = f"{path}.{key}" if path else key
             if key not in value:
-                raise ConfigError(f"field '{here}' is missing")
-            typed[key] = _typed(value[key], sub, here)
+                raise ConfigError(f"field '{prefix}{key}' is missing")
+            typed[key] = _typed(value[key], sub, prefix + key)
         return typed
     if isinstance(default, list):
         if not isinstance(value, (list, tuple)) or not value:
@@ -309,12 +312,6 @@ def _check_size(where, size, what):
     if size > MAX_SWEEP_POINTS:
         raise ConfigError(f"{where}: {_shown(size)} {what} exceed the cap of "
                           f"{MAX_SWEEP_POINTS:.0e}")
-
-
-def _cap_size(c):
-    """The size cap on the grid: the product of the axis counts."""
-    _check_size(" and ".join(f"grid.{n}" for n in c["grid"]), _grid_points(c),
-                "grid points")
 
 
 def _cap_propagator(c, states=1):
@@ -542,6 +539,7 @@ def resolve_config(experiment: str, file_config: dict | None = None,
         for part in reversed(key.split(".")):
             value = {part: value}
         merged = _merge(merged, value)
+    _typed(merged, base)  # the key set and the types that run checks
     return merged
 
 
@@ -568,7 +566,8 @@ def run(config: dict, workers: int = 1) -> ResultTable:
     cap, check, runner = _EXPERIMENTS[name]
     if cap is not None:
         cap(cfg)
-    _cap_size(cfg)
+    _check_size(" and ".join(f"grid.{n}" for n in cfg["grid"]), _grid_points(cfg),
+                "grid points")
     cfg["grid"] = {n: _points(axis, f"grid.{n}") for n, axis in cfg["grid"].items()}
     drive = cfg["params"].get("drive")
     if drive is not None and drive["omega"] is None:

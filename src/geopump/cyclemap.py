@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandmodel import checked_winding_change
-from .su2 import unitarity_defect
 
 IDENTITY_TOL = 1e-12
 
@@ -137,12 +136,13 @@ def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int,
     checked_cycles(n)
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
-    u = _cycle_unitaries(theta, phi, omega_az)
-    v = np.zeros((2, theta.size), dtype=complex)
-    v[0] = 1.0
-    prod = np.empty_like(u)
-    p = np.empty(theta.size)
-    acc = np.zeros(theta.size)
+    u = _cycle_unitaries(theta, phi, omega_az, _paged((2, 2, theta.size)))
+    v = _paged((2, theta.size))
+    v[0], v[1] = 1.0, 0.0
+    prod = _paged(u.shape)
+    p = _paged(theta.shape, float)
+    acc = _paged(theta.shape, float)
+    acc.fill(0.0)
     for _ in range(n):
         np.multiply(u[0], v, out=prod[0])  # prod[i, j] = u[i, j] * v[j]
         np.multiply(u[1], v, out=prod[1])
@@ -151,13 +151,24 @@ def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int,
     return acc / n
 
 
-def _cycle_unitaries(theta: np.ndarray, phi: np.ndarray, omega_az: float) -> np.ndarray:
+def _paged(shape, dtype=complex) -> np.ndarray:
+    """An empty array that starts a 4 KiB page: at some page offsets, which
+    vary with what ran before, the series loop's loads alias its stores."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(size + 4096, np.uint8)
+    start = -raw.ctypes.data % 4096
+    return raw[start:start + size].view(dtype).reshape(shape)
+
+
+def _cycle_unitaries(theta, phi, omega_az: float, out=None) -> np.ndarray:
     """cycle_unitary for flat parameter arrays, as a (2, 2, N) array (for
-    scalars, the (2, 2) matrix)."""
+    scalars, the (2, 2) matrix), written into `out` if given."""
     ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ep = np.exp(1.0j * phi)
     eo = np.exp(1.0j * (omega_az - phi))
-    return np.array([[ct * np.conj(ep), -st * np.conj(eo)], [st * eo, ct * ep]])
+    u = np.empty((2, 2) + np.shape(ct), complex) if out is None else out
+    u[0, 0], u[0, 1], u[1, 0], u[1, 1] = ct * np.conj(ep), -st * np.conj(eo), st * eo, ct * ep
+    return u
 
 
 def p_g_closed(c: CycleParams) -> float:
@@ -218,7 +229,3 @@ def p_infinity_orbit(axis: OrbitAxis, quadrature_points: int = 1024) -> float:
 def theta_from_tpt(delta_nu: int) -> float:
     """pi when the cycle crosses a topological transition, else 0."""
     return np.pi if checked_winding_change(delta_nu) == 1 else 0.0
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(unitarity_defect(u) <= tol)

@@ -101,12 +101,6 @@ def p1_staircase(c: CycleParams, tau_cycle: float, t: float) -> float:
     return float(abs(u[1, 0]) ** 2)
 
 
-def observable_from_density(rho: np.ndarray) -> float:
-    """Excited-level population tr(diag(0, 1) rho)."""
-    su2.validate_density(rho)
-    return float(rho[1, 1].real)
-
-
 def ensemble_average(cfg: EnsembleConfig) -> EnsembleTrace:
     """Average n_systems staggered copies on a tau_cycle/100 time grid.
 

@@ -219,13 +219,6 @@ def band_basis(p: DriveParams, t: float, when: str):
     return n0, n1
 
 
-def _measurement_setup(p: DriveParams, cfg: TrotterConfig):
-    """Snapped offset step count and the (fixed) measured excited state."""
-    dt, extra = _step_grid(p.tau_cycle, cfg)
-    t_meas = extra * dt
-    return extra, band_basis(p, t_meas, f"measurement time {t_meas:.6g}")[1]
-
-
 def _cycle_unitaries(p: DriveParams, cfgs):
     """The ordered one-cycle step products of the chains `cfgs`, which share
     steps_per_cycle and measure_offset, as a (C, 2, 2) stack, and their
@@ -270,10 +263,10 @@ def _evolve_impl(p: DriveParams, cfgs, initial):
     unitarity defect of each chain, for one stacked fold of the chains `cfgs`
     (which also share n_cycles) and every start state in `initial` (None:
     the ground state at t = 0)."""
-    extra, n1 = _measurement_setup(p, cfgs[0])
+    dt, extra = _step_grid(p.tau_cycle, cfgs[0])
+    n1 = band_basis(p, extra * dt, f"measurement time {extra * dt:.6g}")[1].conj()
     states = checked_states(band_basis(p, 0.0, "the start time")[0]
                             if initial is None else initial)
-    n1 = n1.conj()
     amps = np.empty((len(cfgs), len(states), cfgs[0].n_cycles), dtype=complex)
     defects = np.zeros(len(cfgs))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as NaN in p_j
@@ -314,21 +307,13 @@ def evolve(p: DriveParams, cfg: TrotterConfig, initial: np.ndarray | None = None
     checked_trotter(cfg)
     stacked = np.ndim(initial) == 2
     p_j, defect = _evolve_impl(p, [cfg], initial)
-    p_j, defect = p_j[0], float(defect[0])
-    if cfg.mode == "taylor" and not defect <= UNITARITY_BUDGET:
-        raise NonUnitaryEvolution(
-            f"unitarity defect {defect:.3e} exceeds budget {UNITARITY_BUDGET}")
-    bad = ~((p_j >= -PROBABILITY_TOL) & (p_j <= 1.0 + PROBABILITY_TOL))
-    failing = np.nonzero(bad.any(axis=1))[0]
-    if failing.size:
-        first = p_j[failing[0]]
-        raise NonUnitaryEvolution(
-            f"probability {first[np.argmax(np.abs(first - 0.5))]} outside [0, 1] beyond "
-            "tolerance", failing if stacked else ())
-    p_j, p_n = _running_mean(p_j)
+    if cfg.mode == "taylor":
+        _check_defects(defect, named=False)  # the chain's, not a state's
+    _check_probabilities(np.max(p_j[0], axis=-1), named=stacked)
+    p_j, p_n = _running_mean(p_j[0])
     if not stacked:
         p_j, p_n = p_j[0], p_n[0]
-    return PumpTrace(p_j=p_j, p_n=p_n, unitarity_defect=defect)
+    return PumpTrace(p_j=p_j, p_n=p_n, unitarity_defect=float(defect[0]))
 
 
 def p_g_numeric(p: DriveParams, cfg: TrotterConfig) -> float:
@@ -429,18 +414,28 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
             # monotone in m: largest at m = 1 or n_cycles.
             u = np.moveaxis(u, -1, 0)
             q = su2.IDENTITY2 if q is None else np.moveaxis(q, -1, 0)
-            defect = np.maximum(su2.unitarity_defect(q @ u), su2.unitarity_defect(
-                q @ np.linalg.matrix_power(u, cfg.n_cycles)))
-            over = np.nonzero(~(defect <= UNITARITY_BUDGET))[0]
-            if over.size:
-                raise NonUnitaryEvolution(
-                    f"unitarity defect {defect[over[0]]:.3e} exceeds budget "
-                    f"{UNITARITY_BUDGET}", over)
+            _check_defects(np.maximum(su2.unitarity_defect(q @ u), su2.unitarity_defect(
+                q @ np.linalg.matrix_power(u, cfg.n_cycles))))
+    _check_probabilities(p_max)
+    return acc / cfg.n_cycles
+
+
+def _check_defects(defect, named=True):
+    """Both routes' taylor budget: a NonUnitaryEvolution at the first defect
+    above UNITARITY_BUDGET or NaN; `indices` name all such if `named`."""
+    over = np.nonzero(~(defect <= UNITARITY_BUDGET))[0]
+    if over.size:
+        raise NonUnitaryEvolution(f"unitarity defect {defect[over[0]]:.3e} exceeds budget "
+                                  f"{UNITARITY_BUDGET}", over if named else ())
+
+
+def _check_probabilities(p_max, named=True):
+    """_check_defects for each run's largest probability (never below 0, as
+    |amplitude|^2) and the bound 1 + PROBABILITY_TOL."""
     bad = np.nonzero(~(p_max <= 1.0 + PROBABILITY_TOL))[0]
     if bad.size:
-        raise NonUnitaryEvolution(
-            f"probability {p_max[bad[0]]} outside [0, 1] beyond tolerance", bad)
-    return acc / cfg.n_cycles
+        raise NonUnitaryEvolution(f"probability {p_max[bad[0]]} outside [0, 1] beyond "
+                                  "tolerance", bad if named else ())
 
 
 def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,

@@ -94,12 +94,12 @@ def checked_fluences(F_range) -> np.ndarray:
     return F_range
 
 
-def fermi(E: float, mu: float, T: float, kB: float = K_BOLTZMANN_MEV_PER_K) -> float:
-    """Fermi-Dirac occupation 1/(1 + exp((E - mu)/kB T)).
+def fermi(E: float, mu: float, T: float) -> float:
+    """Fermi-Dirac occupation 1/(1 + exp((E - mu)/kB T)), kB = K_BOLTZMANN_MEV_PER_K.
 
     T = 0 returns the zero-temperature step, with 1/2 exactly at E = mu.
     """
-    return float(_fermi(E, mu, kB * checked_temperature(T)))
+    return float(_fermi(E, mu, K_BOLTZMANN_MEV_PER_K * checked_temperature(T)))
 
 
 @_LIMITS

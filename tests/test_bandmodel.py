@@ -187,3 +187,4 @@ def test_gap_stats_at_huge_drive_amplitudes_raise_no_warning(a_ph):
         stats = bandmodel.gap_stats_grid([0.0, 0.3], -0.95, a_ph)
     assert np.isposinf(stats.delta_avg).all()
     assert np.isfinite(stats.delta_int).all() and np.isfinite(stats.delta_min).all()
+    assert stats.delta_min[0] == 0.0  # k = 0 closes in the cycle

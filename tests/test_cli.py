@@ -429,6 +429,61 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     assert "unitarity defect" in capsys.readouterr().err
 
 
+def _forbid_compute(monkeypatch):
+    """Make every experiment's computation fail the test if it starts."""
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("p_g_numeric_grid", "evolve", "unitarity_report"):
+        monkeypatch.setattr(propagator, name, no_compute)
+    monkeypatch.setattr(cli.ensemble, "ensemble_average", no_compute)
+    monkeypatch.setattr(cli.cyclemap, "p_series_mean_grid", no_compute)
+    for name in ("temperature_sweep", "fluence_sweep"):
+        monkeypatch.setattr(cli.thermo, name, no_compute)
+
+
+@pytest.mark.parametrize("path, value, named", [
+    ("params.bogus", 1, "params.bogus"),
+    ("params.drive.k", 0.3, "params.drive.k"),
+    # an axis in both forms: the values form has no range fields
+    ("grid.k.values", [0.0, 0.1], "grid.k.min"),
+])
+def test_run_rejects_unknown_keys_before_compute(path, value, named, monkeypatch):
+    _forbid_compute(monkeypatch)
+    config = resolve_config("sweep-k")
+    *parents, leaf = path.split(".")
+    node = config
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    with pytest.raises(ConfigError) as exc:
+        run(config)
+    assert str(exc.value) == f"unknown config field '{named}'"
+
+
+def test_a_layer_that_names_both_forms_of_an_axis_is_rejected():
+    both = {"min": -0.5, "max": 0.5, "count": 3, "values": [0.1]}
+    with pytest.raises(ConfigError) as exc:
+        resolve_config("sweep-k", {"grid": {"k": both}})
+    assert str(exc.value) == "unknown config field 'grid.k.min'"
+
+
+@pytest.mark.parametrize("path", ["params.bogus", "params.drive.k", "grid.k.bogus"])
+def test_resolve_config_and_the_cli_reject_unknown_keys_as_run_does(path, monkeypatch,
+                                                                     capsys):
+    _forbid_compute(monkeypatch)
+    message = f"unknown config field '{path}'"
+    layer = 1
+    for part in reversed(path.split(".")):
+        layer = {part: layer}
+    for file_config, overrides in ((layer, None), (None, [f"{path}=1"])):
+        with pytest.raises(ConfigError) as exc:
+            resolve_config("sweep-k", file_config, overrides)
+        assert str(exc.value) == message
+    assert cli.main(["sweep-k", "--set", f"{path}=1", "--out", "-"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"geopump: config error: {message}"
+
+
 @pytest.mark.parametrize("experiment, overrides", [
     ("sweep-k", ['params.drive.eps0="x"']),
     ("sweep-k", ['params.drive.eps0={"a":1}']),
@@ -485,15 +540,7 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
                     "grid.eps0.count=3"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
-    def no_compute(*args, **kwargs):
-        raise AssertionError("computation started")
-
-    for name in ("p_g_numeric_grid", "evolve", "unitarity_report"):
-        monkeypatch.setattr(propagator, name, no_compute)
-    monkeypatch.setattr(cli.ensemble, "ensemble_average", no_compute)
-    monkeypatch.setattr(cli.cyclemap, "p_series_mean_grid", no_compute)
-    for name in ("temperature_sweep", "fluence_sweep"):
-        monkeypatch.setattr(cli.thermo, name, no_compute)
+    _forbid_compute(monkeypatch)
     argv = [experiment, "--out", "-"]
     for item in overrides:
         argv += ["--set", item]

@@ -145,13 +145,6 @@ def test_shift_covariance_on_aligned_grid():
         assert a == b
 
 
-def test_observable_from_density():
-    assert ensemble.observable_from_density(np.diag([1.0, 0.0]).astype(complex)) == 0.0
-    assert ensemble.observable_from_density(0.5 * np.eye(2, dtype=complex)) == 0.5
-    with pytest.raises(su2.InvalidDensityMatrix):
-        ensemble.observable_from_density(np.diag([0.9, 0.9]).astype(complex))
-
-
 def _per_row_entropy(rho):
     """su2.von_neumann_entropy as it was written before the stacked check."""
     lam = np.linalg.eigvalsh(rho)

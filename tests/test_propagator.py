@@ -8,6 +8,7 @@ the implementation, they are not external truths.
 
 import math
 import pathlib
+import re
 import runpy
 from dataclasses import replace
 
@@ -289,6 +290,28 @@ def test_grid_and_point_runs_report_one_taylor_defect(n_cycles, offset):
     assert str(grid.value) == (f"{point.value}; first failing grid index 0: "
                                "k=0.02, eps0=0.5, a_ph=0.1")
     assert ("nan" in str(point.value)) == (n_cycles == 50)
+    _, _, g0, g1 = su2.eigensystem2(hamiltonian(p, 0.0))
+    with pytest.raises(NonUnitaryEvolution) as stack:
+        propagator.evolve(p, cfg, initial=np.array([g0, g1, g0]))
+    assert (str(stack.value), stack.value.indices) == (str(point.value), ())  # no state's
+
+
+def test_both_routes_share_the_probability_rule():
+    # order 2 at 1000 steps stays inside the budget over 50 cycles at this
+    # drive, but the ground start's probability ends above 1 + PROBABILITY_TOL
+    p = DriveParams(eps0=-1.05, a_ph=0.1, k=0.01)
+    cfg = TrotterConfig(steps_per_cycle=1000, taylor_order=2, mode="taylor", n_cycles=50)
+    with pytest.raises(NonUnitaryEvolution) as point:
+        propagator.evolve(p, cfg)
+    with pytest.raises(NonUnitaryEvolution) as grid:
+        propagator.p_g_numeric_grid(np.array([p.k]), p.eps0, p.a_ph, p.omega, cfg)
+    pattern = r"probability (\S+) outside \[0, 1\] beyond tolerance"
+    values = [float(re.fullmatch(pattern, str(point.value)).group(1)), float(re.fullmatch(
+        pattern + "; first failing grid index 0: k=0.01, eps0=-1.05, a_ph=0.1",
+        str(grid.value)).group(1))]
+    # the routes round differently, so the largest probabilities agree to rounding
+    assert values[0] > 1.0 + propagator.PROBABILITY_TOL
+    assert abs(values[0] - values[1]) < 1e-12
 
 
 def test_taylor_mode_below_second_order_rejected_by_evolve():
@@ -503,7 +526,8 @@ def _per_row_evolution(p, cfg, states=None):
     stacked measurements: one chain, the one-chain fold, each start state of
     `states` (default: the ground state) measured on its own, no budget gate.
     p_n has a leading state axis."""
-    extra, n1 = propagator._measurement_setup(p, cfg)
+    dt, extra = propagator._step_grid(p.tau_cycle, cfg)
+    n1 = propagator.band_basis(p, extra * dt, "measurement time")[1]
     if states is None:
         states = [su2.eigensystem2(hamiltonian(p, 0.0))[2]]
     p_j = np.empty((len(states), cfg.n_cycles))
@@ -588,12 +612,13 @@ def test_evolve_stack_names_its_failing_states():
     p = DriveParams(eps0=-0.5, a_ph=0.1, k=0.3)
     cfg = TrotterConfig(steps_per_cycle=1000, taylor_order=2, mode="taylor", n_cycles=5)
     _, _, g0, g1 = su2.eigensystem2(hamiltonian(p, 0.0))
-    with pytest.raises(NonUnitaryEvolution) as info:
-        propagator.evolve(p, cfg, initial=np.array([g0, g1, g0, g1]))
-    assert info.value.indices == (1, 3)
-    with pytest.raises(NonUnitaryEvolution) as info:
+    with pytest.raises(NonUnitaryEvolution) as single:
         propagator.evolve(p, cfg, initial=g1)
-    assert info.value.indices == ()
+    assert single.value.indices == ()
+    for stack, failing in (([g0, g1, g0, g1], (1, 3)), ([g1, g0, g0], (0,))):
+        with pytest.raises(NonUnitaryEvolution) as info:
+            propagator.evolve(p, cfg, initial=np.array(stack))
+        assert (str(info.value), info.value.indices) == (str(single.value), failing)
     assert propagator.evolve(p, cfg, initial=np.array([g0, g0])).p_n.shape == (2, 5)
 
 

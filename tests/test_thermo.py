@@ -51,7 +51,9 @@ def test_fermi_zero_temperature_step():
 
 def test_fermi_scalar_anchor():
     # (E - mu)/kT = 1 exactly
-    assert abs(fermi(4.0, 0.0, 4.0, kB=1.0) - 1.0 / (1.0 + math.e)) < 1e-15
+    assert abs(fermi(4.0 * K_BOLTZMANN_MEV_PER_K, 0.0, 4.0) - 1.0 / (1.0 + math.e)) < 1e-15
+    with pytest.raises(TypeError):  # kB is ThermalModel's constant, not an option
+        fermi(4.0, 0.0, 4.0, kB=1.0)
 
 
 def test_fermi_handles_extreme_arguments():
