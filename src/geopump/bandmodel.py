@@ -19,6 +19,7 @@ from .units import DEFAULT_OMEGA
 
 GAP_CLOSED_TOL = 1e-9
 WINDING_GRID = 4096
+GAP_SAMPLES = 256  # dense gap samples per drive cycle
 
 
 class GapClosedOnLoop(Exception):
@@ -104,8 +105,7 @@ def _gap_at_drive(d2, eps0, a_ph, cos_k, s):
     return 2.0 * np.hypot(d2, -(eps0 + a_ph * s + cos_k))
 
 
-def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA,
-                   samples_per_cycle: int = 256) -> GapStats:
+def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA) -> GapStats:
     """gap_stats over flat parameter arrays, as a GapStats of (n,) arrays.
 
     k, eps0 and a_ph broadcast to a common flat shape; each row equals the
@@ -113,18 +113,16 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA,
     taken a block of rows at a time, so that each (rows, samples) temporary
     holds about 8192 samples (64 KiB) however long the sweep is.
     """
-    if samples_per_cycle < 16:
-        raise ValueError("samples_per_cycle must be >= 16")
     tau = drive_period(omega)
     k, eps0, a_ph = (x.ravel() for x in np.broadcast_arrays(
         np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
         np.asarray(a_ph, dtype=float)))
     d2, cos_k = np.sin(k), np.cos(k)
-    t = np.arange(samples_per_cycle) * (tau / samples_per_cycle)
+    t = np.arange(GAP_SAMPLES) * (tau / GAP_SAMPLES)
     s = np.sin(omega * t)
     dense_min = np.empty(k.size)
     delta_avg = np.empty(k.size)
-    block = max(1, 8192 // samples_per_cycle)
+    block = 8192 // GAP_SAMPLES
     # a huge drive overflows a gap or a mean to inf, which a result table rejects
     with np.errstate(over="ignore"):
         for lo in range(0, k.size, block):
@@ -143,7 +141,7 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA,
                     delta_avg=delta_avg, energy_ratio=energy_ratio)
 
 
-def gap_stats(p: DriveParams, samples_per_cycle: int = 256) -> GapStats:
+def gap_stats(p: DriveParams) -> GapStats:
     """Gap statistics over one drive cycle: the one-row case of gap_stats_grid.
 
     delta_min uses the dense samples plus the least gap over the drive values
@@ -151,7 +149,7 @@ def gap_stats(p: DriveParams, samples_per_cycle: int = 256) -> GapStats:
     zero of d3), else the gap at s = +/-1. An in-cycle gap closing thus yields
     delta_min = 0 exactly, at any a_ph, rather than a sampling residue.
     """
-    g = gap_stats_grid(p.k, p.eps0, p.a_ph, p.omega, samples_per_cycle)
+    g = gap_stats_grid(p.k, p.eps0, p.a_ph, p.omega)
     return GapStats(*(float(v[0]) for v in (g.delta_int, g.delta_min, g.delta_avg,
                                             g.energy_ratio)))
 

@@ -256,12 +256,15 @@ def _typed(value, default, path=""):
 
 
 def _points(axis, path):
-    """The points of a typed grid axis; an integer axis must land on integers."""
+    """The points of a typed grid axis, as ints for an integer axis, which
+    must land on integers."""
     if "values" in axis:
-        return np.asarray(axis["values"], dtype=float)
-    points = np.linspace(axis["min"], axis["max"], axis["count"])
-    if isinstance(axis["min"], int) and not np.array_equal(points, np.round(points)):
-        raise ConfigError(f"field '{path}' must hold integers, got {points.tolist()}")
+        return np.asarray(axis["values"])
+    points = np.linspace(float(axis["min"]), float(axis["max"]), axis["count"])
+    if isinstance(axis["min"], int):
+        if not np.array_equal(points, np.round(points)):
+            raise ConfigError(f"field '{path}' must hold integers, got {points.tolist()}")
+        return np.asarray([int(x) for x in points])
     return points
 
 
@@ -276,9 +279,11 @@ def _checked(where, rule, *args, **fields):
 
 def _at_ends(where, rule, c, **fields):
     """_checked(where, rule, **fields) with the experiment's grid axes all at
-    their min, then all at their max."""
+    their min, then all at their max, as Python numbers (ints on an integer
+    axis; np.asarray, since an int beyond int64 comes back as itself)."""
     for end in (np.min, np.max):
-        _checked(where, rule, **fields, **{n: float(end(x)) for n, x in c["grid"].items()})
+        _checked(where, rule, **fields,
+                 **{n: np.asarray(end(x)).item() for n, x in c["grid"].items()})
 
 
 def _ensemble_config(theta, phi, omega_az, **fields):
@@ -464,8 +469,8 @@ def _run_fluence(c, model, T, delta_nu, F):
 
 
 def _run_unitarity_report(c, drive, _):
-    orders = [int(o) for o in c["grid"]["taylor_order"]]
-    steps = [int(n) for n in c["grid"]["steps_per_cycle"]]
+    orders = c["grid"]["taylor_order"].tolist()
+    steps = c["grid"]["steps_per_cycle"].tolist()
     report = propagator.unitarity_report(
         drive, TrotterConfig(mode="taylor", n_cycles=c["params"]["n_cycles"]), orders, steps)
     rows = np.array([(o, n, *report[o, n]) for o in orders for n in steps], dtype=float)
@@ -523,10 +528,6 @@ def resolve_config(experiment: str, file_config: dict | None = None,
     if file_config is not None:
         if not isinstance(file_config, dict):
             raise ConfigError("config file must contain a JSON object")
-        declared = file_config.get("experiment")
-        if declared is not None and declared != experiment:
-            raise ConfigError(f"config file is for experiment '{declared}', "
-                              f"but '{experiment}' was requested")
         merged = _merge(merged, file_config)
     for item in overrides or []:
         if "=" not in item:
@@ -539,17 +540,18 @@ def resolve_config(experiment: str, file_config: dict | None = None,
         for part in reversed(key.split(".")):
             value = {part: value}
         merged = _merge(merged, value)
+    if merged["experiment"] != experiment:  # before _typed reads the wrong schema
+        raise ConfigError(f"config is for experiment {merged['experiment']!r}, "
+                          f"but '{experiment}' was requested")
     _typed(merged, base)  # the key set and the types that run checks
     return merged
 
 
-def run(config: dict, workers: int = 1) -> ResultTable:
+def run(config: dict) -> ResultTable:
     """Validate a resolved config, dispatch the experiment, return its table.
 
-    Every ConfigError is raised before any computation starts. Execution is
-    serial; `workers` is accepted for compatibility and ignored.
+    Every ConfigError is raised before any computation starts.
     """
-    del workers
     name = config.get("experiment")
     if name not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")

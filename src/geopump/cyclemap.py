@@ -122,12 +122,12 @@ def p_series(c: CycleParams, n: int) -> np.ndarray:
     return out
 
 
-def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int,
-                       omega_az: float = 0.0) -> np.ndarray:
+def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
     """Final running mean of the per-cycle series for whole parameter grids.
 
     Same literal iteration as p_series, batched over flattened (theta, phi)
-    arrays; returns the n-cycle running mean per grid point. Each cycle is two
+    arrays at omega_az = 0, a gauge phase that leaves every |<1|U^n|0>|^2 as
+    it is; returns the n-cycle running mean per grid point. Each cycle is two
     (2, N) multiplies and one add on buffers allocated once per call, and
     |v1|^2 is added to the sum in cycle order. (A single broadcast multiply
     would make NumPy copy v into a temporary buffer on grids of up to 2048
@@ -136,7 +136,7 @@ def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int,
     checked_cycles(n)
     theta = np.asarray(theta, dtype=float).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
-    u = _cycle_unitaries(theta, phi, omega_az, _paged((2, 2, theta.size)))
+    u = _cycle_unitaries(theta, phi, 0.0, _paged((2, 2, theta.size)))
     v = _paged((2, theta.size))
     v[0], v[1] = 1.0, 0.0
     prod = _paged(u.shape)
@@ -212,16 +212,14 @@ def orbit_turn_angle(c: CycleParams) -> float:
     return 2.0 * float(np.arccos(x))
 
 
-def p_infinity_orbit(axis: OrbitAxis, quadrature_points: int = 1024) -> float:
+def p_infinity_orbit(axis: OrbitAxis) -> float:
     """Uniform orbit average of the excited-state projection.
 
     The projection as a function of the orbit angle eta is
     sin^2(zeta/2) = sin^2(alpha) sin^2(eta/2); integrated with a uniform
     trapezoid rule over one turn (spectrally exact for this integrand).
     """
-    if quadrature_points < 8:
-        raise ValueError("quadrature_points must be >= 8")
-    eta = np.arange(quadrature_points) * (2.0 * np.pi / quadrature_points)
+    eta = np.arange(1024) * (2.0 * np.pi / 1024)
     integrand = (np.sin(axis.alpha) * np.sin(eta / 2.0)) ** 2
     return float(integrand.mean())
 

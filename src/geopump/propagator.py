@@ -210,12 +210,11 @@ def _step_grid(tau: float, cfg: TrotterConfig):
 def band_basis(p: DriveParams, t: float, when: str):
     """The ground and excited states of H(p, t), phase-fixed as eigensystem2
     fixes them; DegenerateMeasurementBasis names the instant `when` where the
-    gap is closed."""
+    gap is closed, and its caller names the drive."""
     try:
         _, _, n0, n1 = eigensystem2(hamiltonian(p, t))
     except DegenerateSpectrum as exc:
-        raise DegenerateMeasurementBasis(
-            f"gap closed at {when} (k={p.k}, eps0={p.eps0})") from exc
+        raise DegenerateMeasurementBasis(f"gap closed at {when}") from exc
     return n0, n1
 
 

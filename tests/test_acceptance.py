@@ -51,7 +51,7 @@ def test_criterion_01_analytic_dichotomy():
 
 def test_criterion_02_closed_form_vs_ergodic_series():
     t0 = time.perf_counter()
-    table = cli.run(committed_config("verify_cyclemap.json"), workers=os.cpu_count() or 1)
+    table = cli.run(committed_config("verify_cyclemap.json"))
     diff = table.column("abs_diff")
     dt = time.perf_counter() - t0
     worst, med = float(diff.max()), float(np.median(diff))
@@ -64,7 +64,7 @@ def test_criterion_03_orbit_integration_identity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     alphas = rng.uniform(0.0, math.pi, 100)
-    err = max(abs(cyclemap.p_infinity_orbit(OrbitAxis(alpha=a, beta=0.7), 1024)
+    err = max(abs(cyclemap.p_infinity_orbit(OrbitAxis(alpha=a, beta=0.7))
                   - 0.5 * math.sin(a) ** 2) for a in alphas)
     dt = time.perf_counter() - t0
     record(3, err <= 1e-9 and dt < 1.0,
@@ -74,7 +74,7 @@ def test_criterion_03_orbit_integration_identity():
 
 def test_criterion_04_tpt_step():
     t0 = time.perf_counter()
-    table = cli.run(committed_config("sweep_eps0.json"), workers=os.cpu_count() or 1)
+    table = cli.run(committed_config("sweep_eps0.json"))
     eps0 = table.column("eps0")
     p = table.column("p_g_max")
     dmin0 = table.column("delta_min_k0")
@@ -96,7 +96,7 @@ def test_criterion_04_tpt_step():
 
 def test_criterion_05_fractionality_ceiling():
     t0 = time.perf_counter()
-    table = cli.run(committed_config("sweep_amplitude.json"), workers=os.cpu_count() or 1)
+    table = cli.run(committed_config("sweep_amplitude.json"))
     a = table.column("a_ph")
     p = table.column("p_g")
     peaks = {amp: float(p[np.isclose(a, amp)].max()) for amp in (0.05, 0.1, 0.2, 0.4)}
@@ -213,15 +213,17 @@ def test_criterion_11_trotter_fidelity():
            f"{slope:.2f} >= 1.8 ({dt:.1f}s)")
 
 
-def test_criterion_12_determinism():
+def test_criterion_12_determinism(tmp_path):
     t0 = time.perf_counter()
-    cfg = committed_config("sweep_k.json")
     w_max = os.cpu_count() or 1
-    blob_a = cli.emit(cli.run(cfg, workers=w_max), "csv")
-    blob_b = cli.emit(cli.run(cfg, workers=w_max), "csv")
-    blob_c = cli.emit(cli.run(cfg, workers=1), "csv")
+    blobs = []
+    for i, w in enumerate((w_max, w_max, 1)):
+        out = tmp_path / f"sweep_k_{i}.csv"
+        rc = cli.main(["sweep-k", "--config", os.path.join(CONFIG_DIR, "sweep_k.json"),
+                       "--workers", str(w), "--out", str(out)])
+        blobs.append(out.read_bytes() if rc == 0 else None)
     dt = time.perf_counter() - t0
-    ok = blob_a == blob_b == blob_c
+    ok = None not in blobs and blobs[0] == blobs[1] == blobs[2]
     record(12, ok,
            f"committed momentum sweep emits byte-identical CSV run-to-run and "
            f"at worker counts 1 and {w_max} ({dt:.1f}s)")

@@ -124,14 +124,14 @@ def test_delta_min_k0_zero_plateau_marks_transition():
             assert dmin > 1e-3
 
 
-def _per_row_gap_stats(p, samples_per_cycle=256):
+def _per_row_gap_stats(p):
     """The scalar gap_stats as it was written before the batched route."""
     def gap_at_drive(s):
         d2 = np.sin(p.k)
         d3 = -(p.eps0 + p.a_ph * s + np.cos(p.k))
         return 2.0 * np.hypot(d2, d3)
 
-    t = np.arange(samples_per_cycle) * (p.tau_cycle / samples_per_cycle)
+    t = np.arange(256) * (p.tau_cycle / 256)
     gaps = gap_at_drive(np.sin(p.omega * t))
     crit = [-1.0, 1.0]
     if p.a_ph > 0.0:
@@ -146,10 +146,10 @@ def _per_row_gap_stats(p, samples_per_cycle=256):
     return (delta_int, delta_min, delta_avg, float(energy_ratio))
 
 
-@pytest.mark.parametrize("samples, omega", [(256, DEFAULT_OMEGA), (100, 3.1), (16, 0.7)])
-def test_gap_stats_grid_rows_equal_per_row_code(samples, omega):
+@pytest.mark.parametrize("omega", [DEFAULT_OMEGA, 3.1, 0.7])
+def test_gap_stats_grid_rows_equal_per_row_code(omega):
     rng = np.random.default_rng(11)
-    n = 300  # more rows than one block at every sample count
+    n = 300  # more rows than one block (32 rows)
     k = rng.uniform(-np.pi, np.pi, n)
     eps0 = rng.uniform(-2.0, 1.0, n)
     a_ph = rng.uniform(0.0, 0.5, n)
@@ -157,14 +157,14 @@ def test_gap_stats_grid_rows_equal_per_row_code(samples, omega):
     a_ph[::11] = 5e-324  # subnormal: the critical drive value overflows and is clipped
     k[::13] = 0.0  # |eps0 + 1| < a_ph: an in-cycle gap closing
     eps0[::13] = -1.0 - 0.3 * a_ph[::13]
-    grid = bandmodel.gap_stats_grid(k, eps0, a_ph, omega, samples)
+    grid = bandmodel.gap_stats_grid(k, eps0, a_ph, omega)
     fields = (grid.delta_int, grid.delta_min, grid.delta_avg, grid.energy_ratio)
     assert np.count_nonzero(grid.delta_min == 0.0) > 10
     for i in range(n):
         p = DriveParams(eps0=eps0[i], a_ph=a_ph[i], k=k[i], omega=omega)
-        old = np.array(_per_row_gap_stats(p, samples))
+        old = np.array(_per_row_gap_stats(p))
         assert np.array([f[i] for f in fields]).tobytes() == old.tobytes()
-        scalar = bandmodel.gap_stats(p, samples)
+        scalar = bandmodel.gap_stats(p)
         assert np.array([scalar.delta_int, scalar.delta_min, scalar.delta_avg,
                          scalar.energy_ratio]).tobytes() == old.tobytes()
 
@@ -173,8 +173,6 @@ def test_gap_stats_grid_broadcasts_and_rejects_bad_inputs():
     grid = bandmodel.gap_stats_grid(0.0, np.array([-1.05, -0.8]), 0.1)
     assert grid.delta_min.shape == (2,)
     assert grid.delta_min[0] == 0.0 and grid.delta_min[1] > 0.0
-    with pytest.raises(ValueError):
-        bandmodel.gap_stats_grid(0.0, -0.9, 0.1, samples_per_cycle=8)
     with pytest.raises(ValueError):
         bandmodel.gap_stats_grid(0.0, -0.9, 0.1, omega=1e-310)
 

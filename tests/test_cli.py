@@ -158,8 +158,8 @@ def test_point_run_compute_errors_name_the_drive(capsys):
     assert cli.main(["initial-states", "--set", "params.drive.eps0=-1",
                      "--set", "params.drive.k=0", "--out", "-"]) == 3
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "geopump: compute error: initial-states: gap closed at the start time "
-        "(k=0.0, eps0=-1.0); drive k=0.0, eps0=-1.0, a_ph=0.1")
+        "geopump: compute error: initial-states: gap closed at the start time; "
+        "drive k=0.0, eps0=-1.0, a_ph=0.1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -579,11 +579,26 @@ _ONE_CELL = ResultTable(columns=("a",), data=((1.0,),), metadata={})
                            "--set", "grid.steps_per_cycle.count=4", "--out", "-"]),
      "field 'grid.steps_per_cycle' must hold integers, "
      "got [100.0, 116.66666666666667, 133.33333333333334, 150.0]"),
+    (lambda tmp: cli.main(["unitarity-report", "--set", "grid.steps_per_cycle.values=[50]",
+                           "--out", "-"]),
+     "params.n_cycles, grid.taylor_order and grid.steps_per_cycle: "
+     "steps_per_cycle must be >= 100, got 50"),
+    (lambda tmp: cli.main(["unitarity-report", "--set", "grid.taylor_order.min=1",
+                           "--set", "grid.taylor_order.max=1e30",
+                           "--set", "grid.taylor_order.count=2",
+                           "--set", "grid.steps_per_cycle.values=[0]", "--out", "-"]),
+     "params.n_cycles, grid.taylor_order and grid.steps_per_cycle: "
+     "steps_per_cycle must be >= 100, got 0"),
     (lambda tmp: cli.main(["initial-states", "--set", "params.initial_weights=[[0.5,-0.5]]",
                            "--out", "-"]),
      "params.initial_weights: entry [0.5, -0.5] is not two weights >= 0"),
     (lambda tmp: cli.main(["thermal", "--config", _config_file(tmp, "[1]")]),
      "config file must contain a JSON object"),
+    (lambda tmp: cli.main(["sweep-k", "--config", _config_file(
+        tmp, '{"experiment": "thermal", "params": {"closable_gap": 1.0}}')]),
+     "config is for experiment 'thermal', but 'sweep-k' was requested"),
+    (lambda tmp: cli.main(["sweep-k", "--set", "experiment=thermal"]),
+     "config is for experiment 'thermal', but 'sweep-k' was requested"),
     (lambda tmp: cli.main(["thermal", "--config", _config_file(tmp, "{")]),
      "config '{config}' is not valid JSON: Expecting property name enclosed in double "
      "quotes: line 1 column 2 (char 1)"),
@@ -595,7 +610,8 @@ _ONE_CELL = ResultTable(columns=("a",), data=((1.0,),), metadata={})
     (lambda tmp: emit(_ONE_CELL, "xml"), "unknown output format 'xml'"),
     (lambda tmp: parse_table(b"a\n1\n", "xml"), "unknown output format 'xml'"),
 ], ids=["set-non-mapping", "run-non-mapping", "run-missing-field", "non-integral-range",
-        "negative-weight", "file-not-object", "file-not-json", "set-without-value",
+        "integral-values", "huge-integral-range", "negative-weight", "file-not-object", "file-other-experiment",
+        "set-other-experiment", "file-not-json", "set-without-value",
         "run-unknown-experiment", "empty-output-path", "emit-format", "parse-format"])
 def test_each_config_error_exits_2_with_its_message(call, message, tmp_path, capsys):
     try:
