@@ -51,7 +51,7 @@ class DriveParams:
 
     @property
     def tau_cycle(self) -> float:
-        return 2.0 * np.pi / self.omega
+        return drive_period(self.omega)
 
 
 def drive_period(omega: float) -> float:

@@ -414,8 +414,8 @@ def _run_sweep_k(c, _, trotter):
 
 def _run_sweep_eps0(c, _, trotter):
     drive, eps0s, ks = c["params"]["drive"], c["grid"]["eps0"], c["grid"]["k"]
-    emesh, kmesh = np.meshgrid(eps0s, ks, indexing="ij")
-    p_g = propagator.p_g_numeric_grid(kmesh, emesh, drive["a_ph"], drive["omega"], trotter)
+    p_g = propagator.p_g_numeric_grid(ks[None, :], eps0s[:, None], drive["a_ph"],
+                                      drive["omega"], trotter)
     p_max = p_g.reshape(len(eps0s), len(ks)).max(axis=1)
     stats = bandmodel.gap_stats_grid(0.0, eps0s, drive["a_ph"], drive["omega"])
     return ("eps0", "p_g_max", "delta_min_k0"), (eps0s, p_max, stats.delta_min), 1

@@ -203,10 +203,10 @@ def orbit_axis(c: CycleParams) -> OrbitAxis:
 
 
 def orbit_turn_angle(c: CycleParams) -> float:
-    """Rotation angle of the cycle map about the orbit axis, in [0, 2*pi).
+    """Rotation angle of the cycle map about the orbit axis, in [0, 2*pi].
 
-    cos(eta/2) = cos(theta/2) cos(phi) up to sign; returned in [0, 2*pi) by
-    taking eta = 2*arccos of the clamped value.
+    cos(eta/2) = cos(theta/2) cos(phi) up to sign; eta = 2*arccos of the
+    clamped value, so the identity gives 0 and -I (theta = 0, phi = pi) 2*pi.
     """
     x = float(np.clip(np.cos(c.theta / 2.0) * np.cos(c.phi), -1.0, 1.0))
     return 2.0 * float(np.arccos(x))

@@ -454,18 +454,15 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     sines = np.zeros(-(-steps // b) * b)
     sines[:steps] = np.fromiter((math.sin(omega * (j + 0.5) * dt) for j in range(steps)),
                                 float, steps)
-    # one-step slabs (N > _BLOCK_POINTS / 2) drop the slab axis from the
-    # buffers and take s_j as a scalar: NumPy spends more per call on a
-    # broadcast operand than on a scalar one
-    shape, s_slabs = ((b, n), sines.reshape(-1, b, 1)) if b > 1 else ((n,), sines)
-    d3, r, kappa = (np.empty(shape) for _ in range(3))
+    s_slabs = sines.reshape(-1, b, 1)
+    d3, r, kappa = (np.empty((b, n)) for _ in range(3))
     # step = ca*I - i*kappa*(d2*sigma2 + d3*sigma3) = [[s00, -off], [off, s11]]
     # with s00, s11 = ca -/+ i*kappa*d3 and the real off = kappa*d2. The parts
     # are written through real views (ca straight into s00's): they round
     # exactly like the complex expressions, up to the sign of a zero, which no
     # later sum, product or modulus can turn into a nonzero difference.
     slab = np.zeros((b, 2, 2, n), dtype=complex)
-    s00, s01, s10, s11 = (slab[:, i // 2, i % 2].reshape(shape) for i in range(4))
+    s00, s01, s10, s11 = (slab[:, i // 2, i % 2] for i in range(4))
     s00r, s00i, s01r, s10r, s11r, s11i = (s00.real, s00.imag, s01.real, s10.real,
                                           s11.real, s11.imag)
     slab_steps = list(slab)

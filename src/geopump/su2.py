@@ -157,6 +157,5 @@ def pure_density(psi: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray):
-    """max |(U^H U - I)_{ij}| per matrix of a (..., 2, 2) stack; a float for one."""
-    defect = np.max(np.abs(np.conj(u).swapaxes(-1, -2) @ u - IDENTITY2), axis=(-2, -1))
-    return float(defect) if defect.ndim == 0 else defect
+    """max |(U^H U - I)_{ij}| per matrix of a (..., 2, 2) stack."""
+    return np.max(np.abs(np.conj(u).swapaxes(-1, -2) @ u - IDENTITY2), axis=(-2, -1))

@@ -192,6 +192,12 @@ def test_orbit_axis_beta_range_and_value():
     assert abs(axis.beta - ((0.9 - 0.4 - math.pi / 2) % math.pi)) < 1e-12
 
 
+def test_orbit_turn_angle_ends():
+    # the identity turns by 0 and -I (cos(eta/2) = -1) by 2 pi, both ends closed
+    assert cyclemap.orbit_turn_angle(CycleParams(theta=0.0, phi=0.0)) == 0.0
+    assert cyclemap.orbit_turn_angle(CycleParams(theta=0.0, phi=math.pi)) == 2 * math.pi
+
+
 @settings(max_examples=60, deadline=None)
 @given(angles, st.floats(0.1, math.pi - 0.1))
 def test_closed_form_equals_half_axis_projection(theta, phi):

@@ -197,8 +197,9 @@ def test_batched_grid_matches_scalar_route():
 
 
 def test_broadcast_inputs_equal_full_arrays_across_blocks(monkeypatch):
-    # a scalar a_ph and eps0, and a Fortran-ordered k grid, are sliced a block
-    # at a time; every block gets arrays of at most _BLOCK_POINTS points
+    # a scalar a_ph and eps0, a Fortran-ordered k grid, and an (m, 1) x (1, n)
+    # pair, are sliced a block at a time; every block gets arrays of at most
+    # _BLOCK_POINTS points
     sizes = []
 
     def block(k, eps0, a_ph, *args):
@@ -215,6 +216,17 @@ def test_broadcast_inputs_equal_full_arrays_across_blocks(monkeypatch):
                                        np.full(n, 0.1), TPT_POINT.omega, cfg)
     assert broadcast.tobytes() == full.tobytes()
     assert sizes == [(propagator._BLOCK_POINTS,) * 3, (52,) * 3] * 2
+
+    # sweep-eps0's call shape: 121 x 101 points over three blocks
+    sizes.clear()
+    eps0s, ks = np.linspace(-1.0, -0.9, 121), np.linspace(0.01, 0.5, 101)
+    broadcast = propagator.p_g_numeric_grid(ks[None, :], eps0s[:, None], 0.1,
+                                            TPT_POINT.omega, cfg)
+    emesh, kmesh = np.meshgrid(eps0s, ks, indexing="ij")
+    meshed = propagator.p_g_numeric_grid(kmesh, emesh, 0.1, TPT_POINT.omega, cfg)
+    assert broadcast.tobytes() == meshed.tobytes()
+    last = 121 * 101 - 2 * propagator._BLOCK_POINTS
+    assert sizes == ([(propagator._BLOCK_POINTS,) * 3] * 2 + [(last,) * 3]) * 2
 
 
 def test_measure_offset_shifts_basis_and_snaps():
@@ -736,6 +748,6 @@ def test_step_slab_stays_within_block_points(points, monkeypatch):
                                                                n_cycles=2))
     # one coefficient build per slab of b steps, over b * points <= _BLOCK_POINTS
     assert len(shapes) == -(-steps // b)
-    assert set(shapes) == {(b, points) if b > 1 else (points,)}
+    assert set(shapes) == {(b, points)}
     assert b * points <= propagator._BLOCK_POINTS
     assert (b == 1) == (points > propagator._BLOCK_POINTS // 2)
