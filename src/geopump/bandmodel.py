@@ -123,7 +123,8 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA) -> GapStats:
     dense_min = np.empty(k.size)
     delta_avg = np.empty(k.size)
     block = 8192 // GAP_SAMPLES
-    # a huge drive overflows a gap or a mean to inf, which a result table rejects
+    # a huge drive overflows a gap or a mean to inf, which a result table
+    # rejects; omega over a subnormal gap overflows to a closed gap's inf
     with np.errstate(over="ignore"):
         for lo in range(0, k.size, block):
             rows = slice(lo, lo + block)
@@ -135,8 +136,8 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA) -> GapStats:
         gap_crit = np.where(np.abs(eps0 + cos_k) <= a_ph, 2.0 * np.abs(d2), np.minimum(
             *(_gap_at_drive(d2, eps0, a_ph, cos_k, s) for s in (-1.0, 1.0))))
         delta_int = _gap_at_drive(d2, eps0, a_ph, cos_k, 0.0)
-    energy_ratio = np.full(k.size, np.inf)
-    np.divide(omega, delta_avg, out=energy_ratio, where=delta_avg > 0.0)
+        energy_ratio = np.full(k.size, np.inf)
+        np.divide(omega, delta_avg, out=energy_ratio, where=delta_avg > 0.0)
     return GapStats(delta_int=delta_int, delta_min=np.minimum(dense_min, gap_crit),
                     delta_avg=delta_avg, energy_ratio=energy_ratio)
 

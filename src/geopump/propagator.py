@@ -179,12 +179,10 @@ def _step_matrix(d: np.ndarray, dt: float, mode: str, order: int) -> np.ndarray:
     """Steps under the Bloch vectors d of shape (..., 3), as (..., 2, 2) matrices.
 
     Every element takes the same IEEE operations whatever the batch shape, so a
-    block of steps equals the steps built one at a time bit for bit. |d|^2 is
-    a per-vector `@` because d @ d is a BLAS dot whose rounding a plain sum of
-    squares does not reproduce.
+    block of steps equals the steps built one at a time bit for bit.
     """
     d = np.asarray(d, dtype=float)
-    r = np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]) * dt
+    r = su2.bloch_norm(d) * dt
     ca, kappa = _step_coeffs(r, dt, mode, order)
     ca = np.asarray(ca)[..., None, None]
     kappa = np.asarray(1.0j * kappa)[..., None, None]
@@ -497,8 +495,8 @@ def _measure(u, q, d2, c3, d3_meas, n_cycles: int, acc, p_max):
 
     u and q are the (2, 2, N) cycle product and its prefix (None: the
     identity); the state is measured against the excited state of
-    (0, d2, d3_meas). Both states are phase-fixed the same way as
-    eigensystem2 (largest component real positive).
+    (0, d2, d3_meas). Both states take their phase from su2.fix_phase, as
+    eigensystem2's do.
     """
     c = np.array(_eig_components(d2, c3, lower=True))
     m1 = np.conj(_eig_components(d2, d3_meas, lower=False))
@@ -550,9 +548,4 @@ def _eig_components(d2: np.ndarray, d3: np.ndarray, lower: bool):
     va = np.where(tiny, 0.0, va)
     vb = np.where(tiny, 1.0, vb)
     norm = np.sqrt(np.abs(va) ** 2 + np.abs(vb) ** 2)
-    va = va / norm
-    vb = vb / norm
-    # global phase: largest-magnitude component real positive
-    big = np.where(np.abs(va) >= np.abs(vb), va, vb)
-    phase = np.abs(big) / big
-    return va * phase, vb * phase
+    return su2.fix_phase(va / norm, vb / norm)

@@ -51,20 +51,24 @@ def bloch_matrix(d: np.ndarray) -> np.ndarray:
     return h
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude component is real positive."""
-    i = int(np.argmax(np.abs(v)))
-    a = v[i]
-    if abs(a) == 0.0:
-        return v
-    return v * (abs(a) / a)
+def bloch_norm(d: np.ndarray) -> np.ndarray:
+    """|d| over the last axis; hypot(d2, d3) bit for bit when d1 = 0."""
+    return np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
+
+
+def fix_phase(va, vb):
+    """Each vector (va[i], vb[i]) with its larger component (va on a tie) made
+    real positive; the modulus is hypot, as Python's abs of a complex is."""
+    big = np.where(np.abs(va) >= np.abs(vb), va, vb)
+    phase = np.hypot(big.real, big.imag) / big
+    return va * phase, vb * phase
 
 
 def eigensystem2(h: np.ndarray):
     """Eigendecomposition of a 2x2 Hermitian matrix.
 
-    Returns (e0, e1, n0, n1) with e0 <= e1 and the eigenvector global phase
-    fixed by making the largest-magnitude component real positive.
+    Returns (e0, e1, n0, n1) with e0 <= e1 and each eigenvector's global
+    phase fixed by fix_phase.
 
     Raises DegenerateSpectrum when e1 - e0 < DEGENERACY_TOL.
     """
@@ -72,7 +76,8 @@ def eigensystem2(h: np.ndarray):
     e0, e1 = float(w[0]), float(w[1])
     if e1 - e0 < DEGENERACY_TOL:
         raise DegenerateSpectrum(f"gap {e1 - e0:.3e} below tolerance {DEGENERACY_TOL:.0e}")
-    return e0, e1, _fix_phase(v[:, 0].copy()), _fix_phase(v[:, 1].copy())
+    n0, n1 = np.array(fix_phase(v[0], v[1])).T.copy()
+    return e0, e1, n0, n1
 
 
 def exact_step(d: np.ndarray, dt: float) -> np.ndarray:
@@ -82,8 +87,7 @@ def exact_step(d: np.ndarray, dt: float) -> np.ndarray:
     limit is the identity with no special casing.
     """
     d = np.asarray(d, dtype=float)
-    norm = float(np.sqrt(d @ d))
-    r = norm * dt
+    r = float(bloch_norm(d)) * dt
     # np.sinc is sin(pi x)/(pi x)
     kappa = dt * np.sinc(r / np.pi)
     h = bloch_matrix(d)

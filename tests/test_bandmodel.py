@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geopump import bandmodel
@@ -62,6 +62,7 @@ def test_gap_stats_open_case_matches_brute_force():
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-1.4, -0.6), st.floats(0.0, 0.4), st.floats(-3.1, 3.1))
+@example(eps0=-1.0, a_ph=0.0, k=5e-324)  # omega over a subnormal gap overflows
 def test_gap_even_in_k(eps0, a_ph, k):
     pa = DriveParams(eps0=eps0, a_ph=a_ph, k=k)
     pb = DriveParams(eps0=eps0, a_ph=a_ph, k=-k)
@@ -110,6 +111,11 @@ def test_tpt_in_cycle_tangent_touch_is_no_transition():
 def test_tpt_in_cycle_both_extremes_closed_raises():
     with pytest.raises(GapClosedOnLoop):
         bandmodel.tpt_in_cycle(DriveParams(eps0=-1.0, a_ph=0.0, k=0.0))
+
+
+def test_tpt_in_cycle_takes_nu_from_an_extreme_when_eps0_closes_the_gap():
+    r = bandmodel.tpt_in_cycle(DriveParams(eps0=-1.0, a_ph=0.1, k=0.0))
+    assert r == bandmodel.TopologicalIndex(nu=0, delta_nu=1)
 
 
 def test_delta_min_k0_zero_plateau_marks_transition():

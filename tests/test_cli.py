@@ -162,6 +162,18 @@ def test_point_run_compute_errors_name_the_drive(capsys):
         "drive k=0.0, eps0=-1.0, a_ph=0.1")
 
 
+def test_point_run_errors_without_a_state_index_name_no_weights(capsys):
+    # a second-order taylor step at 100 steps per cycle breaks the budget for
+    # every initial state at once
+    assert cli.main(["initial-states", "--set", "params.trotter.mode=taylor",
+                     "--set", "params.trotter.taylor_order=2",
+                     "--set", "params.trotter.steps_per_cycle=100",
+                     "--set", "params.trotter.n_cycles=50", "--out", "-"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "geopump: compute error: initial-states: unitarity defect 4.806e-01 exceeds "
+        "budget 0.05; drive k=0.02, eps0=-0.95, a_ph=0.1")
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-k", "--set", "params.drive.a_ph=5e-324", "--set", "grid.k.count=3",
      "--set", "params.trotter.steps_per_cycle=100", "--set", "params.trotter.n_cycles=2"],

@@ -24,6 +24,14 @@ def test_config_validation():
         EnsembleConfig(t_max=-1.0)
 
 
+def test_trace_checks_alignment_and_entropy_range():
+    one, two = np.zeros(1), np.zeros(2)
+    with pytest.raises(ValueError, match=r"^trace arrays are not aligned$"):
+        ensemble.EnsembleTrace(times=two, p_ens=one, entropy=one, p_first=one)
+    with pytest.raises(ValueError, match=r"^entropy left \[0, ln 2\]$"):
+        ensemble.EnsembleTrace(times=one, p_ens=one, entropy=np.array([0.7]), p_first=one)
+
+
 def test_transition_count_boundaries():
     tau = 0.83
     assert ensemble.transition_count(0.0, tau) == 0

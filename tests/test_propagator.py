@@ -751,3 +751,24 @@ def test_step_slab_stays_within_block_points(points, monkeypatch):
     assert set(shapes) == {(b, points)}
     assert b * points <= propagator._BLOCK_POINTS
     assert (b == 1) == (points > propagator._BLOCK_POINTS // 2)
+
+
+def test_steps_and_band_states_take_the_norm_and_the_phase_from_su2(monkeypatch):
+    calls = []
+    for name in ("bloch_norm", "fix_phase"):
+        def spy(*args, name=name, owner=getattr(su2, name)):
+            calls.append(name)
+            return owner(*args)
+        monkeypatch.setattr(su2, name, spy)
+
+    def called(run):
+        calls.clear()
+        run()
+        return calls
+
+    d = bloch_vector(TPT_POINT, 0.0)
+    assert called(lambda: su2.exact_step(d, 0.01)) == ["bloch_norm"]
+    assert called(lambda: propagator.trotter_step(TPT_POINT, 0.0, 0.01, 2)) == ["bloch_norm"]
+    assert called(lambda: su2.eigensystem2(hamiltonian(TPT_POINT, 0.0))) == ["fix_phase"]
+    assert called(lambda: propagator._eig_components(d[None, 1], d[None, 2], lower=True)) == [
+        "fix_phase"]

@@ -74,6 +74,66 @@ def test_eigensystem2_degenerate_raises():
         su2.eigensystem2(2.5 * np.eye(2, dtype=complex))
 
 
+def _fix_phase_reference(va, vb):
+    """Element by element: the first component a of largest modulus, and the
+    phase abs(a) / a with Python's abs; the product is one array multiply."""
+    phase = []
+    for v in zip(va, vb):
+        a = v[int(np.argmax(np.abs(v)))]
+        phase.append(abs(a) / a)
+    return va * np.array(phase), vb * np.array(phase)
+
+
+def test_fix_phase_equals_the_per_element_rule():
+    rng = np.random.default_rng(11)
+    va = rng.normal(size=200) + 1j * rng.normal(size=200)
+    vb = rng.normal(size=200) + 1j * rng.normal(size=200)
+    edge_a = np.array([1.0, 1.0j, 0.0, 0.5 - 0.5j, -2.0, -1.0, 3.0j, -1.0 + 0.0j])
+    edge_b = np.array([1.0j, 1.0, 1.0 - 1.0j, 0.0, 1.0, -1.0, -3.0, -0.5])
+    va, vb = np.concatenate([edge_a, va]), np.concatenate([edge_b, vb])
+    got = np.array(su2.fix_phase(va, vb))
+    assert got.tobytes() == np.array(_fix_phase_reference(va, vb)).tobytes()
+    # ties keep va real positive; a zero component leaves the other one
+    np.testing.assert_allclose(got[:, :8], [
+        [1.0, 1.0, 0.0, 1 / math.sqrt(2), 2.0, 1.0, 3.0, 1.0],
+        [1.0j, -1.0j, math.sqrt(2), 0.0, -1.0, 1.0, 3.0j, 0.5]], rtol=0, atol=1e-15)
+
+
+def test_eigensystem2_vectors_are_fix_phase_of_eigh_columns():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        h = random_hermitian(rng)
+        _, _, v0, v1 = su2.eigensystem2(h)
+        fixed = np.array(su2.fix_phase(*np.linalg.eigh(h)[1]))
+        assert v0.tobytes() == fixed[:, 0].tobytes()
+        assert v1.tobytes() == fixed[:, 1].tobytes()
+
+
+def test_bloch_norm_with_d1_zero_is_the_grid_routes_hypot():
+    rng = np.random.default_rng(2)
+    for scale in (1.0, 1e-8, 1e8):
+        d2, d3 = scale * rng.normal(size=(2, 3, 500))
+        d = np.stack([np.zeros_like(d2), d2, d3], axis=-1)
+        assert su2.bloch_norm(d).tobytes() == np.hypot(d2, d3).tobytes()
+
+
+def test_bloch_norm_is_within_0_6_ulp_of_exact():
+    mpmath = pytest.importorskip("mpmath")
+    # the model's Bloch vectors (0, sin k, d3), half of them scaled over 1e+-8
+    rng = np.random.default_rng(17)
+    k, eps0, drive = rng.uniform([-np.pi, -1.5, -0.4], [np.pi, -0.5, 0.4], size=(2000, 3)).T
+    d = np.stack([np.zeros(2000), np.sin(k), -(eps0 + drive + np.cos(k))], axis=-1)
+    d[1000:] *= 10.0 ** rng.uniform(-8, 8, size=(1000, 1))
+    got = su2.bloch_norm(d)
+    worst = 0.0
+    with mpmath.workprec(200):
+        for v, r in zip(d, got):
+            exact = mpmath.sqrt(sum(mpmath.mpf(float(x)) ** 2 for x in v))
+            err = abs(mpmath.mpf(float(r)) - exact) / np.spacing(float(exact))
+            worst = max(worst, float(err))
+    assert worst <= 0.6
+
+
 @settings(max_examples=60, deadline=None)
 @given(finite_d, st.floats(1e-4, 0.5))
 def test_exact_step_unitary_and_det(dvals, dt):

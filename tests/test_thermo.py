@@ -155,6 +155,12 @@ def test_pump_curve_bounds_enforced():
     with pytest.raises(ValueError):
         thermo.PumpCurve(abscissa=np.array([1.0]), q_gp=np.array([0.7]),
                          q_fgr=np.array([0.0]))
+    with pytest.raises(ValueError, match=r"^curve arrays are not aligned$"):
+        thermo.PumpCurve(abscissa=np.array([1.0, 2.0]), q_gp=np.array([0.1]),
+                         q_fgr=np.array([0.0]))
+    with pytest.raises(ValueError, match=r"^q_fgr left \[-1, 1\]$"):
+        thermo.PumpCurve(abscissa=np.array([1.0]), q_gp=np.array([0.1]),
+                         q_fgr=np.array([-1.5]))
 
 
 def test_sweeps_check_their_rules_once_per_sweep(monkeypatch):
