@@ -3,6 +3,7 @@
 
 Usage: python scripts/reproduce_all.py [outdir]
        python scripts/reproduce_all.py --check
+       python scripts/reproduce_all.py --help
 Runs each configs/*.json in name order, writing <config stem>.csv. The two
 momentum sweeps and verify-cyclemap take a few seconds each.
 
@@ -11,6 +12,7 @@ out/ byte for byte. For every config whose output differs it prints the
 config and the largest cell difference, and it exits 1.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -75,9 +77,15 @@ def check() -> int:
 
 
 def main(argv) -> int:
-    if argv == ["--check"]:
-        return check()
-    return run_all(pathlib.Path(argv[0]) if argv else ROOT / "out")
+    parser = argparse.ArgumentParser(
+        prog="reproduce_all.py", description="Run every configs/*.json into outdir.")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("outdir", nargs="?", type=pathlib.Path, default=ROOT / "out",
+                      help="where the CSVs go (default: out/)")
+    mode.add_argument("--check", action="store_true",
+                      help="compare a fresh run with out/ byte for byte instead")
+    args = parser.parse_args(argv)
+    return check() if args.check else run_all(args.outdir)
 
 
 if __name__ == "__main__":

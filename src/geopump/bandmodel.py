@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import bloch_matrix
+from .su2 import bloch_matrix, gap_closed
 from .units import DEFAULT_OMEGA
 
-GAP_CLOSED_TOL = 1e-9
 WINDING_GRID = 4096
 GAP_SAMPLES = 256  # dense gap samples per drive cycle
 
@@ -161,12 +160,13 @@ def winding_number(eps_eff: float) -> int:
     Computed as the accumulated branch-wrapped angle increment over a dense
     k grid, not by testing |eps_eff| against 1.
 
-    Raises GapClosedOnLoop when the loop passes through the origin.
+    Raises GapClosedOnLoop when the loop passes through the origin: where
+    su2.gap_closed holds at a loop sample, d = (0, x, y).
     """
     k = np.arange(WINDING_GRID + 1) * (2.0 * np.pi / WINDING_GRID)
     x = np.sin(k)
     y = -(eps_eff + np.cos(k))
-    if float(np.min(np.hypot(x, y))) < GAP_CLOSED_TOL:
+    if gap_closed(np.stack((np.zeros_like(x), x, y), axis=-1)).any():
         raise GapClosedOnLoop(f"loop through origin at eps_eff = {eps_eff}")
     theta = np.arctan2(y, x)
     dtheta = np.diff(theta)

@@ -22,7 +22,7 @@ built a slab at a time: B = _BLOCK_POINTS // N steps (at least 1, at most
 steps_per_cycle) take one pass of vectorized operations over a (B, N) slab,
 so a slab holds no more elements than a full block does, and a block of
 more than _BLOCK_POINTS // 2 points has B = 1. The s_j = sin(omega t_j) come
-from one math.sin pass per call. Every step is a real multiple of an SU(2)
+from one np.sin pass per call. Every step is a real multiple of an SU(2)
 matrix, so the running product has the form [[a, -conj(b)], [b, conj(a)]]
 up to a real factor: the grid route folds the slab's steps into only the
 first column (a, b), one step at a time and in order, rebuilds the matrix
@@ -279,10 +279,16 @@ def _evolve_impl(p: DriveParams, cfgs, initial):
         return p_j.reshape(amps.shape), defects
 
 
+def _averaged(p, out=None):
+    """Per-cycle probabilities as both routes average them: min(p, 1), and NaN
+    where p is not finite, so an overflow does not pass as a clipped 1. p is
+    |amplitude|^2, never below 0, so this is np.clip(p, 0, 1) bit for bit."""
+    return np.minimum(p, np.where(np.isfinite(p), 1.0, np.nan), out=out)
+
+
 def _running_mean(p_j: np.ndarray):
-    """p_j clipped to [0, 1], and its running mean along the last axis. An
-    overflowed probability stays NaN instead of passing as a clipped 1."""
-    p_j = np.where(np.isfinite(p_j), np.clip(p_j, 0.0, 1.0), np.nan)
+    """_averaged(p_j), and its running mean along the last axis."""
+    p_j = _averaged(p_j)
     return p_j, np.cumsum(p_j, axis=-1) / np.arange(1, p_j.shape[-1] + 1)
 
 
@@ -386,8 +392,11 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
     # checks reject
     with np.errstate(over="ignore", invalid="ignore"):
         # measurement-time and start-time bases; both pristine-periodic instants
+        d = np.zeros((3, k.size))  # d.T holds each point's (0, d2, d3)
+        d[1] = d2
         for when, d3 in (("measurement time", c3 - a_ph * s_meas), ("the start time", c3)):
-            closed = np.nonzero(2.0 * np.hypot(d2, d3) < su2.DEGENERACY_TOL)[0]
+            d[2] = d3
+            closed = np.nonzero(su2.gap_closed(d.T))[0]
             if closed.size:
                 raise DegenerateMeasurementBasis(
                     f"gap closed at {when} at {closed.size} grid point(s)", closed)
@@ -450,8 +459,7 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     b = max(1, min(_BLOCK_POINTS // n, steps))
     # s_j = sin(omega t_j) at the step midpoints, zero-padded to whole slabs
     sines = np.zeros(-(-steps // b) * b)
-    sines[:steps] = np.fromiter((math.sin(omega * (j + 0.5) * dt) for j in range(steps)),
-                                float, steps)
+    sines[:steps] = np.sin(omega * (np.arange(steps) + 0.5) * dt)
     s_slabs = sines.reshape(-1, b, 1)
     d3, r, kappa = (np.empty((b, n)) for _ in range(3))
     # step = ca*I - i*kappa*(d2*sigma2 + d3*sigma3) = [[s00, -off], [off, s11]]
@@ -490,8 +498,8 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
 
 def _measure(u, q, d2, c3, d3_meas, n_cycles: int, acc, p_max):
     """Add the excited-band probability after each of n_cycles cycles, from
-    the pristine ground state, into acc and keep its running max in p_max,
-    which the caller checks (under its np.errstate).
+    the pristine ground state, into acc as _averaged takes it, and keep its
+    raw running max in p_max, which the caller checks (under its np.errstate).
 
     u and q are the (2, 2, N) cycle product and its prefix (None: the
     identity); the state is measured against the excited state of
@@ -510,8 +518,8 @@ def _measure(u, q, d2, c3, d3_meas, n_cycles: int, acc, p_max):
         np.multiply(m1, meas, out=prod[0])
         np.add(prod[0, 0], prod[0, 1], out=amp)
         np.square(np.abs(amp, out=p), out=p)
-        acc += p
-        np.maximum(p_max, p, out=p_max)  # propagates NaN
+        np.maximum(p_max, p, out=p_max)  # the raw value; propagates NaN
+        acc += _averaged(p, out=p)
 
 
 def _su2(col: np.ndarray) -> np.ndarray:

@@ -56,9 +56,18 @@ def bloch_norm(d: np.ndarray) -> np.ndarray:
     return np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
 
 
+def gap_closed(d: np.ndarray) -> np.ndarray:
+    """Where the gap 2|d| of d . sigma, d of shape (..., 3), is below
+    DEGENERACY_TOL: the one closed-gap rule of every route."""
+    return 2.0 * bloch_norm(d) < DEGENERACY_TOL
+
+
 def fix_phase(va, vb):
     """Each vector (va[i], vb[i]) with its larger component (va on a tie) made
-    real positive; the modulus is hypot, as Python's abs of a complex is."""
+    real positive; the modulus is hypot, as Python's abs of a complex is.
+    Scalars take the array loops' bits, as NumPy's scalar multiply rounds
+    differently."""
+    va, vb = np.asarray(va), np.asarray(vb)
     big = np.where(np.abs(va) >= np.abs(vb), va, vb)
     phase = np.hypot(big.real, big.imag) / big
     return va * phase, vb * phase
@@ -70,12 +79,14 @@ def eigensystem2(h: np.ndarray):
     Returns (e0, e1, n0, n1) with e0 <= e1 and each eigenvector's global
     phase fixed by fix_phase.
 
-    Raises DegenerateSpectrum when e1 - e0 < DEGENERACY_TOL.
+    Raises DegenerateSpectrum where gap_closed holds for the Bloch vector of h.
     """
+    d = np.array([h[0, 1].real, -h[0, 1].imag, (h[0, 0] - h[1, 1]).real / 2.0])
+    if gap_closed(d):
+        raise DegenerateSpectrum(f"gap {2.0 * bloch_norm(d):.3e} below tolerance "
+                                 f"{DEGENERACY_TOL:.0e}")
     w, v = np.linalg.eigh(h)
     e0, e1 = float(w[0]), float(w[1])
-    if e1 - e0 < DEGENERACY_TOL:
-        raise DegenerateSpectrum(f"gap {e1 - e0:.3e} below tolerance {DEGENERACY_TOL:.0e}")
     n0, n1 = np.array(fix_phase(v[0], v[1])).T.copy()
     return e0, e1, n0, n1
 

@@ -88,6 +88,13 @@ def test_winding_number_closed_loop_raises():
         bandmodel.winding_number(1.0)
 
 
+def test_winding_number_closes_the_loop_at_a_gap_2_abs_d_below_1e_9():
+    # the loop's closest sample, k = 0, has |d| = |eps_eff + 1|
+    assert bandmodel.winding_number(-1.0 - 7e-10) == 0  # gap 1.4e-9
+    with pytest.raises(GapClosedOnLoop):
+        bandmodel.winding_number(-1.0 - 4e-10)  # gap 8e-10
+
+
 def test_tpt_in_cycle_transition():
     r = bandmodel.tpt_in_cycle(DriveParams(eps0=-0.95, a_ph=0.1, k=0.0))
     assert r.delta_nu == 1

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import runpy
 import tracemalloc
 import warnings
 
@@ -160,6 +161,18 @@ def test_point_run_compute_errors_name_the_drive(capsys):
     assert capsys.readouterr().err.splitlines()[-1] == (
         "geopump: compute error: initial-states: gap closed at the start time; "
         "drive k=0.0, eps0=-1.0, a_ph=0.1")
+
+
+def test_a_drive_on_the_gap_threshold_exits_3_on_both_routes(capsys):
+    # 2|d| is below 1e-9 here, while eigh's e1 - e0 is not
+    drive = ["--set", "params.drive.eps0=-0.999999999584903",
+             "--set", "params.trotter.n_cycles=2", "--out", "-"]
+    assert cli.main(["initial-states", "--set", "params.drive.k=2.7873736105752915e-10",
+                     *drive]) == 3
+    assert cli.main(["sweep-k", "--set", "grid.k.values=[2.7873736105752915e-10]",
+                     *drive]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 2 and all("gap closed at" in line for line in errors)
 
 
 def test_point_run_errors_without_a_state_index_name_no_weights(capsys):
@@ -986,3 +999,19 @@ def test_invalid_ensemble_density_is_a_compute_error(monkeypatch, capsys):
         "geopump: running ensemble",
         "geopump: compute error: ensemble: ensemble density at time index 38 "
         "(t = 0.3154): trace differs from 1 beyond tolerance"]
+
+
+def test_reproduce_all_prints_its_usage_and_rejects_an_unknown_option(tmp_path,
+                                                                      monkeypatch, capsys):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "reproduce_all.py")
+    main = runpy.run_path(script)["main"]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: reproduce_all.py")
+    with pytest.raises(SystemExit) as info:
+        main(["--no-such-option"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geopump import propagator, su2
+from geopump import bandmodel, propagator, su2
 from geopump.bandmodel import DriveParams, bloch_vector, hamiltonian
 from geopump.propagator import (DegenerateMeasurementBasis, NonUnitaryEvolution,
                                 TrotterConfig)
@@ -260,6 +260,81 @@ def test_degenerate_start_basis_raises_on_every_route():
                  lambda: propagator.p_g_numeric_grid(p.k, p.eps0, p.a_ph, p.omega, cfg)):
         with pytest.raises(DegenerateMeasurementBasis, match="^gap closed at the start time"):
             call()
+
+
+# 2|d| is below 1e-9 here, while eigh's e1 - e0 is not
+GAP_EDGE_DRIVE = DriveParams(k=2.7873736105752915e-10, eps0=-0.999999999584903, a_ph=0.1)
+
+
+def test_a_drive_on_the_gap_threshold_is_rejected_by_both_routes():
+    p, cfg = GAP_EDGE_DRIVE, TrotterConfig(steps_per_cycle=100, n_cycles=2)
+    for call in (lambda: propagator.evolve(p, cfg),
+                 lambda: propagator.p_g_numeric_grid(p.k, p.eps0, p.a_ph, p.omega, cfg)):
+        with pytest.raises(DegenerateMeasurementBasis, match="^gap closed at measurement time"):
+            call()
+
+
+def test_eigensystem2_closes_the_gap_exactly_where_the_grid_guard_does():
+    # t = 0 Bloch vectors (0, k, -(eps0 + 1)) (k tiny: sin k = k, cos k = 1)
+    # with 2|d| within a few ulp of DEGENERACY_TOL
+    rng = np.random.default_rng(29)
+    eps0 = -1.0 + rng.uniform(-4.9e-10, 4.9e-10, 60)
+    k0 = np.sqrt((su2.DEGENERACY_TOL / 2.0) ** 2 - (eps0 + 1.0) ** 2)
+    k = np.concatenate([k0 + m * np.spacing(k0) for m in range(-4, 5)])
+    eps0 = np.tile(eps0, 9)
+    closed = []
+    for i, (ki, ei) in enumerate(zip(k, eps0)):
+        try:
+            su2.eigensystem2(hamiltonian(DriveParams(k=ki, eps0=ei, a_ph=0.1), 0.0))
+        except su2.DegenerateSpectrum:
+            closed.append(i)
+    with pytest.raises(DegenerateMeasurementBasis) as info:
+        propagator.p_g_numeric_grid(k, eps0, 0.1, TPT_POINT.omega,
+                                    TrotterConfig(steps_per_cycle=100, n_cycles=1))
+    assert info.value.indices == tuple(closed)
+    assert 0 < len(closed) < k.size
+
+
+def test_every_gap_guard_takes_the_rule_from_su2(monkeypatch):
+    calls = []
+
+    def spy(d, owner=su2.gap_closed):
+        calls.append(np.shape(d))
+        return owner(d)
+    monkeypatch.setattr(su2, "gap_closed", spy)
+    monkeypatch.setattr(bandmodel, "gap_closed", spy)
+    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2)
+    propagator.evolve(TPT_POINT, cfg)
+    assert calls == [(3,), (3,)]  # measurement and start bases
+    calls.clear()
+    propagator.p_g_numeric_grid(np.array([0.02, 0.03]), -0.95, 0.1, TPT_POINT.omega, cfg)
+    assert calls == [(2, 3), (2, 3)]
+    calls.clear()
+    bandmodel.winding_number(-0.95)
+    assert calls == [(bandmodel.WINDING_GRID + 1, 3)]
+
+
+def test_a_cycles_probability_enters_the_mean_as_min_p_1_or_nan():
+    got = propagator._averaged(np.array([0.3, 1.0, 1.0000005, np.inf, np.nan]))
+    np.testing.assert_array_equal(got, [0.3, 1.0, 1.0, np.nan, np.nan])
+    # a probability is never below 0, and there the rule is np.clip's bits
+    p = np.random.default_rng(31).uniform(0.0, 1.0 + 1e-6, 1000) ** 2
+    assert propagator._averaged(p).tobytes() == np.clip(p, 0.0, 1.0).tobytes()
+
+
+def test_both_routes_average_through_one_probability_rule(monkeypatch):
+    calls = []
+
+    def spy(p, out=None, owner=propagator._averaged):
+        calls.append(np.shape(p))
+        return owner(p, out=out)
+    monkeypatch.setattr(propagator, "_averaged", spy)
+    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=3)
+    propagator.evolve(TPT_POINT, cfg)
+    assert calls == [(1, 3)]  # the running mean of one start state's p_j
+    calls.clear()
+    propagator.p_g_numeric_grid(np.array([0.02, 0.03]), -0.95, 0.1, TPT_POINT.omega, cfg)
+    assert calls == [(2,)] * 3  # once per cycle in _measure
 
 
 def test_taylor_mode_budget_enforced():
@@ -769,6 +844,7 @@ def test_steps_and_band_states_take_the_norm_and_the_phase_from_su2(monkeypatch)
     d = bloch_vector(TPT_POINT, 0.0)
     assert called(lambda: su2.exact_step(d, 0.01)) == ["bloch_norm"]
     assert called(lambda: propagator.trotter_step(TPT_POINT, 0.0, 0.01, 2)) == ["bloch_norm"]
-    assert called(lambda: su2.eigensystem2(hamiltonian(TPT_POINT, 0.0))) == ["fix_phase"]
+    assert called(lambda: su2.eigensystem2(hamiltonian(TPT_POINT, 0.0))) == ["bloch_norm",
+                                                                             "fix_phase"]
     assert called(lambda: propagator._eig_components(d[None, 1], d[None, 2], lower=True)) == [
         "fix_phase"]

@@ -99,6 +99,26 @@ def test_fix_phase_equals_the_per_element_rule():
         [1.0j, -1.0j, math.sqrt(2), 0.0, -1.0, 1.0, 3.0j, 0.5]], rtol=0, atol=1e-15)
 
 
+def test_fix_phase_of_numpy_scalars_equals_the_batched_call():
+    # NumPy's scalar complex multiply rounds differently from its array loop
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(10000, 2, 2)) + 1j * rng.normal(size=(10000, 2, 2))
+    v = np.linalg.eigh(a + np.conj(a).swapaxes(-1, -2))[1][..., 0]
+    batched = np.array(su2.fix_phase(v[:, 0], v[:, 1])).T
+    scalars = np.array([su2.fix_phase(va, vb) for va, vb in v])
+    assert scalars.tobytes() == batched.tobytes()
+
+
+def test_eigensystem2_decides_and_names_a_closed_gap_by_2_abs_d():
+    # a trace of 1e6 leaves eigh's e1 - e0 a multiple of about 1.2e-10; with
+    # d3 = 0 the Bloch vector is read back from h exactly
+    d = np.array([2.4e-10, 3.2e-10, 0.0])  # 2|d| = 8.0e-10
+    with pytest.raises(su2.DegenerateSpectrum,
+                       match=r"^gap 8\.000e-10 below tolerance 1e-09$"):
+        su2.eigensystem2(1e6 * su2.IDENTITY2 + su2.bloch_matrix(d))
+    su2.eigensystem2(1e6 * su2.IDENTITY2 + su2.bloch_matrix(1.5 * d))  # 2|d| = 1.2e-9
+
+
 def test_eigensystem2_vectors_are_fix_phase_of_eigh_columns():
     rng = np.random.default_rng(5)
     for _ in range(50):
