@@ -86,9 +86,15 @@ class TopologicalIndex:
     delta_nu: int
 
 
+def bloch_d3(eps0, a_ph, cos_k, s):
+    """d3 at the drive value s = sin(omega t): the one definition that every
+    route's gap guards and band states read (the grid fold excepted)."""
+    return -(eps0 + a_ph * s + cos_k)
+
+
 def bloch_vector(p: DriveParams, t) -> np.ndarray:
     """d(t) at a time or an array of times, with shape np.shape(t) + (3,)."""
-    d3 = -(p.eps0 + p.a_ph * np.sin(p.omega * t) + np.cos(p.k))
+    d3 = bloch_d3(p.eps0, p.a_ph, np.cos(p.k), np.sin(p.omega * t))
     d = np.zeros(np.shape(d3) + (3,))
     d[..., 1] = np.sin(p.k)
     d[..., 2] = d3
@@ -101,7 +107,7 @@ def hamiltonian(p: DriveParams, t: float) -> np.ndarray:
 
 def _gap_at_drive(d2, eps0, a_ph, cos_k, s):
     """Gap 2|d| as a function of the drive value s = sin(omega t)."""
-    return 2.0 * np.hypot(d2, -(eps0 + a_ph * s + cos_k))
+    return 2.0 * np.hypot(d2, bloch_d3(eps0, a_ph, cos_k, s))
 
 
 def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA) -> GapStats:
@@ -165,7 +171,7 @@ def winding_number(eps_eff: float) -> int:
     """
     k = np.arange(WINDING_GRID + 1) * (2.0 * np.pi / WINDING_GRID)
     x = np.sin(k)
-    y = -(eps_eff + np.cos(k))
+    y = bloch_d3(eps_eff, 0.0, np.cos(k), 0.0)  # the undriven field at eps0 = eps_eff
     if gap_closed(np.stack((np.zeros_like(x), x, y), axis=-1)).any():
         raise GapClosedOnLoop(f"loop through origin at eps_eff = {eps_eff}")
     theta = np.arctan2(y, x)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import su2
-from .bandmodel import DriveParams, bloch_vector, drive_period, hamiltonian
+from .bandmodel import DriveParams, bloch_d3, bloch_vector, drive_period, hamiltonian
 from .su2 import DegenerateSpectrum, eigensystem2
 
 UNITARITY_BUDGET = 0.05
@@ -248,7 +248,8 @@ def checked_states(initial) -> np.ndarray:
     if states.shape[-1:] != (2,) or states.ndim > 2:
         raise ValueError(f"initial state must have shape (2,) or (S, 2), got {states.shape}")
     states = states.reshape(-1, 2)
-    norm = np.sum(np.abs(states) ** 2, axis=-1)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the test below
+        norm = np.sum(np.abs(states) ** 2, axis=-1)
     bad = np.nonzero(~(np.abs(norm - 1.0) <= NORM_TOL))[0]
     if bad.size:
         raise ValueError(f"initial state {bad[0]} has norm^2 = {norm[bad[0]]}, expected 1")
@@ -384,24 +385,25 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
 def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> np.ndarray:
     """p_g_numeric_grid on one block, tau = 2 pi / omega; `indices` count from its start."""
     dt, extra = _step_grid(tau, cfg)
-    d2 = np.sin(k)
-    c3 = -(eps0 + np.cos(k))  # d3(t) = c3 - a_ph * sin(omega t)
-    s_meas = math.sin(omega * extra * dt)
+    d2, cos_k = np.sin(k), np.cos(k)
 
     # a huge drive overflows to inf or NaN in p_max or the defect, which the
     # checks reject
     with np.errstate(over="ignore", invalid="ignore"):
-        # measurement-time and start-time bases; both pristine-periodic instants
+        # d3 at the start and measurement instants, as evolve's bloch_vector
+        # takes it there: both pristine-periodic instants
+        d3_start = bloch_d3(eps0, a_ph, cos_k, 0.0)
+        d3_meas = bloch_d3(eps0, a_ph, cos_k, math.sin(omega * (extra * dt)))
         d = np.zeros((3, k.size))  # d.T holds each point's (0, d2, d3)
         d[1] = d2
-        for when, d3 in (("measurement time", c3 - a_ph * s_meas), ("the start time", c3)):
+        for when, d3 in (("measurement time", d3_meas), ("the start time", d3_start)):
             d[2] = d3
             closed = np.nonzero(su2.gap_closed(d.T))[0]
             if closed.size:
                 raise DegenerateMeasurementBasis(
                     f"gap closed at {when} at {closed.size} grid point(s)", closed)
 
-        u, q = _grid_columns(d2, c3, a_ph, omega, dt, extra, cfg)
+        u, q = _grid_columns(d2, d3_start, a_ph, omega, dt, extra, cfg)
         u = _su2(u)
         if q is not None:
             q = _su2(q)
@@ -412,8 +414,8 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
         p_max = np.zeros(k.size)
         for lo in range(0, k.size, _BLOCK_POINTS // 2):
             part = slice(lo, lo + _BLOCK_POINTS // 2)
-            _measure(u[..., part], None if q is None else q[..., part], d2[part], c3[part],
-                     c3[part] - a_ph[part] * s_meas, cfg.n_cycles, acc[part], p_max[part])
+            _measure(u[..., part], None if q is None else q[..., part], d2[part],
+                     d3_start[part], d3_meas[part], cfg.n_cycles, acc[part], p_max[part])
         if cfg.mode == "taylor":
             # Each step is a real multiple of an SU(2) matrix, so M = Q U^m,
             # measured after m cycles, has M^H M = |det M| I and a defect
@@ -447,8 +449,13 @@ def _check_probabilities(p_max, named=True):
 def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
                   cfg: TrotterConfig):
     """First columns (u00, u10) of the one-cycle step product and of its prefix
-    over `extra` steps, as (2, N) arrays, for d(t) = (0, d2, c3 - a_ph sin(omega t)).
-    The prefix is None when extra = 0: it is the identity.
+    over `extra` steps, as (2, N) arrays, for d(t) = (0, d2, c3 - a_ph sin(omega t))
+    with c3 the start-time d3. The prefix is None when extra = 0: the identity.
+
+    The fold's c3 - a_ph * s_j is the one spelling of d3 outside bloch_d3:
+    bloch_d3's association moves sweep_k, sweep_amplitude and sweep_eps0 cells
+    by up to 1.35e-13, so it waits for a change that regenerates out/ and
+    bench/reference/ together.
 
     The steps are built a slab at a time (see the module docstring for its
     size) and folded in order, one _apply per step; the last slab's unused
@@ -496,17 +503,17 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     return u, q
 
 
-def _measure(u, q, d2, c3, d3_meas, n_cycles: int, acc, p_max):
+def _measure(u, q, d2, d3_start, d3_meas, n_cycles: int, acc, p_max):
     """Add the excited-band probability after each of n_cycles cycles, from
     the pristine ground state, into acc as _averaged takes it, and keep its
     raw running max in p_max, which the caller checks (under its np.errstate).
 
     u and q are the (2, 2, N) cycle product and its prefix (None: the
-    identity); the state is measured against the excited state of
-    (0, d2, d3_meas). Both states take their phase from su2.fix_phase, as
-    eigensystem2's do.
+    identity); the state starts in the ground state of (0, d2, d3_start) and
+    is measured against the excited state of (0, d2, d3_meas). Both states
+    take their phase from su2.fix_phase, as eigensystem2's do.
     """
-    c = np.array(_eig_components(d2, c3, lower=True))
+    c = np.array(_eig_components(d2, d3_start, lower=True))
     m1 = np.conj(_eig_components(d2, d3_meas, lower=False))
     prod = np.empty_like(u)
     m = None if q is None else np.empty_like(c)

@@ -563,6 +563,8 @@ def test_resolve_config_and_the_cli_reject_unknown_keys_as_run_does(path, monkey
     ("sweep-eps0", ["params.trotter.steps_per_cycle=100", "params.trotter.n_cycles=2",
                     "grid.k.count=3", "grid.eps0.min=-1.7e308", "grid.eps0.max=1.7e308",
                     "grid.eps0.count=3"]),
+    # its norm^2 overflows to inf, which the norm test rejects without a warning
+    ("initial-states", ["params.initial_weights=[[1e308,1e308]]"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     _forbid_compute(monkeypatch)

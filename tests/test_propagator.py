@@ -314,6 +314,58 @@ def test_every_gap_guard_takes_the_rule_from_su2(monkeypatch):
     assert calls == [(bandmodel.WINDING_GRID + 1, 3)]
 
 
+def _rejects(call) -> bool:
+    try:
+        call()
+    except DegenerateMeasurementBasis:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("offset", [0.1, 0.3])
+def test_both_routes_reject_the_same_drives_at_the_measurement_gap_threshold(offset):
+    # drives whose measurement-time d3 cancels to 0 or to an ulp of 1, with
+    # 2|d| = 2 sin k within a few ulp of DEGENERACY_TOL: each route must take
+    # the same d3 to agree on the gap
+    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=1, measure_offset=offset)
+    dt, extra = propagator._step_grid(TPT_POINT.tau_cycle, cfg)
+    s = math.sin(TPT_POINT.omega * (extra * dt))
+    rng = np.random.default_rng(37)
+    drives = [DriveParams(eps0=-math.cos(k) - a_ph * s, a_ph=a_ph, k=k)
+              for k in 5e-10 * (1 + np.arange(-3, 4) * 1.1e-16)
+              for a_ph in (-1.0 - rng.uniform(-1.1, -0.9, 300)) / s if a_ph >= 0.0]
+    rejected = [_rejects(lambda: propagator.evolve(p, cfg)) for p in drives]
+    split = [p for p, r in zip(drives, rejected) if r != _rejects(
+        lambda: propagator.p_g_numeric_grid(p.k, p.eps0, p.a_ph, p.omega, cfg))]
+    assert split == []
+    assert 0 < sum(rejected) < len(drives)  # both outcomes occur
+
+
+def test_every_d3_outside_the_fold_takes_bloch_d3(monkeypatch):
+    calls = []
+
+    def spy(eps0, a_ph, cos_k, s, owner=bandmodel.bloch_d3):
+        d3 = owner(eps0, a_ph, cos_k, s)
+        calls.append((np.shape(d3), float(s) if np.ndim(s) == 0 else np.shape(s)))
+        return d3
+    monkeypatch.setattr(bandmodel, "bloch_d3", spy)
+    monkeypatch.setattr(propagator, "bloch_d3", spy)
+    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2, measure_offset=0.3)
+    propagator.evolve(TPT_POINT, cfg)
+    (meas, s_meas), start, fold = calls
+    assert (meas, start, fold) == ((), ((), 0.0), ((100,), (100,)))
+    calls.clear()
+    propagator.p_g_numeric_grid(np.array([0.02, 0.03]), -0.95, 0.1, TPT_POINT.omega, cfg)
+    assert calls == [((2,), 0.0), ((2,), s_meas)]  # start and measurement instants
+    calls.clear()
+    bandmodel.gap_stats(TPT_POINT)
+    assert calls == [((1, bandmodel.GAP_SAMPLES), (bandmodel.GAP_SAMPLES,)), ((1,), -1.0),
+                     ((1,), 1.0), ((1,), 0.0)]
+    calls.clear()
+    bandmodel.winding_number(-0.95)
+    assert calls == [((bandmodel.WINDING_GRID + 1,), 0.0)]
+
+
 def test_a_cycles_probability_enters_the_mean_as_min_p_1_or_nan():
     got = propagator._averaged(np.array([0.3, 1.0, 1.0000005, np.inf, np.nan]))
     np.testing.assert_array_equal(got, [0.3, 1.0, 1.0, np.nan, np.nan])
@@ -454,13 +506,13 @@ def _reference_coeffs(r, dt, mode, order):
 def _four_component_reference(k, eps0, a_ph, omega, cfg):
     """The grid kernel as it was before it stepped only the first column: all
     four components of the running product, np.sinc for the exact step, new
-    arrays on every operation. Guards omitted; returns the n-cycle mean."""
+    arrays on every operation. Guards omitted; returns the n-cycle mean. The
+    start and measurement states use bloch_d3, as both routes do."""
     tau = 2.0 * math.pi / omega
     dt = tau / cfg.steps_per_cycle
     extra = int(round(cfg.measure_offset * cfg.steps_per_cycle))
     d2 = np.sin(k)
     c3 = -(eps0 + np.cos(k))
-    s_meas = math.sin(omega * extra * dt)
 
     one = np.ones_like(k, dtype=complex)
     zero = np.zeros_like(k, dtype=complex)
@@ -479,8 +531,10 @@ def _four_component_reference(k, eps0, a_ph, omega, cfg):
         if j + 1 == extra:
             q00, q01, q10, q11 = u00.copy(), u01.copy(), u10.copy(), u11.copy()
 
-    g0a, g0b = propagator._eig_components(d2, c3, lower=True)
-    m1a, m1b = propagator._eig_components(d2, c3 - a_ph * s_meas, lower=False)
+    d3_start = bandmodel.bloch_d3(eps0, a_ph, np.cos(k), 0.0)
+    d3_meas = bandmodel.bloch_d3(eps0, a_ph, np.cos(k), math.sin(omega * (extra * dt)))
+    g0a, g0b = propagator._eig_components(d2, d3_start, lower=True)
+    m1a, m1b = propagator._eig_components(d2, d3_meas, lower=False)
     c0, c1 = g0a.astype(complex), g0b.astype(complex)
     acc = np.zeros_like(k)
     for _ in range(cfg.n_cycles):
@@ -710,7 +764,8 @@ def test_evolve_stack_names_its_failing_states():
 
 
 @pytest.mark.parametrize("initial", [[1.0, 1.0], [[1.0, 0.0], [0.6, 0.6]], [1.0, 0.0, 0.0],
-                                     [[[1.0, 0.0]]], [math.nan, 0.0]])
+                                     [[[1.0, 0.0]]], [math.nan, 0.0], [1e200, 0.0],
+                                     [[1e308, 1e308]]])
 def test_evolve_rejects_malformed_start_states(initial):
     cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2)
     with pytest.raises(ValueError, match="initial state"):
