@@ -3,19 +3,20 @@
 Each named experiment resolves a layered configuration (built-in defaults,
 then a JSON config file, then --set overrides). `run` validates it in one pass
 before any computation starts: DEFAULTS is the schema, so every leaf must have
-its default's type; a propagator, cycle-map or ensemble experiment must ask
-for no more than MAX_WORK; every experiment's grid and output table must hold
-no more than MAX_SWEEP_POINTS points and rows, which alone bounds a thermo
-sweep; all are checked from the counts before anything is built; and every
-range rule is the library's own (a constructor, or a rule function of the
-module that owns the field), applied with each grid axis at its min and at
-its max. It then dispatches to the owning module and returns one rectangular
-result table, held as one float64 array per column. Execution is serial; the
-propagator kernel walks its grid in blocks and names a failing grid point,
-and a point run names its drive; `run` reports these, like every other
-failure of a checked config's computation, as a ComputeError. `emit_chunks`
-serializes a table as CSV or JSON a chunk of rows at a time, so the whole
-text is never held at once.
+its default's type; every experiment's grid must hold no more than
+MAX_SWEEP_POINTS points, checked from the axis counts before any axis is
+built, which alone bounds a thermo sweep; then the experiment's plan applies
+every range rule, the library's own (a constructor, or a rule function of the
+module that owns the field), with each grid axis at its min and at its max,
+and from the objects those rules built caps a propagator, cycle-map or
+ensemble experiment's work at MAX_WORK and its output rows at
+MAX_SWEEP_POINTS. The runner takes what the plan built and returns one
+rectangular result table, held as one float64 array per column. Execution is
+serial; the propagator kernel walks its grid in blocks and names a failing
+grid point, and a point run names its drive; `run` reports these, like every
+other failure of a checked config's computation, as a ComputeError.
+`emit_chunks` serializes a table as CSV or JSON a chunk of rows at a time, so
+the whole text is never held at once.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -292,10 +294,9 @@ def _ensemble_config(theta, phi, omega_az, **fields):
 
 
 def _grid_points(c):
-    """The number of points of the typed grid, the product of its axis
-    counts, without building it."""
-    return math.prod(len(a["values"]) if "values" in a else a["count"]
-                     for a in c["grid"].values())
+    """The number of points of the built grid, the product of its axis
+    lengths."""
+    return math.prod(map(len, c["grid"].values()))
 
 
 def _shown(amount):
@@ -319,66 +320,19 @@ def _check_size(where, size, what):
                           f"{MAX_SWEEP_POINTS:.0e}")
 
 
-def _cap_propagator(c, states=1):
-    """The work cap on a propagator experiment: every grid point steps one
+def _plan_sweep(c, states=1):
+    """DriveParams at the ends of the swept drive axes and the TrotterConfig
+    under evolve's own rule; then the work cap: every grid point steps one
     cycle, a taylor step costing the 1 + order // 2 array passes of its build
     (_step_coeffs), and measures `states` states."""
-    t = c["params"]["trotter"]
-    cost = 1 + t["taylor_order"] // 2 if t["mode"] == "taylor" else 1
-    _check_work(" and ".join(["params.trotter", *(f"grid.{n}" for n in c["grid"])]),
-                _grid_points(c) * (t["steps_per_cycle"] * cost + states * t["n_cycles"]))
-
-
-def _cap_initial_states(c):
-    """The work cap, then the size cap on the table: one row per cycle."""
-    _cap_propagator(c, states=len(c["params"]["initial_weights"]))
-    _check_size("params.trotter.n_cycles", c["params"]["trotter"]["n_cycles"], "output rows")
-
-
-def _distinct(axis):
-    """How many distinct values a typed grid axis holds, and their sum; for a
-    min/max/count range, upper bounds on both from its fields alone."""
-    if "values" in axis:
-        values = set(axis["values"])
-        return len(values), sum(values)
-    return axis["count"], axis["count"] * max(axis["min"], axis["max"])
-
-
-def _cap_unitarity_report(c):
-    # each step count folds one exact reference and every distinct order o, a
-    # step of which costs 1 + o // 2 (the sum of o // 2 is at most the sum // 2)
-    orders, order_sum = _distinct(c["grid"]["taylor_order"])
-    n_steps, steps = _distinct(c["grid"]["steps_per_cycle"])
-    _check_work("params.n_cycles, grid.taylor_order and grid.steps_per_cycle",
-                (orders + 1 + order_sum // 2) * steps
-                + (orders + 1) * n_steps * c["params"]["n_cycles"])
-
-
-def _cap_verify_cyclemap(c):
-    _check_work("grid.theta, grid.phi and params.n_cycles",
-                _grid_points(c) * c["params"]["n_cycles"], "cycle-map series", "point-cycles")
-
-
-def _cap_ensemble(c):
-    """The work cap on the ensemble: n_systems + 1 member values at each time
-    of ensemble_average's grid, counted from the fields (a tau_cycle <= 0 is
-    left to EnsembleConfig); then the size cap on its one row per time."""
-    e = c["params"]["ensemble"]
-    if e["tau_cycle"] > 0.0:
-        _, n_t = ensemble.time_grid(e["tau_cycle"], e["t_max"])
-        _check_work("params.ensemble.t_max and params.ensemble.n_systems",
-                    float(n_t) * (e["n_systems"] + 1), "ensemble", "member values")
-        _check_size("params.ensemble.t_max and params.ensemble.tau_cycle", n_t,
-                    "output rows")
-
-
-def _check_propagator(c):
-    """DriveParams at the ends of the swept drive axes (None), and the
-    TrotterConfig under evolve's own rule."""
-    return [_at_ends(" and ".join(["params.drive", *(f"grid.{n}" for n in c["grid"])]),
-                     DriveParams, c, **c["params"]["drive"]),
-            _checked("params.trotter", propagator.checked_trotter,
-                     _checked("params.trotter", TrotterConfig, **c["params"]["trotter"]))]
+    axes = [f"grid.{n}" for n in c["grid"]]
+    _at_ends(" and ".join(["params.drive", *axes]), DriveParams, c, **c["params"]["drive"])
+    t = _checked("params.trotter", propagator.checked_trotter,
+                 _checked("params.trotter", TrotterConfig, **c["params"]["trotter"]))
+    cost = 1 + t.taylor_order // 2 if t.mode == "taylor" else 1
+    _check_work(" and ".join(["params.trotter", *axes]),
+                _grid_points(c) * (t.steps_per_cycle * cost + states * t.n_cycles))
+    return t,
 
 
 def _start_states(drive, weights):
@@ -394,17 +348,67 @@ def _start_states(drive, weights):
         np.array([math.sqrt(w0) * g0 + math.sqrt(w1) * g1 for w0, w1 in weights]))
 
 
-def _check_initial_states(c):
-    """The DriveParams and _check_propagator's TrotterConfig, and the start
-    states; a degenerate start basis raises DegenerateMeasurementBasis, which
-    run reports as a compute error."""
-    _, trotter = _check_propagator(c)
+def _plan_initial_states(c):
+    """_plan_sweep with one state per weight pair, the size cap on the table
+    (one row per cycle), then the start states: the one computation a plan
+    makes, so a degenerate start basis (DegenerateMeasurementBasis, which run
+    reports as a compute error) cannot hide a broken cap."""
+    weights = c["params"]["initial_weights"]
+    trotter, = _plan_sweep(c, states=len(weights))
+    _check_size("params.trotter.n_cycles", trotter.n_cycles, "output rows")
     drive = DriveParams(**c["params"]["drive"])
-    return drive, trotter, _checked("params.initial_weights", _start_states, drive,
-                                    c["params"]["initial_weights"])
+    return drive, trotter, _checked("params.initial_weights", _start_states, drive, weights)
 
 
-def _run_sweep_k(c, _, trotter):
+def _plan_ensemble(c):
+    """The EnsembleConfig; then the work cap, n_systems + 1 member values at
+    each time of ensemble_average's grid, and the size cap on its one row per
+    time."""
+    config = _checked("params.ensemble", _ensemble_config, **c["params"]["ensemble"])
+    _, n_t = ensemble.time_grid(config.tau_cycle, config.t_max)
+    _check_work("params.ensemble.t_max and params.ensemble.n_systems",
+                float(n_t) * (config.n_systems + 1), "ensemble", "member values")
+    _check_size("params.ensemble.t_max and params.ensemble.tau_cycle", n_t, "output rows")
+    return config,
+
+
+def _plan_verify_cyclemap(c):
+    _at_ends("grid.theta and grid.phi", CycleParams, c)
+    n_cycles = _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])
+    _check_work("grid.theta, grid.phi and params.n_cycles", _grid_points(c) * n_cycles,
+                "cycle-map series", "point-cycles")
+    return n_cycles,
+
+
+def _plan_thermal(c):
+    model = _checked("params.thermo", ThermalModel, **c["params"]["thermo"])
+    _at_ends("grid.T", thermo.checked_temperature, c)
+    return model,
+
+
+def _plan_fluence(c):
+    p = c["params"]
+    return (_checked("params.thermo", ThermalModel, **p["thermo"]),
+            _checked("params.T", thermo.checked_temperature, p["T"]),
+            _checked("params.delta_nu", bandmodel.checked_winding_change, p["delta_nu"]),
+            _checked("grid.F", thermo.checked_fluences, c["grid"]["F"]))
+
+
+def _plan_unitarity_report(c):
+    """The DriveParams and the taylor TrotterConfig at the ends of the axes;
+    then the work cap: each distinct step count folds one exact reference and
+    every distinct order o, a step of which costs 1 + o // 2."""
+    where = "params.n_cycles, grid.taylor_order and grid.steps_per_cycle"
+    drive = _checked("params.drive", DriveParams, **c["params"]["drive"])
+    _at_ends(where, TrotterConfig, c, mode="taylor", n_cycles=c["params"]["n_cycles"])
+    orders = set(c["grid"]["taylor_order"].tolist())
+    steps = set(c["grid"]["steps_per_cycle"].tolist())
+    _check_work(where, (len(orders) + 1 + sum(o // 2 for o in orders)) * sum(steps)
+                + (len(orders) + 1) * len(steps) * c["params"]["n_cycles"])
+    return drive,
+
+
+def _run_sweep_k(c, trotter):
     drive, ks = c["params"]["drive"], c["grid"]["k"]
     p_g = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"], trotter)
     stats = bandmodel.gap_stats_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"])
@@ -412,7 +416,7 @@ def _run_sweep_k(c, _, trotter):
             (ks, p_g, stats.delta_int, stats.delta_min, stats.delta_avg), 1)
 
 
-def _run_sweep_eps0(c, _, trotter):
+def _run_sweep_eps0(c, trotter):
     drive, eps0s, ks = c["params"]["drive"], c["grid"]["eps0"], c["grid"]["k"]
     p_g = propagator.p_g_numeric_grid(ks[None, :], eps0s[:, None], drive["a_ph"],
                                       drive["omega"], trotter)
@@ -421,7 +425,7 @@ def _run_sweep_eps0(c, _, trotter):
     return ("eps0", "p_g_max", "delta_min_k0"), (eps0s, p_max, stats.delta_min), 1
 
 
-def _run_sweep_amplitude(c, _, trotter):
+def _run_sweep_amplitude(c, trotter):
     drive = c["params"]["drive"]
     amesh, kmesh = np.meshgrid(c["grid"]["a_ph"], c["grid"]["k"], indexing="ij")
     p_g = propagator.p_g_numeric_grid(kmesh, drive["eps0"], amesh, drive["omega"], trotter)
@@ -447,7 +451,7 @@ def _run_ensemble(c, config):
             (trace.times, trace.p_ens, trace.entropy, trace.p_first), 1)
 
 
-def _run_verify_cyclemap(c, _, n_cycles):
+def _run_verify_cyclemap(c, n_cycles):
     tmesh, pmesh = np.meshgrid(c["grid"]["theta"], c["grid"]["phi"], indexing="ij")
     tflat, pflat = tmesh.ravel(), pmesh.ravel()
     series = cyclemap.p_series_mean_grid(tflat, pflat, n_cycles)
@@ -457,7 +461,7 @@ def _run_verify_cyclemap(c, _, n_cycles):
             (tflat, pflat, closed, series, np.abs(closed - series)), 2)
 
 
-def _run_thermal(c, model, _):
+def _run_thermal(c, model):
     curve = thermo.temperature_sweep(model, c["grid"]["T"],
                                      closable_gap=c["params"]["closable_gap"])
     return ("T", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr), 1
@@ -468,7 +472,7 @@ def _run_fluence(c, model, T, delta_nu, F):
     return ("F", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr), 1
 
 
-def _run_unitarity_report(c, drive, _):
+def _run_unitarity_report(c, drive):
     orders = c["grid"]["taylor_order"].tolist()
     steps = c["grid"]["steps_per_cycle"].tolist()
     report = propagator.unitarity_report(
@@ -477,41 +481,26 @@ def _run_unitarity_report(c, drive, _):
     return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows.T, 2
 
 
-# Each experiment's work cap, range checks and runner. The cap sees the typed
-# config before any grid axis is built, from the axis counts, and may cap the
-# output rows too (run caps the grid points after it, which alone bounds the
-# thermo sweeps). The checks see the built axes, still before any compute. A
-# check is only _checked calls of the library's rules: the constructors of the
-# objects an experiment builds and the checked_* functions of the modules that
-# own the fields. Each rule on a swept field is an interval, so checking it at
-# both ends of every axis covers the axis (the fluence rule reads the whole
-# axis). A check returns what its rules built, in order (None for an _at_ends
-# entry), and the runner takes them after the config. A runner returns the
-# column names, one array per column, and how many leading columns name a row.
+# Each experiment's plan and runner. A plan sees the config with its grid axes
+# built, each of at most MAX_SWEEP_POINTS points, still before any compute. It
+# applies the library's rules through _checked and _at_ends: the constructors
+# of the objects an experiment builds and the checked_* functions of the
+# modules that own the fields. Each rule on a swept field is an interval, so
+# checking it at both ends of every axis covers the axis (the fluence rule
+# reads the whole axis). From what those rules built it then checks the work
+# cap and any output rows beyond the grid's, and returns the arguments its
+# runner takes after the config. A runner returns the column names, one array
+# per column, and how many leading columns name a row.
 _EXPERIMENTS = {
-    "sweep-k": (_cap_propagator, _check_propagator, _run_sweep_k),
-    "sweep-eps0": (_cap_propagator, _check_propagator, _run_sweep_eps0),
-    "sweep-amplitude": (_cap_propagator, _check_propagator, _run_sweep_amplitude),
-    "initial-states": (_cap_initial_states, _check_initial_states, _run_initial_states),
-    "ensemble": (_cap_ensemble, lambda c: [_checked(
-        "params.ensemble", _ensemble_config, **c["params"]["ensemble"])], _run_ensemble),
-    "verify-cyclemap": (_cap_verify_cyclemap, lambda c: [
-        _at_ends("grid.theta and grid.phi", CycleParams, c),
-        _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])],
-        _run_verify_cyclemap),
-    "thermal": (None, lambda c: [
-        _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
-        _at_ends("grid.T", thermo.checked_temperature, c)], _run_thermal),
-    "fluence": (None, lambda c: [
-        _checked("params.thermo", ThermalModel, **c["params"]["thermo"]),
-        _checked("params.T", thermo.checked_temperature, c["params"]["T"]),
-        _checked("params.delta_nu", bandmodel.checked_winding_change,
-                 c["params"]["delta_nu"]),
-        _checked("grid.F", thermo.checked_fluences, c["grid"]["F"])], _run_fluence),
-    "unitarity-report": (_cap_unitarity_report, lambda c: [
-        _checked("params.drive", DriveParams, **c["params"]["drive"]),
-        _at_ends("params.n_cycles, grid.taylor_order and grid.steps_per_cycle", TrotterConfig,
-                 c, mode="taylor", n_cycles=c["params"]["n_cycles"])], _run_unitarity_report),
+    "sweep-k": (_plan_sweep, _run_sweep_k),
+    "sweep-eps0": (_plan_sweep, _run_sweep_eps0),
+    "sweep-amplitude": (_plan_sweep, _run_sweep_amplitude),
+    "initial-states": (_plan_initial_states, _run_initial_states),
+    "ensemble": (_plan_ensemble, _run_ensemble),
+    "verify-cyclemap": (_plan_verify_cyclemap, _run_verify_cyclemap),
+    "thermal": (_plan_thermal, _run_thermal),
+    "fluence": (_plan_fluence, _run_fluence),
+    "unitarity-report": (_plan_unitarity_report, _run_unitarity_report),
 }
 
 
@@ -565,11 +554,9 @@ def run(config: dict) -> ResultTable:
         if not math.isfinite(hi - lo):  # np.linspace would make NaN points
             raise ConfigError(f"field 'grid.{n}' spans min={lo!r} to max={hi!r}, "
                               "a width beyond the float range")
-    cap, check, runner = _EXPERIMENTS[name]
-    if cap is not None:
-        cap(cfg)
-    _check_size(" and ".join(f"grid.{n}" for n in cfg["grid"]), _grid_points(cfg),
-                "grid points")
+    _check_size(" and ".join(f"grid.{n}" for n in cfg["grid"]),
+                math.prod(len(a["values"]) if "values" in a else a["count"]
+                          for a in cfg["grid"].values()), "grid points")
     cfg["grid"] = {n: _points(axis, f"grid.{n}") for n, axis in cfg["grid"].items()}
     drive = cfg["params"].get("drive")
     if drive is not None and drive["omega"] is None:
@@ -577,8 +564,9 @@ def run(config: dict) -> ResultTable:
     metadata = copy.deepcopy(config)
     if drive is not None:  # echo the resolved omega
         metadata["params"]["drive"]["omega"] = drive["omega"]
+    plan, runner = _EXPERIMENTS[name]
     try:
-        columns, data, keys = runner(cfg, *check(cfg))
+        columns, data, keys = runner(cfg, *plan(cfg))
         return ResultTable(tuple(columns), tuple(data), metadata, keys)
     except (propagator.EvolutionError, InvalidDensityMatrix, ArithmeticError, ValueError,
             MemoryError) as exc:
@@ -666,15 +654,24 @@ def main(argv=None) -> int:
             config["output_path"] = args.out
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        out = config["output_path"]
+        if out == "-" and sys.stdout is None:  # started with fd 1 closed
+            raise IoError("cannot write to stdout: it is closed")
 
         print(f"geopump: running {args.experiment}", file=sys.stderr)
         table = run(config)
         chunks = emit_chunks(table, args.format)
 
-        out = config["output_path"]
         if out == "-":
-            sys.stdout.buffer.writelines(chunks)
-            sys.stdout.buffer.flush()
+            try:
+                sys.stdout.buffer.writelines(chunks)
+                sys.stdout.buffer.flush()
+            except OSError as exc:
+                # fd 1 to devnull, so that the interpreter's flush at exit cannot fail again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise IoError(f"cannot write to stdout: {exc}") from exc
         else:
             try:
                 with open(out, "wb") as fh:

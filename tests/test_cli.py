@@ -5,6 +5,8 @@ import json
 import math
 import os
 import runpy
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -432,6 +434,35 @@ def test_main_exit_codes(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("stdout, message", [
+    ("pipe", "cannot write to stdout: [Errno 32] Broken pipe"),
+    ("closed", "cannot write to stdout: it is closed"),
+], ids=["pipe", "closed"])
+def test_a_stdout_that_cannot_be_written_is_an_io_error(stdout, message):
+    # a pipe whose read end is closed (as under `| head -c 10`), or no fd 1 at all
+    argv = [sys.executable, "-m", "geopump.cli", "thermal", "--set", "grid.T.count=3",
+            "--out", "-"]
+    env = {**os.environ,
+           "PYTHONPATH": os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")}
+    if stdout == "pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(write)
+    else:
+        proc = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *argv], stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    err = proc.stderr.decode()
+    assert proc.returncode == 4
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines()[-1] == f"geopump: io error: {message}"
+    # a closed fd 1 is found before the experiment runs
+    assert ("geopump: running thermal" in err) == (stdout == "pipe")
+
+
 def test_compute_error_names_the_offending_point(capsys):
     # 5 points across k = 0; only the middle one sits on the gap closing
     rc = cli.main(["sweep-k", "--set", "params.drive.eps0=-1.0",
@@ -541,7 +572,7 @@ def test_resolve_config_and_the_cli_reject_unknown_keys_as_run_does(path, monkey
     # more ensemble member values than cli.MAX_WORK
     ("ensemble", ["params.ensemble.t_max=1e12"]),
     # a propagator work estimate beyond the float range
-    ("sweep-k", ["grid.k.count=1e308", "params.trotter.steps_per_cycle=1e308"]),
+    ("sweep-k", ["params.trotter.mode=taylor", "params.trotter.steps_per_cycle=1e308"]),
     # more thermal or fluence grid points than cli.MAX_SWEEP_POINTS
     ("thermal", ["grid.T.count=1e9"]),
     ("fluence", ["grid.F.count=1e9"]),
@@ -565,6 +596,9 @@ def test_resolve_config_and_the_cli_reject_unknown_keys_as_run_does(path, monkey
                     "grid.eps0.count=3"]),
     # its norm^2 overflows to inf, which the norm test rejects without a warning
     ("initial-states", ["params.initial_weights=[[1e308,1e308]]"]),
+    # the exact estimate of a min/max/count step axis, not count x max
+    ("unitarity-report", ["grid.steps_per_cycle.min=100", "grid.steps_per_cycle.max=1e23",
+                          "grid.steps_per_cycle.count=2"]),
 ])
 def test_malformed_numbers_exit_2_before_compute(experiment, overrides, monkeypatch, capsys):
     _forbid_compute(monkeypatch)
@@ -910,7 +944,7 @@ def test_committed_configs_stay_under_the_work_cap(root, monkeypatch):
     assert capped["ensemble"] == 1446 * 61  # n_t grid times x (n_systems + 1)
 
 
-def test_work_cap_is_checked_before_any_axis_is_built(monkeypatch, capsys):
+def test_size_cap_is_checked_before_any_axis_is_built(monkeypatch, capsys):
     def linspace(*args, **kwargs):
         raise AssertionError("an axis was built")
 
@@ -922,7 +956,7 @@ def test_work_cap_is_checked_before_any_axis_is_built(monkeypatch, capsys):
                   "--set", "grid.steps_per_cycle.count=1e8"],
                  ["verify-cyclemap", "--set", "grid.theta.count=1e8"]):
         assert cli.main(argv + ["--out", "-"]) == 2
-        assert "exceeds the cap" in capsys.readouterr().err
+        assert "grid points exceed the cap of 1e+06" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -964,6 +998,24 @@ def test_grid_points_and_output_rows_are_capped(argv, message, monkeypatch, caps
         monkeypatch.setattr(module, name, no_build)
     assert cli.main(argv + ["--out", "-"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"geopump: config error: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # an integer estimate beyond the float range
+    (["sweep-k", "--set", "params.trotter.mode=taylor",
+      "--set", "params.trotter.steps_per_cycle=1e308"],
+     "params.trotter and grid.k: propagator work of 10^311.1"),
+    # the built axis holds 100 and 1e23: 7 x their sum, not 7 x count x max
+    (["unitarity-report", "--set", "grid.steps_per_cycle.min=100",
+      "--set", "grid.steps_per_cycle.max=1e23", "--set", "grid.steps_per_cycle.count=2"],
+     "params.n_cycles, grid.taylor_order and grid.steps_per_cycle: propagator work of 7e+23"),
+], ids=["sweep-k", "unitarity-report"])
+def test_propagator_work_is_capped(argv, message, monkeypatch, capsys):
+    _forbid_compute(monkeypatch)
+    assert cli.main(argv + ["--out", "-"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"geopump: config error: {message} point-steps plus point-cycles exceeds the cap of "
+        "1e+09")
 
 
 def test_cyclemap_series_work_is_capped(monkeypatch, capsys):
