@@ -42,15 +42,40 @@ class DriveParams:
     omega: float = DEFAULT_OMEGA
 
     def __post_init__(self):
-        if not self.a_ph >= 0.0:
-            raise ValueError(f"a_ph must be >= 0, got {self.a_ph}")
-        drive_period(self.omega)
-        if not -np.pi <= self.k < np.pi:
-            raise ValueError(f"k must lie in [-pi, pi), got {self.k}")
+        checked_drive(self.k, self.a_ph, self.omega)
 
     @property
     def tau_cycle(self) -> float:
         return drive_period(self.omega)
+
+
+def checked_drive_amplitude(a_ph):
+    """a_ph, one drive amplitude or an array of them; a ValueError names the
+    first that is not >= 0 (NaN included)."""
+    x = np.asarray(a_ph)
+    inside = x >= 0.0
+    if not inside.all():
+        raise ValueError(f"a_ph must be >= 0, got {x.ravel()[np.argmin(inside)]}")
+    return a_ph
+
+
+def checked_momentum(k):
+    """k, one crystal momentum or an array of them; a ValueError names the
+    first outside [-pi, pi) (NaN included)."""
+    x = np.asarray(k)
+    inside = (-np.pi <= x) & (x < np.pi)
+    if not inside.all():
+        raise ValueError(f"k must lie in [-pi, pi), got {x.ravel()[np.argmin(inside)]}")
+    return k
+
+
+def checked_drive(k, a_ph, omega: float) -> float:
+    """The drive period; DriveParams' rules, in its order, on one drive or on
+    arrays of k and a_ph, as the grid routes take them."""
+    checked_drive_amplitude(a_ph)
+    tau = drive_period(omega)
+    checked_momentum(k)
+    return tau
 
 
 def drive_period(omega: float) -> float:
@@ -118,10 +143,10 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA) -> GapStats:
     taken a block of rows at a time, so that each (rows, samples) temporary
     holds about 8192 samples (64 KiB) however long the sweep is.
     """
-    tau = drive_period(omega)
+    k, a_ph = np.asarray(k, dtype=float), np.asarray(a_ph, dtype=float)
+    tau = checked_drive(k, a_ph, omega)
     k, eps0, a_ph = (x.ravel() for x in np.broadcast_arrays(
-        np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
-        np.asarray(a_ph, dtype=float)))
+        k, np.asarray(eps0, dtype=float), a_ph))
     d2, cos_k = np.sin(k), np.cos(k)
     t = np.arange(GAP_SAMPLES) * (tau / GAP_SAMPLES)
     s = np.sin(omega * t)

@@ -38,8 +38,17 @@ class CycleParams:
     omega_az: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+        checked_theta(self.theta)
+
+
+def checked_theta(theta):
+    """theta, one turning angle or an array of them; a ValueError names the
+    first outside [0, pi] (NaN included)."""
+    x = np.asarray(theta)
+    inside = (0.0 <= x) & (x <= np.pi)
+    if not inside.all():
+        raise ValueError(f"theta must lie in [0, pi], got {x.ravel()[np.argmin(inside)]}")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -134,7 +143,7 @@ def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray
     points.)
     """
     checked_cycles(n)
-    theta = np.asarray(theta, dtype=float).ravel()
+    theta = checked_theta(np.asarray(theta, dtype=float)).ravel()
     phi = np.asarray(phi, dtype=float).ravel()
     u = _cycle_unitaries(theta, phi, 0.0, _paged((2, 2, theta.size)))
     v = _paged((2, theta.size))
@@ -171,16 +180,22 @@ def _cycle_unitaries(theta, phi, omega_az: float, out=None) -> np.ndarray:
     return u
 
 
+def _orbit_denominator(c: CycleParams):
+    """1 - (cos(theta/2) cos phi)^2, the denominator of p_g_closed and
+    orbit_axis, or None below IDENTITY_TOL: the one identity-cycle rule."""
+    den = 1.0 - (np.cos(c.theta / 2.0) * np.cos(c.phi)) ** 2
+    return None if den < IDENTITY_TOL else den
+
+
 def p_g_closed(c: CycleParams) -> float:
     """Long-run pumping probability in closed form; lies in [0, 1/2].
 
     The (theta, cos^2 phi) = (0, 1) point is a removable 0/0 and returns 0.
     """
-    st2 = np.sin(c.theta / 2.0) ** 2
-    den = 1.0 - (np.cos(c.theta / 2.0) * np.cos(c.phi)) ** 2
-    if den < IDENTITY_TOL:
+    den = _orbit_denominator(c)
+    if den is None:
         return 0.0
-    return float(0.5 * st2 / den)
+    return float(0.5 * np.sin(c.theta / 2.0) ** 2 / den)
 
 
 def orbit_axis(c: CycleParams) -> OrbitAxis:
@@ -192,8 +207,8 @@ def orbit_axis(c: CycleParams) -> OrbitAxis:
 
     Raises IdentityCycle when the cycle is the identity up to phase.
     """
-    den = 1.0 - (np.cos(c.theta / 2.0) * np.cos(c.phi)) ** 2
-    if den < IDENTITY_TOL:
+    den = _orbit_denominator(c)
+    if den is None:
         raise IdentityCycle("cycle map is diag(e^{-i phi}, e^{i phi}); no orbit")
     cos2a = (np.cos(c.theta / 2.0) * np.sin(c.phi)) ** 2 / den
     cos2a = min(1.0, max(0.0, float(cos2a)))

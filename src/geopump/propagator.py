@@ -4,41 +4,41 @@ The drive is exactly periodic, so the ordered product of the per-step
 unitaries over one cycle is the same matrix every cycle. evolve() builds that
 one-cycle product once and then applies 2x2 powers per cycle, which turns an
 O(n_cycles * steps_per_cycle) walk into O(steps_per_cycle + n_cycles).
-The product is folded for a stack of C chains at once (_cycle_unitaries):
-chains that share the step grid, such as the taylor orders of a unitarity
-report and their exact reference, or one chain for evolve. Each block of
-_BLOCK_STEPS // C steps takes one bloch_vector call and one _step_matrix call
-per chain (one step is _step_matrix's size-1 case), so the step matrices stay
-at 128 KiB whatever C is. The block is then folded into the (C, 2, 2) stack
-in step order, one stacked matmul per step; NumPy multiplies each 2x2 of a
-stack with the same BLAS call as a lone 2x2, and every matrix element goes
-through the same IEEE operations as a one-step build, so each chain is
-bit-identical to a step-by-step loop of its own.
-Sweeps over momentum/offset grids use the same algebra on flat arrays
-(p_g_numeric_grid), for a block of at most _BLOCK_POINTS grid points at a
-time; each point is computed on its own, so the blocks bound the working
-memory without changing a result. Within a block of N points the steps are
-built a slab at a time: B = _BLOCK_POINTS // N steps (at least 1, at most
-steps_per_cycle) take one pass of vectorized operations over a (B, N) slab,
-so a slab holds no more elements than a full block does, and a block of
-more than _BLOCK_POINTS // 2 points has B = 1. The s_j = sin(omega t_j) come
-from one np.sin pass per call. Every step is a real multiple of an SU(2)
-matrix, so the running product has the form [[a, -conj(b)], [b, conj(a)]]
-up to a real factor: the grid route folds the slab's steps into only the
-first column (a, b), one step at a time and in order, rebuilds the matrix
-once after the loop (_su2), and runs every per-step operation into buffers
-allocated once per block. The per-cycle measurement then runs half a block
-at a time (_measure), into buffers allocated once per half, so that it
-holds less memory than the fold. Both routes enforce the same guards and
-are cross-checked in the tests; a grid error's indices count over the whole
-call.
 
-Because H^2 = |d|^2 I, every step is ca I - i kappa H with r = |d| dt, and
-_step_coeffs alone decides (ca, kappa): the order-m Taylor truncation of
-exp(-i H dt) gives truncated cos(r) and dt sin(r)/r series, whose odd/even
-order controls how fast the r^(order+1)-scale non-unitarity accumulates;
-the exact mode uses cos and dt sinc, bit-identical to su2.exact_step and
-written out so that it can fill the grid route's buffers.
+Both routes build their steps through one writer, _fill_steps, and differ
+only in the fold, in the spelling of d3 (bloch_d3, against the grid fold's
+c3 - a_ph s_j) and in the association of the drive samples (omega ((j + 1/2)
+dt), against (omega (j + 1/2)) dt). The scalar route folds the product for a
+stack of C chains that share the step grid (_cycle_unitaries), such as the
+taylor orders of a unitarity report and their exact reference, or one chain
+for evolve: each block of _BLOCK_STEPS // C steps fills the (..., 2, 2)
+layout (_step_matrix) of one (B, C, 2, 2) buffer, 128 KiB whatever C is, and
+is folded in step order, one stacked matmul per step; NumPy multiplies each
+2x2 of a stack with the same BLAS call as a lone 2x2, so each chain is
+bit-identical to a step-by-step loop of its own.
+The grid route (p_g_numeric_grid) walks a flat grid in blocks of at most
+_BLOCK_POINTS points; each point is computed on its own, so the blocks bound
+the working memory without changing a result. Within a block of N points
+the writer fills a (B, 2, 2, N) slab of B = _BLOCK_POINTS // N steps (at
+least 1, at most steps_per_cycle) at a time, so a slab holds no more
+elements than a full block does, and a block of more than _BLOCK_POINTS // 2
+points has B = 1. The s_j = sin(omega t_j) come from one np.sin pass per
+call. Every step is a real multiple of an SU(2) matrix, so the running
+product has the form [[a, -conj(b)], [b, conj(a)]] up to a real factor: the
+grid route folds the slab's steps into only the first column (a, b), one
+step at a time and in order, rebuilds the matrix once after the loop (_su2),
+and runs every per-step operation into buffers allocated once per block.
+The per-cycle measurement then runs half a block at a time (_measure), into
+buffers allocated once per half, so that it holds less memory than the
+fold. Both routes enforce the same guards and are cross-checked in the
+tests; a grid error's indices count over the whole call.
+
+Because H^2 = |d|^2 I, every step is ca I - i kappa H with r = |d| dt =
+hypot(d2, d3) dt, and _step_coeffs alone decides (ca, kappa): the order-m
+Taylor truncation of exp(-i H dt) gives truncated cos(r) and dt sin(r)/r
+series, whose odd/even order controls how fast the r^(order+1)-scale
+non-unitarity accumulates; the exact mode uses cos and dt sinc,
+bit-identical to su2.exact_step.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import su2
-from .bandmodel import DriveParams, bloch_d3, bloch_vector, drive_period, hamiltonian
+from .bandmodel import DriveParams, bloch_d3, bloch_vector, checked_drive, hamiltonian
 from .su2 import DegenerateSpectrum, eigensystem2
 
 UNITARITY_BUDGET = 0.05
@@ -175,27 +175,41 @@ def _step_coeffs(r, dt: float, mode: str, order: int, out=None, y_nonzero=False)
     return ca, np.multiply(kappa, dt, out=kappa)
 
 
-def _step_matrix(d: np.ndarray, dt: float, mode: str, order: int) -> np.ndarray:
-    """Steps under the Bloch vectors d of shape (..., 3), as (..., 2, 2) matrices.
-
-    Every element takes the same IEEE operations whatever the batch shape, so a
-    block of steps equals the steps built one at a time bit for bit.
+def _fill_steps(d2, d3, dt, mode, order, entries, r, kappa, y_nonzero=False):
+    """Write the steps ca*I - i*kappa*(d2*sigma2 + d3*sigma3) =
+    [[s00, -off], [off, s11]] under (0, d2, d3) into `entries`, the complex
+    views (s00, s01, s10, s11) of a zeroed buffer: s00, s11 = ca -/+ i*kappa*d3
+    and the real off = kappa*d2, with r = hypot(d2, d3) dt and kappa in float
+    buffers of the entries' shape (y_nonzero: _step_coeffs'). The parts are
+    written through real views (ca straight into s00's): they round exactly
+    like the complex expressions, up to the sign of a zero, which no later
+    sum, product or modulus can turn into a nonzero difference. Each element
+    takes the same IEEE operations whatever the batch shape or layout.
     """
-    d = np.asarray(d, dtype=float)
-    r = su2.bloch_norm(d) * dt
-    ca, kappa = _step_coeffs(r, dt, mode, order)
-    ca = np.asarray(ca)[..., None, None]
-    kappa = np.asarray(1.0j * kappa)[..., None, None]
-    return ca * su2.IDENTITY2 - kappa * su2.bloch_matrix(d)
+    s00, s01, s10, s11 = entries
+    np.multiply(np.hypot(d2, d3, out=r), dt, out=r)
+    _step_coeffs(r, dt, mode, order, out=(s00.real, kappa), y_nonzero=y_nonzero)
+    np.copyto(s11.real, s00.real)
+    np.negative(np.multiply(kappa, d3, out=s11.imag), out=s00.imag)
+    np.negative(np.multiply(kappa, d2, out=s10.real), out=s01.real)
+
+
+def _step_matrix(d2, d3, dt: float, mode: str, order: int, out=None) -> np.ndarray:
+    """The steps under (0, d2, d3), both of one shape, as (..., 2, 2) matrices:
+    _fill_steps' layout for the scalar route, written into `out` (zeroed) if
+    given."""
+    shape = np.shape(d3)
+    out = np.zeros(shape + (2, 2), dtype=complex) if out is None else out
+    entries = tuple(out[..., i // 2, i % 2] for i in range(4))
+    _fill_steps(d2, d3, dt, mode, order, entries, np.empty(shape), np.empty(shape))
+    return out
 
 
 def trotter_step(p: DriveParams, t_j: float, dt: float, order: int) -> np.ndarray:
-    """Truncated Taylor propagator sum_{m<=order} (-i H(t_j) dt)^m / m!.
-
-    order = 1 is allowed so the non-unitary first-order artifact can be
-    demonstrated; production evolution requires order >= 2.
-    """
-    return _step_matrix(bloch_vector(p, t_j), dt, "taylor", checked_taylor_order(order))
+    """Truncated Taylor propagator sum_{m<=order} (-i H(t_j) dt)^m / m!; order = 1
+    is allowed so the non-unitary first-order artifact can be demonstrated,
+    but evolution requires order >= 2."""
+    return _step_matrix(*bloch_vector(p, t_j)[1:], dt, "taylor", checked_taylor_order(order))
 
 
 def _step_grid(tau: float, cfg: TrotterConfig):
@@ -219,21 +233,20 @@ def band_basis(p: DriveParams, t: float, when: str):
 def _cycle_unitaries(p: DriveParams, cfgs):
     """The ordered one-cycle step products of the chains `cfgs`, which share
     steps_per_cycle and measure_offset, as a (C, 2, 2) stack, and their
-    prefixes over the first `extra` steps (identities when extra = 0).
-
-    Each block of _BLOCK_STEPS // C steps takes one bloch_vector call and one
-    _step_matrix call per chain, and is then folded into the stack in order,
-    one stacked `@` per step.
+    prefixes over the first `extra` steps (identities when extra = 0). Each
+    block of steps takes one bloch_vector call (see the module docstring).
     """
     dt, extra = _step_grid(p.tau_cycle, cfgs[0])
+    n = cfgs[0].steps_per_cycle
     u_cycle = np.tile(su2.IDENTITY2, (len(cfgs), 1, 1))
     u_partial = u_cycle.copy()
     block = max(1, _BLOCK_STEPS // len(cfgs))
-    for lo in range(0, cfgs[0].steps_per_cycle, block):
-        t = (np.arange(lo, min(lo + block, cfgs[0].steps_per_cycle)) + 0.5) * dt
-        d = bloch_vector(p, t)
-        steps = np.stack([_step_matrix(d, dt, c.mode, c.taylor_order) for c in cfgs], axis=1)
-        for j, step in enumerate(steps, start=lo):
+    steps = np.zeros((min(block, n), len(cfgs), 2, 2), dtype=complex)
+    for lo in range(0, n, block):
+        d = bloch_vector(p, (np.arange(lo, min(lo + block, n)) + 0.5) * dt)
+        for i, c in enumerate(cfgs):
+            _step_matrix(d[:, 1], d[:, 2], dt, c.mode, c.taylor_order, out=steps[:len(d), i])
+        for j, step in enumerate(steps[:len(d)], start=lo):
             u_cycle = step @ u_cycle
             if j + 1 == extra:
                 u_partial = u_cycle.copy()
@@ -353,20 +366,20 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
                      omega: float, cfg: TrotterConfig) -> np.ndarray:
     """Batched p_g_numeric over flat parameter arrays (ground-state start).
 
-    All inputs broadcast to a common flat shape, which is walked in blocks of
-    _BLOCK_POINTS points. Each grid point follows the identical step algebra
-    as evolve and raises the same exceptions under the same guards. The first
-    block with a failing point raises: the exception's `indices` are that
-    block's failing positions, counted over the whole call, and its message
-    names the first of them.
+    The inputs pass DriveParams' range rules (checked_drive) and then broadcast
+    to a common flat shape, walked in blocks of _BLOCK_POINTS points. Each
+    grid point follows evolve's step algebra and raises the same exceptions
+    under the same guards. The first block with a failing point raises: the
+    exception's `indices` are that block's failing positions, counted over the
+    whole call, and its message names the first of them.
     """
-    grid = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(eps0, dtype=float),
-                               np.asarray(a_ph, dtype=float))
+    k, a_ph = np.asarray(k, dtype=float), np.asarray(a_ph, dtype=float)
+    tau = checked_drive(k, a_ph, omega)
+    grid = np.broadcast_arrays(k, np.asarray(eps0, dtype=float), a_ph)
     size = grid[0].size
     # a flat view of a contiguous input; a broadcast one (a scalar a_ph, say) is
     # copied a block at a time through its flat iterator, not whole
     k, eps0, a_ph = (x.ravel() if x.flags.c_contiguous else x.flat for x in grid)
-    tau = drive_period(omega)
     checked_trotter(cfg)
     p_g = np.empty(size)
     for lo in range(0, size, _BLOCK_POINTS):
@@ -404,9 +417,7 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
                     f"gap closed at {when} at {closed.size} grid point(s)", closed)
 
         u, q = _grid_columns(d2, d3_start, a_ph, omega, dt, extra, cfg)
-        u = _su2(u)
-        if q is not None:
-            q = _su2(q)
+        u, q = _su2(u), None if q is None else _su2(q)
 
         # half a block at a time, so that the measurement's buffers stay smaller
         # than the fold's
@@ -457,9 +468,9 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     by up to 1.35e-13, so it waits for a change that regenerates out/ and
     bench/reference/ together.
 
-    The steps are built a slab at a time (see the module docstring for its
-    size) and folded in order, one _apply per step; the last slab's unused
-    rows are built from s = 0 and never applied.
+    _fill_steps writes a slab of steps at a time (see the module docstring),
+    which is folded in order, one _apply per step; the last slab's unused rows
+    are built from s = 0 and never applied.
     """
     n = d2.size
     steps = cfg.steps_per_cycle
@@ -469,15 +480,8 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     sines[:steps] = np.sin(omega * (np.arange(steps) + 0.5) * dt)
     s_slabs = sines.reshape(-1, b, 1)
     d3, r, kappa = (np.empty((b, n)) for _ in range(3))
-    # step = ca*I - i*kappa*(d2*sigma2 + d3*sigma3) = [[s00, -off], [off, s11]]
-    # with s00, s11 = ca -/+ i*kappa*d3 and the real off = kappa*d2. The parts
-    # are written through real views (ca straight into s00's): they round
-    # exactly like the complex expressions, up to the sign of a zero, which no
-    # later sum, product or modulus can turn into a nonzero difference.
     slab = np.zeros((b, 2, 2, n), dtype=complex)
-    s00, s01, s10, s11 = (slab[:, i // 2, i % 2] for i in range(4))
-    s00r, s00i, s01r, s10r, s11r, s11i = (s00.real, s00.imag, s01.real, s10.real,
-                                          s11.real, s11.imag)
+    entries = tuple(slab[:, i // 2, i % 2] for i in range(4))
     slab_steps = list(slab)
     # r = hypot(d2, d3) dt >= |d2| dt up to an ulp of hypot, and r / pi * pi
     # rounds monotonely, so where every |d2| dt is a normal number no step's
@@ -491,12 +495,7 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
         i = j % b
         if i == 0:
             np.subtract(c3, np.multiply(a_ph, s_slabs[j // b], out=d3), out=d3)
-            np.multiply(np.hypot(d2, d3, out=r), dt, out=r)
-            _step_coeffs(r, dt, cfg.mode, cfg.taylor_order, out=(s00r, kappa),
-                         y_nonzero=y_nonzero)
-            np.copyto(s11r, s00r)
-            np.negative(np.multiply(kappa, d3, out=s11i), out=s00i)
-            np.negative(np.multiply(kappa, d2, out=s10r), out=s01r)
+            _fill_steps(d2, d3, dt, cfg.mode, cfg.taylor_order, entries, r, kappa, y_nonzero)
         _apply(slab_steps[i], u, prod, out=u)
         if j + 1 == extra:
             q = u.copy()

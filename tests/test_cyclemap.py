@@ -186,6 +186,29 @@ def test_orbit_axis_identity_cycle_raises():
         cyclemap.orbit_axis(CycleParams(theta=0.0, phi=math.pi))
 
 
+def test_p_g_closed_and_orbit_axis_share_one_identity_cycle_rule():
+    # (theta, phi) on three paths across den = 1 - (cos(theta/2) cos phi)^2 =
+    # IDENTITY_TOL: phi = 0 and phi = pi stepping theta, theta = 1.2e-6
+    # stepping phi; den moves by two of its ulps (2^-53) every few steps
+    tol = cyclemap.IDENTITY_TOL
+    steps = np.arange(-12, 13) * 4e-11
+    theta0 = 2.0 * math.asin(math.sqrt(tol))
+    phi0 = math.asin(math.sqrt(tol - math.sin(0.6e-6) ** 2) / math.cos(0.6e-6))
+    points = ([(theta0 + s, phi) for s in steps for phi in (0.0, math.pi)]
+              + [(1.2e-6, phi0 + s) for s in steps])
+    off = np.array([1.0 - (np.cos(t / 2.0) * np.cos(f)) ** 2 - tol for t, f in points])
+    assert np.max(np.abs(off)) <= 8 * 2.0 ** -53  # within a few ulp of the tolerance
+    assert (off < 0.0).any() and (off >= 0.0).any()  # on both sides
+    for theta, phi in points:
+        c = CycleParams(theta=theta, phi=phi)
+        try:
+            cyclemap.orbit_axis(c)
+            identity = False
+        except IdentityCycle:
+            identity = True
+        assert (cyclemap.p_g_closed(c) == 0.0) == identity
+
+
 def test_orbit_axis_beta_range_and_value():
     axis = cyclemap.orbit_axis(CycleParams(theta=2.0, phi=0.9, omega_az=0.4))
     assert 0.0 <= axis.beta < math.pi

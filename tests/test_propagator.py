@@ -54,13 +54,13 @@ def test_trotter_step_high_order_approaches_exact():
     assert np.max(np.abs(u12 - exact)) < 1e-15
 
 
-@pytest.mark.parametrize("d", [(0.0, 0.0, 0.0), (0.0, 0.02, -0.05),
-                               (0.3, -1.2, 0.7), (0.0, 0.707, 1.66)])
+# (d2, d3): the propagator's Bloch vectors have d1 = 0; su2.exact_step with
+# d1 != 0 is covered in test_su2
+@pytest.mark.parametrize("d", [(0.0, 0.0), (0.02, -0.05), (-1.2, 0.7), (0.707, 1.66)])
 def test_exact_mode_step_is_the_su2_reference(d):
-    d = np.array(d)
     dt = TPT_POINT.tau_cycle / 2000
-    step = propagator._step_matrix(d, dt, "exact", 4)
-    assert np.array_equal(step, su2.exact_step(d, dt))
+    step = propagator._step_matrix(*d, dt, "exact", 4)
+    assert np.array_equal(step, su2.exact_step(np.array((0.0,) + d), dt))
 
 
 BLOCK = propagator._BLOCK_STEPS
@@ -609,7 +609,8 @@ def _one_chain_fold(p, cfg):
     u_cycle = u_partial = su2.IDENTITY2
     for lo in range(0, cfg.steps_per_cycle, 2048):
         t = (np.arange(lo, min(lo + 2048, cfg.steps_per_cycle)) + 0.5) * dt
-        steps = propagator._step_matrix(bloch_vector(p, t), dt, cfg.mode, cfg.taylor_order)
+        steps = propagator._step_matrix(*bloch_vector(p, t).T[1:], dt, cfg.mode,
+                                        cfg.taylor_order)
         for j, step in enumerate(steps, start=lo):
             u_cycle = step @ u_cycle
             if j + 1 == extra:
@@ -648,9 +649,9 @@ def test_stacked_fold_builds_blocks_of_block_steps_over_c(n_chains, monkeypatch)
     # the step matrices of one block stay at _BLOCK_STEPS whatever C is
     sizes = []
 
-    def step_matrix(d, *args):
-        sizes.append(len(d))
-        return build(d, *args)
+    def step_matrix(d2, d3, *args, **kwargs):
+        sizes.append(len(d3))
+        return build(d2, d3, *args, **kwargs)
 
     build = propagator._step_matrix
     monkeypatch.setattr(propagator, "_step_matrix", step_matrix)
@@ -898,8 +899,23 @@ def test_steps_and_band_states_take_the_norm_and_the_phase_from_su2(monkeypatch)
 
     d = bloch_vector(TPT_POINT, 0.0)
     assert called(lambda: su2.exact_step(d, 0.01)) == ["bloch_norm"]
-    assert called(lambda: propagator.trotter_step(TPT_POINT, 0.0, 0.01, 2)) == ["bloch_norm"]
     assert called(lambda: su2.eigensystem2(hamiltonian(TPT_POINT, 0.0))) == ["bloch_norm",
                                                                              "fix_phase"]
     assert called(lambda: propagator._eig_components(d[None, 1], d[None, 2], lower=True)) == [
         "fix_phase"]
+
+    # both routes build every step through the one writer, _fill_steps
+    def fill_steps(*args):
+        calls.append("_fill_steps")
+        return fill(*args)
+
+    fill = propagator._fill_steps
+    monkeypatch.setattr(propagator, "_fill_steps", fill_steps)
+    cfg = TrotterConfig(steps_per_cycle=100)
+    assert called(lambda: propagator.trotter_step(TPT_POINT, 0.0, 0.01, 2)) == ["_fill_steps"]
+    assert called(lambda: propagator._cycle_unitaries(TPT_POINT, [cfg, cfg])) == [
+        "_fill_steps"] * 2
+    # one point: a single slab of all 100 steps
+    assert called(lambda: propagator._grid_columns(d[None, 1], d[None, 2], 0.1,
+                                                   TPT_POINT.omega, 0.01, 0, cfg)) == [
+        "_fill_steps"]

@@ -1,8 +1,9 @@
 """Both propagator routes against what theory fixes independently of them.
 
 First-order (Fermi golden rule) theory gives the one-cycle excitation at weak
-drive, and the drive's mirror symmetry fixes the phase of the half-cycle
-product's off-diagonal entry. Neither check reads a value either route wrote.
+drive and its coherent growth over many cycles, and the drive's mirror
+symmetry fixes the phase of the half-cycle product's off-diagonal entry.
+Neither check reads a value either route wrote.
 """
 
 import math
@@ -70,6 +71,30 @@ def test_both_routes_reach_first_order_theory_at_weak_drive(k, eps0):
         # measured ratios 19-97, and a largest floor of 4.6e-4
         assert errors[1e-3][route] < errors[1e-2][route] / 10.0
         assert errors[1e-4][route] <= 1e-3
+
+
+def fgr_running_means(k, eps0, a_ph, n, omega=DEFAULT_OMEGA):
+    """First-order running means p_1 ... p_n: the one-cycle amplitudes add
+    coherently, p_m = p_1 sin^2(m delta tau / 2) / sin^2(delta tau / 2), with
+    delta = 2|d(0)| and tau = 2 pi / omega."""
+    half = math.hypot(math.sin(k), eps0 + math.cos(k)) * 2.0 * math.pi / omega
+    m = np.arange(1, n + 1)
+    p_m = fgr_p1(k, eps0, a_ph, omega) * (np.sin(m * half) / math.sin(half)) ** 2
+    return np.cumsum(p_m) / m
+
+
+@pytest.mark.parametrize("k, eps0", POINTS)
+def test_both_routes_reach_first_order_theory_over_many_cycles(k, eps0):
+    # the error is the largest gap between the running means over 100 cycles,
+    # relative to the theory's largest running mean; measured 2.7e-5 to 4.5e-4
+    # for evolve's p_n and 2.1e-5 to 3.3e-4 for the grid's 100-cycle mean
+    cfg = TrotterConfig(steps_per_cycle=4000, n_cycles=100)
+    theory = fgr_running_means(k, eps0, 1e-4, 100)
+    scale = np.max(theory)
+    scalar = propagator.evolve(DriveParams(eps0=eps0, a_ph=1e-4, k=k), cfg).p_n
+    assert np.max(np.abs(scalar - theory)) / scale <= 1e-3
+    grid = propagator.p_g_numeric_grid(np.array([k]), eps0, 1e-4, DEFAULT_OMEGA, cfg)[0]
+    assert abs(grid - theory[-1]) / scale <= 1e-3
 
 
 def test_first_order_theory_fails_at_the_transition_point():

@@ -88,6 +88,28 @@ def test_fermi_rejects_a_nan_temperature():
      [lambda: thermo.fluence_sweep(ThermalModel(), 20.0, [0.0, 0.0, 0.0])],
      ["fluence", "--set", "grid.F.min=0", "--set", "grid.F.max=0", "--set", "grid.F.count=3"],
      "grid.F"),
+    # the grid routes apply the rules of the fields that DriveParams and
+    # CycleParams guard for one point
+    (lambda: bandmodel.checked_drive_amplitude(-0.1),
+     [lambda: DriveParams(eps0=-0.95, a_ph=-0.1, k=0.1),
+      lambda: bandmodel.gap_stats_grid(np.array([0.1, 4.0]), -0.95, -0.1),
+      lambda: propagator.p_g_numeric_grid(np.array([0.1, 4.0]), -0.95, -0.1, DEFAULT_OMEGA,
+                                          FAST)],
+     ["sweep-k", "--set", "params.drive.a_ph=-0.1"], "params.drive and grid.k"),
+    (lambda: bandmodel.checked_momentum(4.0),
+     [lambda: DriveParams(eps0=-0.95, a_ph=0.1, k=4.0),
+      lambda: bandmodel.gap_stats_grid(np.array([0.1, 4.0]), -0.95, 0.1),
+      lambda: propagator.p_g_numeric_grid(np.array([0.1, 4.0]), -0.95, 0.1, DEFAULT_OMEGA,
+                                          FAST)],
+     ["sweep-k", "--set", "grid.k.max=4"], "params.drive and grid.k"),
+    (lambda: cyclemap.checked_theta(4.0),
+     [lambda: CycleParams(theta=4.0, phi=0.3),
+      lambda: cyclemap.p_series_mean_grid([4.0, -1.0], [0.3, 0.3], 10)],
+     ["verify-cyclemap", "--set", "grid.theta.max=4"], "grid.theta and grid.phi"),
+    (lambda: cyclemap.checked_theta(-1.0),
+     [lambda: CycleParams(theta=-1.0, phi=0.3),
+      lambda: cyclemap.p_series_mean_grid([0.5, -1.0], [0.3, 0.3], 10)],
+     ["verify-cyclemap", "--set", "grid.theta.min=-1"], "grid.theta and grid.phi"),
 ])
 def test_every_route_gives_the_owning_rule_message(owner, routes, argv, where, capsys):
     owner = _message(owner)
