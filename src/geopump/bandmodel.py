@@ -10,6 +10,7 @@ which is the in-cycle topological transition the pumping story rides on.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class GapClosedOnLoop(Exception):
 class DriveParams:
     """Band and drive knobs for one momentum.
 
-    eps0   : static band offset, model units
-    a_ph   : phonon drive amplitude, model units (>= 0)
+    eps0   : static band offset, model units (finite)
+    a_ph   : phonon drive amplitude, model units (finite, >= 0)
     omega  : drive angular frequency, rad per model time unit (> 0, with a
              finite drive period 2 pi / omega)
     k      : crystal momentum in [-pi, pi)
@@ -42,7 +43,7 @@ class DriveParams:
     omega: float = DEFAULT_OMEGA
 
     def __post_init__(self):
-        checked_drive(self.k, self.a_ph, self.omega)
+        checked_drive(self.k, self.eps0, self.a_ph, self.omega)
 
     @property
     def tau_cycle(self) -> float:
@@ -51,12 +52,22 @@ class DriveParams:
 
 def checked_drive_amplitude(a_ph):
     """a_ph, one drive amplitude or an array of them; a ValueError names the
-    first that is not >= 0 (NaN included)."""
+    first that is not finite and >= 0."""
     x = np.asarray(a_ph)
-    inside = x >= 0.0
+    inside = np.isfinite(x) & (x >= 0.0)
     if not inside.all():
-        raise ValueError(f"a_ph must be >= 0, got {x.ravel()[np.argmin(inside)]}")
+        raise ValueError(f"a_ph must be finite and >= 0, got {x.ravel()[np.argmin(inside)]}")
     return a_ph
+
+
+def checked_band_offset(eps0):
+    """eps0, one static band offset or an array of them; a ValueError names
+    the first that is not finite."""
+    x = np.asarray(eps0)
+    inside = np.isfinite(x)
+    if not inside.all():
+        raise ValueError(f"eps0 must be finite, got {x.ravel()[np.argmin(inside)]}")
+    return eps0
 
 
 def checked_momentum(k):
@@ -69,12 +80,13 @@ def checked_momentum(k):
     return k
 
 
-def checked_drive(k, a_ph, omega: float) -> float:
+def checked_drive(k, eps0, a_ph, omega: float) -> float:
     """The drive period; DriveParams' rules, in its order, on one drive or on
-    arrays of k and a_ph, as the grid routes take them."""
+    arrays of k, eps0 and a_ph, as the grid routes take them."""
     checked_drive_amplitude(a_ph)
     tau = drive_period(omega)
     checked_momentum(k)
+    checked_band_offset(eps0)
     return tau
 
 
@@ -143,10 +155,9 @@ def gap_stats_grid(k, eps0, a_ph, omega: float = DEFAULT_OMEGA) -> GapStats:
     taken a block of rows at a time, so that each (rows, samples) temporary
     holds about 8192 samples (64 KiB) however long the sweep is.
     """
-    k, a_ph = np.asarray(k, dtype=float), np.asarray(a_ph, dtype=float)
-    tau = checked_drive(k, a_ph, omega)
-    k, eps0, a_ph = (x.ravel() for x in np.broadcast_arrays(
-        k, np.asarray(eps0, dtype=float), a_ph))
+    k, eps0, a_ph = (np.asarray(x, dtype=float) for x in (k, eps0, a_ph))
+    tau = checked_drive(k, eps0, a_ph, omega)
+    k, eps0, a_ph = (x.ravel() for x in np.broadcast_arrays(k, eps0, a_ph))
     d2, cos_k = np.sin(k), np.cos(k)
     t = np.arange(GAP_SAMPLES) * (tau / GAP_SAMPLES)
     s = np.sin(omega * t)
@@ -192,8 +203,10 @@ def winding_number(eps_eff: float) -> int:
     k grid, not by testing |eps_eff| against 1.
 
     Raises GapClosedOnLoop when the loop passes through the origin: where
-    su2.gap_closed holds at a loop sample, d = (0, x, y).
+    su2.gap_closed holds at a loop sample, d = (0, x, y); eps_eff takes the
+    eps0 rule (checked_band_offset).
     """
+    checked_band_offset(eps_eff)
     k = np.arange(WINDING_GRID + 1) * (2.0 * np.pi / WINDING_GRID)
     x = np.sin(k)
     y = bloch_d3(eps_eff, 0.0, np.cos(k), 0.0)  # the undriven field at eps0 = eps_eff
@@ -211,9 +224,11 @@ def tpt_in_cycle(p: DriveParams) -> TopologicalIndex:
     nu reports the pristine winding (eps_eff = eps0) when defined, else the
     first well-defined extreme. delta_nu = 1 only when both extremes have
     well-defined windings that differ; a single tangent closing counts as no
-    transition. Raises GapClosedOnLoop only if both extremes are closed.
+    transition. Raises GapClosedOnLoop only if both extremes are closed. An
+    extreme beyond the float range winds as the largest float does.
     """
-    lo, hi = p.eps0 - p.a_ph, p.eps0 + p.a_ph
+    eps0, a_ph, big = float(p.eps0), float(p.a_ph), sys.float_info.max
+    lo, hi = (min(max(e, -big), big) for e in (eps0 - a_ph, eps0 + a_ph))
     results = []
     closed = 0
     for e in (lo, hi):

@@ -8,10 +8,10 @@ averaging the excited-state projection over that orbit gives the closed-form
 long-run pumping probability, which the iterated per-cycle series must
 reproduce. Both routes are implemented independently on purpose.
 p_series_mean_grid iterates the series for a whole (theta, phi) grid in one
-call, with the cycle unitaries stacked in one (2, 2, N) array and the state
-in one (2, N) array, updated in place every cycle; its working set is about
-180 bytes per point, so it needs no blocking. cycle_unitary is the one-point
-case of the same stacked formula.
+call, with su2's stacks: the cycle unitaries in one (2, 2, N) array and the
+state in one (2, N) array, updated in place every cycle; its working set is
+about 180 bytes per point, so it needs no blocking. cycle_unitary is the
+one-point case of the same stacked formula.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import su2
 from .bandmodel import checked_winding_change
 
 IDENTITY_TOL = 1e-12
@@ -31,7 +32,7 @@ class IdentityCycle(Exception):
 
 @dataclass(frozen=True)
 class CycleParams:
-    """theta in [0, pi]; phi and omega_az unrestricted (radians)."""
+    """theta in [0, pi]; phi and omega_az finite (radians)."""
 
     theta: float
     phi: float
@@ -39,6 +40,7 @@ class CycleParams:
 
     def __post_init__(self):
         checked_theta(self.theta)
+        checked_phases(self.phi, self.omega_az)
 
 
 def checked_theta(theta):
@@ -49,6 +51,17 @@ def checked_theta(theta):
     if not inside.all():
         raise ValueError(f"theta must lie in [0, pi], got {x.ravel()[np.argmin(inside)]}")
     return theta
+
+
+def checked_phases(phi, omega_az=0.0):
+    """phi, one total dynamic phase or an array of them; a ValueError names
+    the first that is not finite, then a non-finite azimuth omega_az."""
+    for name, x in (("phi", phi), ("omega_az", omega_az)):
+        x = np.asarray(x)
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {x.ravel()[np.argmin(finite)]}")
+    return phi
 
 
 @dataclass(frozen=True)
@@ -136,15 +149,13 @@ def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray
 
     Same literal iteration as p_series, batched over flattened (theta, phi)
     arrays at omega_az = 0, a gauge phase that leaves every |<1|U^n|0>|^2 as
-    it is; returns the n-cycle running mean per grid point. Each cycle is two
-    (2, N) multiplies and one add on buffers allocated once per call, and
-    |v1|^2 is added to the sum in cycle order. (A single broadcast multiply
-    would make NumPy copy v into a temporary buffer on grids of up to 2048
-    points.)
+    it is; returns the n-cycle running mean per grid point. Each cycle is one
+    su2.apply_stack on buffers allocated once per call, and |v1|^2 is added
+    to the sum in cycle order.
     """
     checked_cycles(n)
     theta = checked_theta(np.asarray(theta, dtype=float)).ravel()
-    phi = np.asarray(phi, dtype=float).ravel()
+    phi = checked_phases(np.asarray(phi, dtype=float)).ravel()
     u = _cycle_unitaries(theta, phi, 0.0, _paged((2, 2, theta.size)))
     v = _paged((2, theta.size))
     v[0], v[1] = 1.0, 0.0
@@ -153,9 +164,7 @@ def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray
     acc = _paged(theta.shape, float)
     acc.fill(0.0)
     for _ in range(n):
-        np.multiply(u[0], v, out=prod[0])  # prod[i, j] = u[i, j] * v[j]
-        np.multiply(u[1], v, out=prod[1])
-        np.add(prod[:, 0], prod[:, 1], out=v)
+        su2.apply_stack(u, v, prod, out=v)
         acc += np.square(np.abs(v[1], out=p), out=p)
     return acc / n
 
@@ -172,12 +181,8 @@ def _paged(shape, dtype=complex) -> np.ndarray:
 def _cycle_unitaries(theta, phi, omega_az: float, out=None) -> np.ndarray:
     """cycle_unitary for flat parameter arrays, as a (2, 2, N) array (for
     scalars, the (2, 2) matrix), written into `out` if given."""
-    ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    ep = np.exp(1.0j * phi)
-    eo = np.exp(1.0j * (omega_az - phi))
-    u = np.empty((2, 2) + np.shape(ct), complex) if out is None else out
-    u[0, 0], u[0, 1], u[1, 0], u[1, 1] = ct * np.conj(ep), -st * np.conj(eo), st * eo, ct * ep
-    return u
+    return su2.from_column(np.cos(theta / 2.0) * np.conj(np.exp(1.0j * phi)),
+                           np.sin(theta / 2.0) * np.exp(1.0j * (omega_az - phi)), out)
 
 
 def _orbit_denominator(c: CycleParams):

@@ -26,7 +26,7 @@ points has B = 1. The s_j = sin(omega t_j) come from one np.sin pass per
 call. Every step is a real multiple of an SU(2) matrix, so the running
 product has the form [[a, -conj(b)], [b, conj(a)]] up to a real factor: the
 grid route folds the slab's steps into only the first column (a, b), one
-step at a time and in order, rebuilds the matrix once after the loop (_su2),
+step at a time and in order, rebuilds the matrix once after the loop (su2),
 and runs every per-step operation into buffers allocated once per block.
 The per-cycle measurement then runs half a block at a time (_measure), into
 buffers allocated once per half, so that it holds less memory than the
@@ -373,9 +373,9 @@ def p_g_numeric_grid(k: np.ndarray, eps0: np.ndarray, a_ph: np.ndarray,
     exception's `indices` are that block's failing positions, counted over the
     whole call, and its message names the first of them.
     """
-    k, a_ph = np.asarray(k, dtype=float), np.asarray(a_ph, dtype=float)
-    tau = checked_drive(k, a_ph, omega)
-    grid = np.broadcast_arrays(k, np.asarray(eps0, dtype=float), a_ph)
+    k, eps0, a_ph = (np.asarray(x, dtype=float) for x in (k, eps0, a_ph))
+    tau = checked_drive(k, eps0, a_ph, omega)
+    grid = np.broadcast_arrays(k, eps0, a_ph)
     size = grid[0].size
     # a flat view of a contiguous input; a broadcast one (a scalar a_ph, say) is
     # copied a block at a time through its flat iterator, not whole
@@ -417,7 +417,7 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
                     f"gap closed at {when} at {closed.size} grid point(s)", closed)
 
         u, q = _grid_columns(d2, d3_start, a_ph, omega, dt, extra, cfg)
-        u, q = _su2(u), None if q is None else _su2(q)
+        u, q = su2.from_column(*u), None if q is None else su2.from_column(*q)
 
         # half a block at a time, so that the measurement's buffers stay smaller
         # than the fold's
@@ -469,8 +469,8 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     bench/reference/ together.
 
     _fill_steps writes a slab of steps at a time (see the module docstring),
-    which is folded in order, one _apply per step; the last slab's unused rows
-    are built from s = 0 and never applied.
+    which is folded in order, one su2.apply_stack per step; the last slab's
+    unused rows are built from s = 0 and never applied.
     """
     n = d2.size
     steps = cfg.steps_per_cycle
@@ -496,7 +496,7 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
         if i == 0:
             np.subtract(c3, np.multiply(a_ph, s_slabs[j // b], out=d3), out=d3)
             _fill_steps(d2, d3, dt, cfg.mode, cfg.taylor_order, entries, r, kappa, y_nonzero)
-        _apply(slab_steps[i], u, prod, out=u)
+        su2.apply_stack(slab_steps[i], u, prod, out=u)
         if j + 1 == extra:
             q = u.copy()
     return u, q
@@ -509,57 +509,21 @@ def _measure(u, q, d2, d3_start, d3_meas, n_cycles: int, acc, p_max):
 
     u and q are the (2, 2, N) cycle product and its prefix (None: the
     identity); the state starts in the ground state of (0, d2, d3_start) and
-    is measured against the excited state of (0, d2, d3_meas). Both states
-    take their phase from su2.fix_phase, as eigensystem2's do.
+    is measured against the excited state of (0, d2, d3_meas): both are
+    su2.planar_band_state's, whose phase is su2.fix_phase's, as eigensystem2's.
     """
-    c = np.array(_eig_components(d2, d3_start, lower=True))
-    m1 = np.conj(_eig_components(d2, d3_meas, lower=False))
+    c = np.array(su2.planar_band_state(d2, d3_start, lower=True))
+    m1 = np.conj(su2.planar_band_state(d2, d3_meas, lower=False))
     prod = np.empty_like(u)
     m = None if q is None else np.empty_like(c)
     amp = np.empty(d2.size, dtype=complex)
     p = np.empty(d2.size)
     for _ in range(n_cycles):
-        _apply(u, c, prod, out=c)
-        meas = c if q is None else _apply(q, c, prod, out=m)
+        su2.apply_stack(u, c, prod, out=c)
+        meas = c if q is None else su2.apply_stack(q, c, prod, out=m)
         np.multiply(m1, meas, out=prod[0])
         np.add(prod[0, 0], prod[0, 1], out=amp)
         np.square(np.abs(amp, out=p), out=p)
         np.maximum(p_max, p, out=p_max)  # the raw value; propagates NaN
         acc += _averaged(p, out=p)
 
-
-def _su2(col: np.ndarray) -> np.ndarray:
-    """The (2, 2, N) matrices [[a, -conj(b)], [b, conj(a)]] with first column (a, b)."""
-    a, b = col
-    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-
-
-def _apply(mat: np.ndarray, vec: np.ndarray, prod: np.ndarray, out: np.ndarray):
-    """out = mat @ vec per grid point, as (m00*v0 + m01*v1, m10*v0 + m11*v1);
-    prod is a (2, 2, N) scratch buffer and out may be vec.
-
-    One multiply per row, not one broadcast multiply: NumPy copies a
-    broadcast operand into a temporary buffer when the whole operation fits
-    in its 8192-element buffer, which a 2048-point grid does.
-    """
-    np.multiply(mat[0], vec, out=prod[0])
-    np.multiply(mat[1], vec, out=prod[1])
-    return np.add(prod[:, 0], prod[:, 1], out=out)
-
-
-def _eig_components(d2: np.ndarray, d3: np.ndarray, lower: bool):
-    """Eigenvector components of d2*sigma2 + d3*sigma3 for the lower or upper band.
-
-    Closed form: for eigenvalue sign e = -1 or +1, E = e*|d| and the
-    (unnormalized) vector is (d3 + E, i*d2) unless that degenerates.
-    """
-    nd = np.hypot(d2, d3)
-    e = -nd if lower else nd
-    va = d3 + e
-    vb = 1.0j * d2
-    # where the representative vector vanishes (d2 = 0, d3 = -E), use (0, 1)
-    tiny = np.abs(va) + np.abs(vb) < 1e-14
-    va = np.where(tiny, 0.0, va)
-    vb = np.where(tiny, 1.0, vb)
-    norm = np.sqrt(np.abs(va) ** 2 + np.abs(vb) ** 2)
-    return su2.fix_phase(va / norm, vb / norm)

@@ -2,7 +2,9 @@
 
 States are length-2 complex ndarrays, operators are (2, 2) complex ndarrays,
 and Bloch vectors are length-3 real ndarrays with H = d . sigma. Everything
-here is allocation-light and pure; no scipy.
+here is allocation-light and pure; no scipy. Both grid kernels keep N SU(2)
+matrices as one (2, 2, N) stack (from_column) and advance a (2, N) stack of
+states with apply_stack.
 
 Density matrices are checked as stacks: density_spectra runs the invariant
 tests over an (n, 2, 2) stack, one test at a time, with one eigvalsh call,
@@ -58,8 +60,10 @@ def bloch_norm(d: np.ndarray) -> np.ndarray:
 
 def gap_closed(d: np.ndarray) -> np.ndarray:
     """Where the gap 2|d| of d . sigma, d of shape (..., 3), is below
-    DEGENERACY_TOL: the one closed-gap rule of every route."""
-    return 2.0 * bloch_norm(d) < DEGENERACY_TOL
+    DEGENERACY_TOL: the one closed-gap rule of every route. |d| is compared
+    with DEGENERACY_TOL / 2, the same test bit for bit (doubling and halving
+    are exact), so a finite |d| beyond 2^1023 does not overflow."""
+    return bloch_norm(d) < DEGENERACY_TOL / 2.0
 
 
 def fix_phase(va, vb):
@@ -81,7 +85,8 @@ def eigensystem2(h: np.ndarray):
 
     Raises DegenerateSpectrum where gap_closed holds for the Bloch vector of h.
     """
-    d = np.array([h[0, 1].real, -h[0, 1].imag, (h[0, 0] - h[1, 1]).real / 2.0])
+    with np.errstate(over="ignore"):  # |d3| > 2^1023 overflows 2 d3: an open gap
+        d = np.array([h[0, 1].real, -h[0, 1].imag, (h[0, 0] - h[1, 1]).real / 2.0])
     if gap_closed(d):
         raise DegenerateSpectrum(f"gap {2.0 * bloch_norm(d):.3e} below tolerance "
                                  f"{DEGENERACY_TOL:.0e}")
@@ -89,6 +94,35 @@ def eigensystem2(h: np.ndarray):
     e0, e1 = float(w[0]), float(w[1])
     n0, n1 = np.array(fix_phase(v[0], v[1])).T.copy()
     return e0, e1, n0, n1
+
+
+def planar_band_state(d2: np.ndarray, d3: np.ndarray, lower: bool):
+    """Components (va, vb) of the lower or upper band state of
+    d2*sigma2 + d3*sigma3, for arrays d2 and d3, phase-fixed by fix_phase.
+
+    Closed form: for eigenvalue sign e = -1 or +1, E = e*|d| and the
+    (unnormalized) vector is (d3 + E, i*d2), or (0, 1) where it vanishes
+    (d2 = 0, d3 = -E): where |d3 + E| + |d2| < 1e-14.
+
+    A field beyond 1 is scaled below 1 by a power of two, and the 1e-14 with
+    it; the vector is then scaled to a largest component in [1/2, 1). So at
+    any finite field neither d3 + E (past 2^1023) nor |d3 + E|^2 (past about
+    1.3e154) overflows, and the squares of a scaled-down vector do not
+    underflow to a zero norm. The powers are applied with frexp and ldexp on
+    the values, as a factor such as 2^1030 would itself overflow; neither
+    scaling changes a bit where no scaled value is subnormal.
+    """
+    d2, d3 = np.asarray(d2, dtype=float), np.asarray(d3, dtype=float)
+    e = np.maximum(np.frexp(np.maximum(np.abs(d2), np.abs(d3)))[1], 0)
+    d2, d3 = np.ldexp(d2, -e), np.ldexp(d3, -e)
+    nd = np.hypot(d2, d3)
+    va = d3 + (-nd if lower else nd)
+    tiny = np.abs(va) + np.abs(d2) < np.ldexp(1e-14, -e)
+    e = np.frexp(np.maximum(np.abs(va), np.abs(d2)))[1]
+    va = np.where(tiny, 0.0, np.ldexp(va, -e))
+    vb = np.where(tiny, 1.0, 1.0j * np.ldexp(d2, -e))
+    norm = np.sqrt(np.abs(va) ** 2 + np.abs(vb) ** 2)
+    return fix_phase(va / norm, vb / norm)
 
 
 def exact_step(d: np.ndarray, dt: float) -> np.ndarray:
@@ -103,6 +137,28 @@ def exact_step(d: np.ndarray, dt: float) -> np.ndarray:
     kappa = dt * np.sinc(r / np.pi)
     h = bloch_matrix(d)
     return np.cos(r) * IDENTITY2 - 1.0j * kappa * h
+
+
+def from_column(a, b, out=None) -> np.ndarray:
+    """The (2, 2, N) matrices [[a, -conj(b)], [b, conj(a)]] with first column
+    (a, b) (for scalars, the (2, 2) matrix), written into `out` if given."""
+    m = np.empty((2, 2) + np.shape(a), complex) if out is None else out
+    m[0, 0], m[0, 1], m[1, 0], m[1, 1] = a, -np.conj(b), b, np.conj(a)
+    return m
+
+
+def apply_stack(mat: np.ndarray, vec: np.ndarray, prod: np.ndarray, out: np.ndarray):
+    """out = mat @ vec for each column of a (2, 2, N) matrix stack and a
+    (2, N) state stack, as (m00*v0 + m01*v1, m10*v0 + m11*v1); prod is a
+    (2, 2, N) scratch buffer and out may be vec.
+
+    One multiply per row, not one broadcast multiply: NumPy copies a
+    broadcast operand into a temporary buffer when the whole operation fits
+    in its 8192-element buffer, which a 2048-point stack does.
+    """
+    np.multiply(mat[0], vec, out=prod[0])
+    np.multiply(mat[1], vec, out=prod[1])
+    return np.add(prod[:, 0], prod[:, 1], out=out)
 
 
 def density_spectra(rho: np.ndarray) -> np.ndarray:

@@ -199,3 +199,12 @@ def test_gap_stats_at_huge_drive_amplitudes_raise_no_warning(a_ph):
     assert np.isposinf(stats.delta_avg).all()
     assert np.isfinite(stats.delta_int).all() and np.isfinite(stats.delta_min).all()
     assert stats.delta_min[0] == 0.0  # k = 0 closes in the cycle
+
+
+def test_winding_at_a_huge_finite_offset_needs_no_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bandmodel.winding_number(1e308) == bandmodel.winding_number(-1e308) == 0
+        # eps0 +/- a_ph = 0 and 2e308: the upper extreme winds as the largest float
+        r = bandmodel.tpt_in_cycle(DriveParams(eps0=1e308, a_ph=1e308, k=0.0))
+    assert r.nu == 0 and r.delta_nu == 1

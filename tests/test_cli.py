@@ -265,14 +265,14 @@ def test_runners_take_the_objects_their_checks_built(monkeypatch):
     assert built.count("_start_states") == 1
 
 
-@pytest.mark.parametrize("experiment, overrides, point", [
-    ("sweep-k", ["params.drive.eps0=1e308"], "k=-0.7853981633974483, eps0=1e+308"),
+@pytest.mark.parametrize("experiment, overrides, cell", [
+    ("sweep-k", ["params.drive.eps0=1e308"], "(k=-0.78539816339744828), column 'delta_int'"),
     ("sweep-eps0", ["grid.eps0.min=-1e308", "grid.eps0.max=-1e307", "grid.eps0.count=3"],
-     "k=0.005, eps0=-1e+308"),
+     "(eps0=-1e+308), column 'delta_min_k0'"),
 ], ids=["sweep-k", "sweep-eps0"])
-def test_huge_drive_values_exit_3_without_warnings(experiment, overrides, point, capsys):
-    # the gap test and the band states overflow to NaN, which the probability
-    # check names
+def test_huge_drive_values_exit_3_without_warnings(experiment, overrides, cell, capsys):
+    # the propagator stays finite at any finite field, so the gap column's
+    # overflow to inf is what the table check names
     argv = [experiment, "--set", "grid.k.count=3", "--set", "params.trotter.steps_per_cycle=100",
             "--set", "params.trotter.n_cycles=2", "--out", "-"]
     for item in overrides:
@@ -281,8 +281,26 @@ def test_huge_drive_values_exit_3_without_warnings(experiment, overrides, point,
         warnings.simplefilter("error")
         assert cli.main(argv) == 3
     assert capsys.readouterr().err.splitlines()[-1] == (
-        f"geopump: compute error: {experiment}: probability nan outside [0, 1] beyond "
-        f"tolerance; first failing grid index 0: {point}, a_ph=0.1")
+        f"geopump: compute error: {experiment}: non-finite value inf in row 0 {cell}")
+
+
+@pytest.mark.parametrize("experiment, overrides, code, last", [
+    ("initial-states", [], 0, "geopump: running initial-states"),
+    ("unitarity-report", ["grid.steps_per_cycle.values=[100]"], 3,
+     "geopump: compute error: unitarity-report: non-finite value nan in row 0 (taylor_order=1, "
+     "steps_per_cycle=100), column 'defect_taylor'; drive k=0.02, eps0={eps0}, a_ph=0.1"),
+], ids=["initial-states", "unitarity-report"])
+@pytest.mark.parametrize("eps0", ["1e+308", "-1e+308"])
+def test_point_runs_at_a_huge_band_offset_do_not_warn(experiment, overrides, code, last, eps0,
+                                                      capsys):
+    # eigensystem2's d3 = (h00 - h11) / 2 overflows in the difference, an open gap
+    argv = [experiment, "--set", f"params.drive.eps0={eps0}", "--out", "-"]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == code
+    assert capsys.readouterr().err.splitlines()[-1] == last.format(eps0=eps0)
 
 
 def test_table_must_be_rectangular():

@@ -57,6 +57,31 @@ def test_segment_product_matches_direct_construction(theta, phi, omega_az, s1, s
     assert np.max(np.abs(u_direct - u_seg)) < 1e-12
 
 
+def _cycle_unitary_by_hand(theta, phi, omega_az):
+    """cycle_unitary's four entries as it wrote them before su2.from_column."""
+    ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    ep = np.exp(1.0j * phi)
+    eo = np.exp(1.0j * (omega_az - phi))
+    return np.array([[ct * np.conj(ep), -st * np.conj(eo)], [st * eo, ct * ep]])
+
+
+def test_cycle_unitary_equals_its_hand_written_entries():
+    rng = np.random.default_rng(7)
+    n = 100_000
+    theta, phi, omega_az = rng.uniform(0.0, math.pi, n), *rng.uniform(-7.0, 7.0, (2, n))
+    for i in range(200):
+        c = CycleParams(theta=theta[i], phi=phi[i], omega_az=omega_az[i])
+        assert cyclemap.cycle_unitary(c).tobytes() == _cycle_unitary_by_hand(
+            c.theta, c.phi, c.omega_az).tobytes()
+    for w in (0.0, 0.83):  # the stacked form, which p_series_mean_grid runs at 0
+        assert cyclemap._cycle_unitaries(theta, phi, w).tobytes() == _cycle_unitary_by_hand(
+            theta, phi, w).tobytes()
+    # at theta = 0 or sin phi = 0 a zero part may take the other sign
+    for theta, phi in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, math.pi)]:
+        assert np.array_equal(cyclemap.cycle_unitary(CycleParams(theta=theta, phi=phi)),
+                              _cycle_unitary_by_hand(theta, phi, 0.0))
+
+
 def test_segment_sum_mismatch_raises():
     c = CycleParams(theta=1.0, phi=0.5)
     with pytest.raises(ValueError):

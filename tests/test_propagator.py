@@ -10,13 +10,15 @@ import math
 import pathlib
 import re
 import runpy
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from geopump import bandmodel, propagator, su2
+from geopump import bandmodel, cyclemap, propagator, su2
 from geopump.bandmodel import DriveParams, bloch_vector, hamiltonian
+from geopump.cyclemap import CycleParams
 from geopump.propagator import (DegenerateMeasurementBasis, NonUnitaryEvolution,
                                 TrotterConfig)
 
@@ -533,8 +535,8 @@ def _four_component_reference(k, eps0, a_ph, omega, cfg):
 
     d3_start = bandmodel.bloch_d3(eps0, a_ph, np.cos(k), 0.0)
     d3_meas = bandmodel.bloch_d3(eps0, a_ph, np.cos(k), math.sin(omega * (extra * dt)))
-    g0a, g0b = propagator._eig_components(d2, d3_start, lower=True)
-    m1a, m1b = propagator._eig_components(d2, d3_meas, lower=False)
+    g0a, g0b = su2.planar_band_state(d2, d3_start, lower=True)
+    m1a, m1b = su2.planar_band_state(d2, d3_meas, lower=False)
     c0, c1 = g0a.astype(complex), g0b.astype(complex)
     acc = np.zeros_like(k)
     for _ in range(cfg.n_cycles):
@@ -800,7 +802,7 @@ def _per_step_columns(d2, c3, a_ph, omega, dt, extra, cfg):
         s11.real = ca
         np.negative(np.multiply(kappa, d3, out=s11.imag), out=s00.imag)
         np.negative(np.multiply(kappa, d2, out=s10.real), out=s01.real)
-        propagator._apply(step, u, prod, out=u)
+        su2.apply_stack(step, u, prod, out=u)
         if j + 1 == extra:
             q = u.copy()
     return u, q
@@ -901,7 +903,7 @@ def test_steps_and_band_states_take_the_norm_and_the_phase_from_su2(monkeypatch)
     assert called(lambda: su2.exact_step(d, 0.01)) == ["bloch_norm"]
     assert called(lambda: su2.eigensystem2(hamiltonian(TPT_POINT, 0.0))) == ["bloch_norm",
                                                                              "fix_phase"]
-    assert called(lambda: propagator._eig_components(d[None, 1], d[None, 2], lower=True)) == [
+    assert called(lambda: su2.planar_band_state(d[None, 1], d[None, 2], lower=True)) == [
         "fix_phase"]
 
     # both routes build every step through the one writer, _fill_steps
@@ -919,3 +921,45 @@ def test_steps_and_band_states_take_the_norm_and_the_phase_from_su2(monkeypatch)
     assert called(lambda: propagator._grid_columns(d[None, 1], d[None, 2], 0.1,
                                                    TPT_POINT.omega, 0.01, 0, cfg)) == [
         "_fill_steps"]
+
+
+def test_grid_kernels_and_the_cycle_map_take_their_su2_algebra_from_su2(monkeypatch):
+    calls = []
+    for name in ("from_column", "apply_stack", "planar_band_state"):
+        def spy(*args, name=name, owner=getattr(su2, name), **kwargs):
+            calls.append(name)
+            return owner(*args, **kwargs)
+        monkeypatch.setattr(su2, name, spy)
+
+    def called(run):
+        calls.clear()
+        run()
+        return calls
+
+    d = bloch_vector(TPT_POINT, 0.0)
+    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2, measure_offset=0.5)
+    assert called(lambda: propagator._grid_columns(d[None, 1], d[None, 2], 0.1,
+                                                   TPT_POINT.omega, 0.01, 0, cfg)) == [
+        "apply_stack"] * 100
+    # the fold, u and q from their first columns, the two band states, then
+    # the cycle product and its prefix once per cycle
+    assert called(lambda: propagator.p_g_numeric_grid(
+        np.array([TPT_POINT.k]), TPT_POINT.eps0, TPT_POINT.a_ph, TPT_POINT.omega, cfg)) == (
+        ["apply_stack"] * 100 + ["from_column"] * 2 + ["planar_band_state"] * 2
+        + ["apply_stack"] * 4)
+    assert called(lambda: cyclemap.p_series_mean_grid([1.0], [0.5], 3)) == [
+        "from_column"] + ["apply_stack"] * 3
+    assert called(lambda: cyclemap.cycle_unitary(CycleParams(theta=1.0, phi=0.5))) == [
+        "from_column"]
+
+
+@pytest.mark.parametrize("eps0", [1e155, 1e200, 1e308, -1e308])
+def test_both_routes_agree_at_a_huge_finite_band_offset(eps0):
+    # the band states no longer overflow in the grid route
+    p = DriveParams(eps0=eps0, a_ph=0.1, k=0.02)
+    cfg = TrotterConfig(steps_per_cycle=200, n_cycles=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = propagator.p_g_numeric(p, cfg)
+        grid = propagator.p_g_numeric_grid(np.array([p.k]), eps0, p.a_ph, p.omega, cfg)[0]
+    assert abs(scalar - grid) <= 1e-12

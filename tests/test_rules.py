@@ -3,6 +3,7 @@ library entry point that guards the field and the CLI's pre-compute check give
 that rule's own message."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,3 +117,32 @@ def test_every_route_gives_the_owning_rule_message(owner, routes, argv, where, c
     for route in routes:
         assert _message(route) == owner
     assert _config_error(argv, capsys) == f"geopump: config error: {where}: {owner}"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("owner, routes", [
+    (bandmodel.checked_band_offset,
+     [lambda x: DriveParams(eps0=x, a_ph=0.1, k=0.02),
+      lambda x: bandmodel.gap_stats_grid(0.02, np.array([-0.95, x]), 0.1),
+      lambda x: propagator.p_g_numeric_grid(np.array([0.02]), np.array([-0.95, x]), 0.1,
+                                            DEFAULT_OMEGA, FAST),
+      bandmodel.winding_number]),
+    (bandmodel.checked_drive_amplitude,
+     [lambda x: DriveParams(eps0=-0.95, a_ph=x, k=0.02),
+      lambda x: bandmodel.gap_stats_grid(0.02, -0.95, np.array([0.1, x])),
+      lambda x: propagator.p_g_numeric_grid(np.array([0.02]), -0.95, np.array([0.1, x]),
+                                            DEFAULT_OMEGA, FAST)]),
+    (cyclemap.checked_phases,
+     [lambda x: CycleParams(theta=1.0, phi=x),
+      lambda x: cyclemap.p_series_mean_grid([1.0, 1.0], [0.3, x], 10)]),
+    (lambda x: cyclemap.checked_phases(0.3, x),
+     [lambda x: CycleParams(theta=1.0, phi=0.3, omega_az=x)]),
+], ids=["eps0", "a_ph", "phi", "omega_az"])
+def test_every_route_rejects_a_non_finite_field(owner, routes, value):
+    # the CLI's type check turns away NaN and inf before any rule runs
+    owner = _message(lambda: owner(value))
+    assert "must be finite" in owner
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rule runs before any arithmetic
+        for route in routes:
+            assert _message(lambda: route(value)) == owner

@@ -1,6 +1,7 @@
 """Two-level primitives: eigensystem, exact step, entropy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,3 +276,47 @@ def test_scalar_checks_are_the_one_matrix_stack():
     assert su2.validate_density(np.diag([0.25, 0.75])).dtype == complex
     with pytest.raises(su2.InvalidDensityMatrix, match=r"shape \(3, 3\) is not \(2, 2\)"):
         su2.validate_density(np.eye(3) / 3)
+
+
+def _planar_band_state_unscaled(d2, d3, lower):
+    """planar_band_state before it scaled the field and the vector."""
+    nd = np.hypot(d2, d3)
+    e = -nd if lower else nd
+    va = d3 + e
+    vb = 1.0j * d2
+    tiny = np.abs(va) + np.abs(vb) < 1e-14
+    va = np.where(tiny, 0.0, va)
+    vb = np.where(tiny, 1.0, vb)
+    norm = np.sqrt(np.abs(va) ** 2 + np.abs(vb) ** 2)
+    return su2.fix_phase(va / norm, vb / norm)
+
+
+@pytest.mark.parametrize("lower", [True, False])
+def test_planar_band_state_is_finite_at_any_field_and_the_unscaled_formula_where_that_is(lower):
+    # signed fields over the whole double range, subnormals and zeros included
+    rng = np.random.default_rng(3)
+    n = 200_000
+    d2, d3 = (rng.choice([-1.0, 1.0], n) * np.ldexp(rng.uniform(1.0, 2.0, n),
+                                                      rng.integers(-1075, 1024, n))
+              for _ in range(2))
+    d2[:100] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        va, vb = su2.planar_band_state(d2, d3, lower)
+    parts = np.stack([va.real, va.imag, vb.real, vb.imag])
+    assert np.isfinite(parts).all()
+    assert np.max(np.abs(np.abs(va) ** 2 + np.abs(vb) ** 2 - 1.0)) <= 4 * np.finfo(float).eps
+
+    with np.errstate(all="ignore"):
+        ref = np.stack([f(x) for x in _planar_band_state_unscaled(d2, d3, lower)
+                        for f in (np.real, np.imag)])
+        ratio = np.minimum(np.abs(d2), np.abs(d3)) / np.hypot(d2, d3)
+    finite = np.isfinite(ref).all(axis=0)
+    # bit for bit unless a scaled value is subnormal: there the two roundings
+    # of a subnormal component, or 1 / |d2| against |d2| / |d2|, move an ulp or two
+    wide = finite & (ratio >= 1e-307)
+    assert wide.sum() > n // 2
+    assert parts[:, wide].tobytes() == ref[:, wide].tobytes()
+    narrow = finite & ~wide
+    assert np.all(np.abs(parts[:, narrow] - ref[:, narrow])
+                  <= 2 * np.spacing(np.abs(ref[:, narrow])))
