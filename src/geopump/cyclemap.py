@@ -9,7 +9,8 @@ long-run pumping probability, which the iterated per-cycle series must
 reproduce. Both routes are implemented independently on purpose.
 p_series_mean_grid iterates the series for a whole (theta, phi) grid in one
 call, with su2's stacks: the cycle unitaries in one (2, 2, N) array and the
-state in one (2, N) array, updated in place every cycle; its working set is
+state in one (2, N) array, updated in place every cycle by an applier that
+su2.stack_applier binds once per call; its working set is
 about 180 bytes per point, so it needs no blocking. cycle_unitary is the
 one-point case of the same stacked formula.
 """
@@ -147,25 +148,28 @@ def p_series(c: CycleParams, n: int) -> np.ndarray:
 def p_series_mean_grid(theta: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
     """Final running mean of the per-cycle series for whole parameter grids.
 
-    Same literal iteration as p_series, batched over flattened (theta, phi)
-    arrays at omega_az = 0, a gauge phase that leaves every |<1|U^n|0>|^2 as
-    it is; returns the n-cycle running mean per grid point. Each cycle is one
-    su2.apply_stack on buffers allocated once per call, and |v1|^2 is added
+    Same literal iteration as p_series, batched over (theta, phi) arrays,
+    which broadcast to a common flat shape, at omega_az = 0, a gauge phase
+    that leaves every |<1|U^n|0>|^2 as it is; returns the n-cycle running
+    mean per grid point. Each cycle is one call of an su2.stack_applier bound
+    once per call, on buffers allocated once per call, and |v1|^2 is added
     to the sum in cycle order.
     """
     checked_cycles(n)
-    theta = checked_theta(np.asarray(theta, dtype=float)).ravel()
-    phi = checked_phases(np.asarray(phi, dtype=float)).ravel()
+    theta = checked_theta(np.asarray(theta, dtype=float))
+    phi = checked_phases(np.asarray(phi, dtype=float))
+    theta, phi = (x.ravel() for x in np.broadcast_arrays(theta, phi))
     u = _cycle_unitaries(theta, phi, 0.0, _paged((2, 2, theta.size)))
     v = _paged((2, theta.size))
     v[0], v[1] = 1.0, 0.0
-    prod = _paged(u.shape)
+    apply = su2.stack_applier(u, _paged(u.shape))
     p = _paged(theta.shape, float)
     acc = _paged(theta.shape, float)
     acc.fill(0.0)
+    v1, absolute, square, add = v[1], np.abs, np.square, np.add
     for _ in range(n):
-        su2.apply_stack(u, v, prod, out=v)
-        acc += np.square(np.abs(v[1], out=p), out=p)
+        apply(v, v)
+        add(acc, square(absolute(v1, p), p), acc)  # positional outputs, as su2's
     return acc / n
 
 

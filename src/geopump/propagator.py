@@ -26,8 +26,9 @@ points has B = 1. The s_j = sin(omega t_j) come from one np.sin pass per
 call. Every step is a real multiple of an SU(2) matrix, so the running
 product has the form [[a, -conj(b)], [b, conj(a)]] up to a real factor: the
 grid route folds the slab's steps into only the first column (a, b), one
-step at a time and in order, rebuilds the matrix once after the loop (su2),
-and runs every per-step operation into buffers allocated once per block.
+step at a time and in order, through one su2.stack_applier per slab row
+bound once per block, rebuilds the matrix once after the loop (su2), and
+runs every per-step operation into buffers allocated once per block.
 The per-cycle measurement then runs half a block at a time (_measure), into
 buffers allocated once per half, so that it holds less memory than the
 fold. Both routes enforce the same guards and are cross-checked in the
@@ -469,8 +470,10 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     bench/reference/ together.
 
     _fill_steps writes a slab of steps at a time (see the module docstring),
-    which is folded in order, one su2.apply_stack per step; the last slab's
-    unused rows are built from s = 0 and never applied.
+    which is folded in order, one call per step of the su2.stack_applier
+    bound to its slab row once per block (_fill_steps writes the slab in
+    place, so each applier sees every slab); the last slab's unused rows are
+    built from s = 0 and never applied.
     """
     n = d2.size
     steps = cfg.steps_per_cycle
@@ -482,12 +485,12 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     d3, r, kappa = (np.empty((b, n)) for _ in range(3))
     slab = np.zeros((b, 2, 2, n), dtype=complex)
     entries = tuple(slab[:, i // 2, i % 2] for i in range(4))
-    slab_steps = list(slab)
     # r = hypot(d2, d3) dt >= |d2| dt up to an ulp of hypot, and r / pi * pi
     # rounds monotonely, so where every |d2| dt is a normal number no step's
     # sinc argument is zero and the exact coefficients skip that test
     y_nonzero = bool(np.min(np.abs(d2)) * dt >= sys.float_info.min)
     prod = np.empty((2, 2, n), dtype=complex)
+    apply_step = [su2.stack_applier(step, prod) for step in slab]
     u = np.zeros((2, n), dtype=complex)
     u[0] = 1.0
     q = None
@@ -496,7 +499,7 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
         if i == 0:
             np.subtract(c3, np.multiply(a_ph, s_slabs[j // b], out=d3), out=d3)
             _fill_steps(d2, d3, dt, cfg.mode, cfg.taylor_order, entries, r, kappa, y_nonzero)
-        su2.apply_stack(slab_steps[i], u, prod, out=u)
+        apply_step[i](u, u)
         if j + 1 == extra:
             q = u.copy()
     return u, q
@@ -515,14 +518,15 @@ def _measure(u, q, d2, d3_start, d3_meas, n_cycles: int, acc, p_max):
     c = np.array(su2.planar_band_state(d2, d3_start, lower=True))
     m1 = np.conj(su2.planar_band_state(d2, d3_meas, lower=False))
     prod = np.empty_like(u)
-    m = None if q is None else np.empty_like(c)
+    cycle = su2.stack_applier(u, prod)
+    prefix = None if q is None else su2.stack_applier(q, prod)
+    m = np.empty_like(c)  # the measured state, then its products with m1
     amp = np.empty(d2.size, dtype=complex)
     p = np.empty(d2.size)
     for _ in range(n_cycles):
-        su2.apply_stack(u, c, prod, out=c)
-        meas = c if q is None else su2.apply_stack(q, c, prod, out=m)
-        np.multiply(m1, meas, out=prod[0])
-        np.add(prod[0, 0], prod[0, 1], out=amp)
+        cycle(c, c)
+        np.multiply(m1, c if prefix is None else prefix(c, m), out=m)
+        np.add(m[0], m[1], out=amp)
         np.square(np.abs(amp, out=p), out=p)
         np.maximum(p_max, p, out=p_max)  # the raw value; propagates NaN
         acc += _averaged(p, out=p)

@@ -4,7 +4,7 @@ States are length-2 complex ndarrays, operators are (2, 2) complex ndarrays,
 and Bloch vectors are length-3 real ndarrays with H = d . sigma. Everything
 here is allocation-light and pure; no scipy. Both grid kernels keep N SU(2)
 matrices as one (2, 2, N) stack (from_column) and advance a (2, N) stack of
-states with apply_stack.
+states with an applier that stack_applier binds to the stack once per loop.
 
 Density matrices are checked as stacks: density_spectra runs the invariant
 tests over an (n, 2, 2) stack, one test at a time, with one eigvalsh call,
@@ -147,18 +147,30 @@ def from_column(a, b, out=None) -> np.ndarray:
     return m
 
 
-def apply_stack(mat: np.ndarray, vec: np.ndarray, prod: np.ndarray, out: np.ndarray):
-    """out = mat @ vec for each column of a (2, 2, N) matrix stack and a
-    (2, N) state stack, as (m00*v0 + m01*v1, m10*v0 + m11*v1); prod is a
-    (2, 2, N) scratch buffer and out may be vec.
+def stack_applier(mat: np.ndarray, prod: np.ndarray):
+    """apply(vec, out): out = mat @ vec for each column of a (2, 2, N) matrix
+    stack and a (2, N) state stack, as (m00*v0 + m01*v1, m10*v0 + m11*v1),
+    through the (2, 2, N) scratch buffer prod; out may be vec.
+
+    The row views of mat and prod are taken once, here, so a loop that
+    applies one stack many times builds none per call; apply reads mat when
+    called, so it sees writes made into mat in place after binding.
 
     One multiply per row, not one broadcast multiply: NumPy copies a
     broadcast operand into a temporary buffer when the whole operation fits
     in its 8192-element buffer, which a 2048-point stack does.
     """
-    np.multiply(mat[0], vec, out=prod[0])
-    np.multiply(mat[1], vec, out=prod[1])
-    return np.add(prod[:, 0], prod[:, 1], out=out)
+    m0, m1, p0, p1, pa, pb = mat[0], mat[1], prod[0], prod[1], prod[:, 0], prod[:, 1]
+    multiply, add = np.multiply, np.add
+
+    def apply(vec: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # each ufunc's third argument is its output: positional, as the
+        # keyword costs about 0.1-0.3 us a call (2-vCPU Xeon)
+        multiply(m0, vec, p0)
+        multiply(m1, vec, p1)
+        return add(pa, pb, out)
+
+    return apply
 
 
 def density_spectra(rho: np.ndarray) -> np.ndarray:

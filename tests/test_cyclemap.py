@@ -197,6 +197,16 @@ def test_series_mean_grid_buffers_start_on_a_page(monkeypatch):
     assert [b.ctypes.data % 4096 for b in buffers] == [0] * 5
 
 
+def test_series_mean_grid_broadcasts_theta_and_phi_to_one_flat_shape():
+    # as p_g_numeric_grid's k, eps0 and a_ph do: the buffers take the common size
+    assert cyclemap.p_series_mean_grid([0.1], [0.5, 0.6], 50).tobytes() == (
+        cyclemap.p_series_mean_grid([0.1, 0.1], [0.5, 0.6], 50).tobytes())
+    assert cyclemap.p_series_mean_grid([[0.1], [0.2]], [0.5, 0.6], 50).tobytes() == (
+        cyclemap.p_series_mean_grid([0.1, 0.1, 0.2, 0.2], [0.5, 0.6, 0.5, 0.6], 50).tobytes())
+    with pytest.raises(ValueError, match=r"\(3,\).*\(2,\)"):
+        cyclemap.p_series_mean_grid([0.1, 0.2, 0.3], [0.5, 0.6], 50)
+
+
 def test_series_mean_grid_rejects_zero_cycles():
     with pytest.raises(ValueError, match="n must be >= 1"):
         cyclemap.p_series(CycleParams(theta=1.0, phi=0.5), 0)

@@ -789,7 +789,7 @@ def _per_step_columns(d2, c3, a_ph, omega, dt, extra, cfg):
     d3, r, ca, kappa = (np.empty(n) for _ in range(4))
     step = np.zeros((2, 2, n), dtype=complex)
     s00, s01, s10, s11 = step[0, 0], step[0, 1], step[1, 0], step[1, 1]
-    prod = np.empty_like(step)
+    apply_step = su2.stack_applier(step, np.empty_like(step))
     u = np.zeros((2, n), dtype=complex)
     u[0] = 1.0
     q = None
@@ -802,7 +802,7 @@ def _per_step_columns(d2, c3, a_ph, omega, dt, extra, cfg):
         s11.real = ca
         np.negative(np.multiply(kappa, d3, out=s11.imag), out=s00.imag)
         np.negative(np.multiply(kappa, d2, out=s10.real), out=s01.real)
-        su2.apply_stack(step, u, prod, out=u)
+        apply_step(u, u)
         if j + 1 == extra:
             q = u.copy()
     return u, q
@@ -925,7 +925,8 @@ def test_steps_and_band_states_take_the_norm_and_the_phase_from_su2(monkeypatch)
 
 def test_grid_kernels_and_the_cycle_map_take_their_su2_algebra_from_su2(monkeypatch):
     calls = []
-    for name in ("from_column", "apply_stack", "planar_band_state"):
+    # stack_applier is counted where it binds, not where its applier runs
+    for name in ("from_column", "stack_applier", "planar_band_state"):
         def spy(*args, name=name, owner=getattr(su2, name), **kwargs):
             calls.append(name)
             return owner(*args, **kwargs)
@@ -938,17 +939,23 @@ def test_grid_kernels_and_the_cycle_map_take_their_su2_algebra_from_su2(monkeypa
 
     d = bloch_vector(TPT_POINT, 0.0)
     cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2, measure_offset=0.5)
+    # one point: one slab of 100 rows, each bound once
     assert called(lambda: propagator._grid_columns(d[None, 1], d[None, 2], 0.1,
                                                    TPT_POINT.omega, 0.01, 0, cfg)) == [
-        "apply_stack"] * 100
+        "stack_applier"] * 100
     # the fold, u and q from their first columns, the two band states, then
-    # the cycle product and its prefix once per cycle
+    # the cycle product and its prefix bound once for all cycles
+    grid = (np.array([TPT_POINT.k]), TPT_POINT.eps0, TPT_POINT.a_ph, TPT_POINT.omega)
+    assert called(lambda: propagator.p_g_numeric_grid(*grid, cfg)) == (
+        ["stack_applier"] * 100 + ["from_column"] * 2 + ["planar_band_state"] * 2
+        + ["stack_applier"] * 2)
+    # no offset: no prefix, so u alone
     assert called(lambda: propagator.p_g_numeric_grid(
-        np.array([TPT_POINT.k]), TPT_POINT.eps0, TPT_POINT.a_ph, TPT_POINT.omega, cfg)) == (
-        ["apply_stack"] * 100 + ["from_column"] * 2 + ["planar_band_state"] * 2
-        + ["apply_stack"] * 4)
+        *grid, replace(cfg, measure_offset=0.0))) == (
+        ["stack_applier"] * 100 + ["from_column"] + ["planar_band_state"] * 2
+        + ["stack_applier"])
     assert called(lambda: cyclemap.p_series_mean_grid([1.0], [0.5], 3)) == [
-        "from_column"] + ["apply_stack"] * 3
+        "from_column", "stack_applier"]
     assert called(lambda: cyclemap.cycle_unitary(CycleParams(theta=1.0, phi=0.5))) == [
         "from_column"]
 

@@ -179,6 +179,25 @@ def test_unitarity_defect_of_a_stack_is_each_matrix_own():
     assert defects[0, 1] < 1e-14
 
 
+def test_stack_applier_reads_its_stack_when_called_and_may_write_over_its_state():
+    rng = np.random.default_rng(11)
+    n = 7
+    mat = rng.normal(size=(2, 2, n)) + 1j * rng.normal(size=(2, 2, n))
+    vec = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    apply = su2.stack_applier(mat, np.empty_like(mat))
+    for _ in range(2):
+        # bound before these writes, which land in mat in place
+        mat[...] = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+        (m00, m01), (m10, m11) = mat
+        v0, v1 = vec
+        ref = np.array([m00 * v0 + m01 * v1, m10 * v0 + m11 * v1])
+        out = np.empty_like(vec)
+        assert apply(vec, out) is out
+        assert out.tobytes() == ref.tobytes()
+        assert apply(vec, vec) is vec
+        assert vec.tobytes() == ref.tobytes()
+
+
 def test_exact_step_zero_field_is_identity():
     u = su2.exact_step(np.zeros(3), 0.37)
     assert np.allclose(u, np.eye(2), atol=1e-16)
