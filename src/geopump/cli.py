@@ -320,16 +320,22 @@ def _check_size(where, size, what):
                           f"{MAX_SWEEP_POINTS:.0e}")
 
 
+def _taylor_step_cost(order):
+    """The work cap's cost of one taylor step of `order`, against 1 for an
+    exact step: the 1 + order // 2 array passes of its build (_step_coeffs)."""
+    return 1 + order // 2
+
+
 def _plan_sweep(c, states=1):
     """DriveParams at the ends of the swept drive axes and the TrotterConfig
     under evolve's own rule; then the work cap: every grid point steps one
-    cycle, a taylor step costing the 1 + order // 2 array passes of its build
-    (_step_coeffs), and measures `states` states."""
+    cycle, a taylor step costing _taylor_step_cost, and measures `states`
+    states."""
     axes = [f"grid.{n}" for n in c["grid"]]
     _at_ends(" and ".join(["params.drive", *axes]), DriveParams, c, **c["params"]["drive"])
     t = _checked("params.trotter", propagator.checked_trotter,
                  _checked("params.trotter", TrotterConfig, **c["params"]["trotter"]))
-    cost = 1 + t.taylor_order // 2 if t.mode == "taylor" else 1
+    cost = _taylor_step_cost(t.taylor_order) if t.mode == "taylor" else 1
     _check_work(" and ".join(["params.trotter", *axes]),
                 _grid_points(c) * (t.steps_per_cycle * cost + states * t.n_cycles))
     return t,
@@ -397,13 +403,13 @@ def _plan_fluence(c):
 def _plan_unitarity_report(c):
     """The DriveParams and the taylor TrotterConfig at the ends of the axes;
     then the work cap: each distinct step count folds one exact reference and
-    every distinct order o, a step of which costs 1 + o // 2."""
+    every distinct order, a step of which costs _taylor_step_cost."""
     where = "params.n_cycles, grid.taylor_order and grid.steps_per_cycle"
     drive = _checked("params.drive", DriveParams, **c["params"]["drive"])
     _at_ends(where, TrotterConfig, c, mode="taylor", n_cycles=c["params"]["n_cycles"])
     orders = set(c["grid"]["taylor_order"].tolist())
     steps = set(c["grid"]["steps_per_cycle"].tolist())
-    _check_work(where, (len(orders) + 1 + sum(o // 2 for o in orders)) * sum(steps)
+    _check_work(where, (1 + sum(map(_taylor_step_cost, orders))) * sum(steps)
                 + (len(orders) + 1) * len(steps) * c["params"]["n_cycles"])
     return drive,
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import su2
-from .cyclemap import CycleParams, cycle_unitary
+from .cyclemap import CycleParams, cycle_unitary, theta_from_tpt
+from .units import TAU_CYCLE_PS
 
 GRID_PER_CYCLE = 100
 _BLOCK_VALUES = 8192  # member values per block of time rows
@@ -38,9 +39,10 @@ _BLOCK_VALUES = 8192  # member values per block of time rows
 class EnsembleConfig:
     n_systems: int = 60
     dt_mismatch: float = 0.1
-    tau_cycle: float = 0.83
+    tau_cycle: float = TAU_CYCLE_PS
     t_max: float = 12.0
-    cycle: CycleParams = field(default_factory=lambda: CycleParams(theta=math.pi, phi=0.0))
+    cycle: CycleParams = field(
+        default_factory=lambda: CycleParams(theta=theta_from_tpt(1), phi=0.0))
 
     def __post_init__(self):
         if self.n_systems < 1:

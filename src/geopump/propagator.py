@@ -20,19 +20,23 @@ The grid route (p_g_numeric_grid) walks a flat grid in blocks of at most
 _BLOCK_POINTS points; each point is computed on its own, so the blocks bound
 the working memory without changing a result. Within a block of N points
 the writer fills a (B, 2, 2, N) slab of B = _BLOCK_POINTS // N steps (at
-least 1, at most steps_per_cycle) at a time, so a slab holds no more
-elements than a full block does, and a block of more than _BLOCK_POINTS // 2
-points has B = 1. The s_j = sin(omega t_j) come from one np.sin pass per
-call. Every step is a real multiple of an SU(2) matrix, so the running
-product has the form [[a, -conj(b)], [b, conj(a)]] up to a real factor: the
-grid route folds the slab's steps into only the first column (a, b), one
-step at a time and in order, through one su2.stack_applier per slab row
-bound once per block, rebuilds the matrix once after the loop (su2), and
-runs every per-step operation into buffers allocated once per block.
+least 1, at most _SLAB_ROWS) at a time, so a slab holds no more elements
+than a full block does, a block of more than _BLOCK_POINTS // 2 points has
+B = 1, and a few points bind no more than _SLAB_ROWS step appliers. The
+s_j = sin(omega t_j) come from one np.sin pass per call. Every step is a
+real multiple of an SU(2) matrix, so the running product has the form
+[[a, -conj(b)], [b, conj(a)]] up to a real factor: the grid route folds
+the slab's steps into only the first column (a, b), one step at a time and
+in order, through one su2.stack_applier per slab row bound once per block,
+rebuilds the matrix once after the loop (su2), and runs every per-step
+operation into buffers allocated once per block.
 The per-cycle measurement then runs half a block at a time (_measure), into
 buffers allocated once per half, so that it holds less memory than the
-fold. Both routes enforce the same guards and are cross-checked in the
-tests; a grid error's indices count over the whole call.
+fold. Both routes enforce the same guards by the same rules, cross-checked
+in the tests: the gap at the start instant, then at the measurement
+instant; in taylor mode the defect at the first and the last measurement
+(_check_defects); then each run's largest probability. A grid error's
+indices count over the whole call.
 
 Because H^2 = |d|^2 I, every step is ca I - i kappa H with r = |d| dt =
 hypot(d2, d3) dt, and _step_coeffs alone decides (ca, kappa): the order-m
@@ -68,6 +72,10 @@ _BLOCK_STEPS = 2048
 # than 2048, for about 0.35 MiB (1.1 %) more peak RSS; 12288 was slower than
 # 4096 and cost about 1.8 MiB more.
 _BLOCK_POINTS = 4096
+# Step rows per slab of the grid fold, each bound to its own su2.stack_applier
+# (about 1.35 KiB): below TrotterConfig's 100-step minimum, so no slab is
+# longer than a cycle.
+_SLAB_ROWS = 64
 
 
 class EvolutionError(Exception):
@@ -82,7 +90,7 @@ class EvolutionError(Exception):
 
 
 class DegenerateMeasurementBasis(EvolutionError):
-    """Instantaneous gap at the measurement time or at the start time is below
+    """Instantaneous gap at the start time or at the measurement time is below
     the degeneracy tolerance."""
 
 
@@ -129,25 +137,26 @@ def checked_trotter(cfg: TrotterConfig) -> TrotterConfig:
 @dataclass(frozen=True)
 class PumpTrace:
     """Per-cycle excited-band probabilities, their running means (both with a
-    leading state axis for a stack of start states), and the largest
-    unitarity defect seen at any measurement time."""
+    leading state axis for a stack of start states), and the unitarity defect
+    of the run: the larger of the defects at the first and the last
+    measurement, which in taylor mode bound every cycle's (_check_defects)."""
 
     p_j: np.ndarray
     p_n: np.ndarray
     unitarity_defect: float
 
 
-def _step_coeffs(r, dt: float, mode: str, order: int, out=None, y_nonzero=False):
-    """(ca, kappa) of the step ca*I - i*kappa*(d . sigma), with r = |d| dt.
+def _step_coeffs(r, dt: float, mode: str, order: int, out, y_nonzero=False):
+    """(ca, kappa) of the step ca*I - i*kappa*(d . sigma), with r = |d| dt a
+    float array.
 
     exact: cos(r) and dt sin(r)/r; taylor: their series up to the r^order
-    term of exp. `out` is an optional pair of float arrays shaped like r that
-    receives (ca, kappa), so a step loop can reuse its buffers; ca may be a
+    term of exp. `out` is the pair of float arrays shaped like r that
+    receives (ca, kappa), so a step loop reuses its buffers; ca may be a
     strided view. `y_nonzero` tells the exact mode that no r / pi * pi is
     zero, so it need not test for one.
     """
-    r = np.asarray(r, dtype=float)
-    ca, kappa = (np.empty_like(r), np.empty_like(r)) if out is None else out
+    ca, kappa = out
     if mode == "exact":
         # dt * np.sinc(r / pi) spelled out: sin(y) / y with y = pi * (r / pi),
         # and 1 at y = 0, which is np.sinc's value bit for bit
@@ -189,7 +198,7 @@ def _fill_steps(d2, d3, dt, mode, order, entries, r, kappa, y_nonzero=False):
     """
     s00, s01, s10, s11 = entries
     np.multiply(np.hypot(d2, d3, out=r), dt, out=r)
-    _step_coeffs(r, dt, mode, order, out=(s00.real, kappa), y_nonzero=y_nonzero)
+    _step_coeffs(r, dt, mode, order, (s00.real, kappa), y_nonzero)
     np.copyto(s11.real, s00.real)
     np.negative(np.multiply(kappa, d3, out=s11.imag), out=s00.imag)
     np.negative(np.multiply(kappa, d2, out=s10.real), out=s01.real)
@@ -271,24 +280,25 @@ def checked_states(initial) -> np.ndarray:
 
 
 def _evolve_impl(p: DriveParams, cfgs, initial):
-    """Raw excited-band probabilities, shaped (C, S, n_cycles), and the worst
-    unitarity defect of each chain, for one stacked fold of the chains `cfgs`
-    (which also share n_cycles) and every start state in `initial` (None:
-    the ground state at t = 0)."""
+    """Raw excited-band probabilities, shaped (C, S, n_cycles), and the
+    unitarity defect of each chain, read as _check_defects says, for one
+    stacked fold of the chains `cfgs` (which also share n_cycles) and every
+    start state in `initial` (None: the ground state at t = 0)."""
     dt, extra = _step_grid(p.tau_cycle, cfgs[0])
-    n1 = band_basis(p, extra * dt, f"measurement time {extra * dt:.6g}")[1].conj()
     states = checked_states(band_basis(p, 0.0, "the start time")[0]
                             if initial is None else initial)
+    n1 = band_basis(p, extra * dt, f"measurement time {extra * dt:.6g}")[1].conj()
     amps = np.empty((len(cfgs), len(states), cfgs[0].n_cycles), dtype=complex)
-    defects = np.zeros(len(cfgs))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as NaN in p_j
         u_cycles, u_partials = _cycle_unitaries(p, cfgs)
         w = su2.IDENTITY2
         for m in range(cfgs[0].n_cycles):
             w = u_cycles @ w
             meas = u_partials @ w if extra else w
-            defects = np.maximum(defects, su2.unitarity_defect(meas))  # keeps a NaN
+            if m == 0:  # the first measurement's defect; the last one's follows
+                defects = su2.unitarity_defect(meas)
             amps[..., m] = (n1 @ (meas[:, None] @ states[:, :, None]))[..., 0]
+        defects = np.maximum(defects, su2.unitarity_defect(meas))  # keeps a NaN
         # abs of each complex scalar, as an array np.abs rounds some moduli differently
         p_j = np.fromiter((abs(a) ** 2 for a in amps.flat), float, amps.size)
         return p_j.reshape(amps.shape), defects
@@ -316,9 +326,10 @@ def evolve(p: DriveParams, cfg: TrotterConfig, initial: np.ndarray | None = None
     with the offset snapped to the step grid. An (S, 2) stack of start states
     shares one one-cycle product, and each state is measured as on its own.
 
-    Raises DegenerateMeasurementBasis when that basis, or the default start
-    state's at t = 0, is ill-defined, and, in taylor mode, NonUnitaryEvolution
-    when the truncation defect exceeds the module budget; NonUnitaryEvolution
+    Raises DegenerateMeasurementBasis when the default start state's basis at
+    t = 0 or, checked next, the measurement basis is ill-defined; in taylor
+    mode, NonUnitaryEvolution when the truncation defect exceeds the module
+    budget; NonUnitaryEvolution
     for probabilities outside [0, 1] names the failing states of a stack in
     `indices`. taylor mode requires taylor_order >= 2 here (checked_trotter).
     """
@@ -410,7 +421,7 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
         d3_meas = bloch_d3(eps0, a_ph, cos_k, math.sin(omega * (extra * dt)))
         d = np.zeros((3, k.size))  # d.T holds each point's (0, d2, d3)
         d[1] = d2
-        for when, d3 in (("measurement time", d3_meas), ("the start time", d3_start)):
+        for when, d3 in (("the start time", d3_start), ("measurement time", d3_meas)):
             d[2] = d3
             closed = np.nonzero(su2.gap_closed(d.T))[0]
             if closed.size:
@@ -429,9 +440,6 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
             _measure(u[..., part], None if q is None else q[..., part], d2[part],
                      d3_start[part], d3_meas[part], cfg.n_cycles, acc[part], p_max[part])
         if cfg.mode == "taylor":
-            # Each step is a real multiple of an SU(2) matrix, so M = Q U^m,
-            # measured after m cycles, has M^H M = |det M| I and a defect
-            # monotone in m: largest at m = 1 or n_cycles.
             u = np.moveaxis(u, -1, 0)
             q = su2.IDENTITY2 if q is None else np.moveaxis(q, -1, 0)
             _check_defects(np.maximum(su2.unitarity_defect(q @ u), su2.unitarity_defect(
@@ -442,7 +450,14 @@ def _p_g_block(k, eps0, a_ph, omega: float, tau: float, cfg: TrotterConfig) -> n
 
 def _check_defects(defect, named=True):
     """Both routes' taylor budget: a NonUnitaryEvolution at the first defect
-    above UNITARITY_BUDGET or NaN; `indices` name all such if `named`."""
+    above UNITARITY_BUDGET or NaN; `indices` name all such if `named`.
+
+    Both routes read a run's defect at its first and its last measurement
+    only. Each step is a real multiple of an SU(2) matrix, so M = Q U^m,
+    measured after m cycles (Q the prefix up to the measurement offset), is
+    one too: M^H M = |det M| I with |det M| = q x^m for real q, x > 0, and the
+    defect |q x^m - 1| of that monotone sequence peaks at m = 1 or m = n_cycles.
+    """
     over = np.nonzero(~(defect <= UNITARITY_BUDGET))[0]
     if over.size:
         raise NonUnitaryEvolution(f"unitarity defect {defect[over[0]]:.3e} exceeds budget "
@@ -477,7 +492,7 @@ def _grid_columns(d2, c3, a_ph, omega: float, dt: float, extra: int,
     """
     n = d2.size
     steps = cfg.steps_per_cycle
-    b = max(1, min(_BLOCK_POINTS // n, steps))
+    b = max(1, min(_BLOCK_POINTS // n, _SLAB_ROWS))
     # s_j = sin(omega t_j) at the step midpoints, zero-padded to whole slabs
     sines = np.zeros(-(-steps // b) * b)
     sines[:steps] = np.sin(omega * (np.arange(steps) + 0.5) * dt)

@@ -165,6 +165,30 @@ def test_point_run_compute_errors_name_the_drive(capsys):
         "drive k=0.0, eps0=-1.0, a_ph=0.1")
 
 
+# (k, eps0, a_ph) = (0, -1, 0.1), which closes the gap at t = 0, on every
+# experiment that runs the propagator
+START_CLOSURES = {
+    "sweep-k": ["grid.k.values=[0.0]", "params.drive.eps0=-1"],
+    "sweep-eps0": ["grid.k.values=[0.0]", "grid.eps0.values=[-1.0]"],
+    "sweep-amplitude": ["grid.k.values=[0.0]", "grid.a_ph.values=[0.1]"],
+    "initial-states": ["params.drive.k=0", "params.drive.eps0=-1"],
+    "unitarity-report": ["params.drive.k=0", "params.drive.eps0=-1"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(START_CLOSURES))
+def test_every_propagator_experiment_names_a_start_closure_first(experiment, capsys):
+    # at the default offset 0 the first measurement instant is closed too
+    assert set(START_CLOSURES) == {n for n, d in cli.DEFAULTS.items()
+                                   if "drive" in d["params"]}
+    argv = [experiment, "--out", "-"]
+    for override in START_CLOSURES[experiment]:
+        argv += ["--set", override]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"geopump: compute error: {experiment}: gap closed at the start time")
+
+
 def test_a_drive_on_the_gap_threshold_exits_3_on_both_routes(capsys):
     # 2|d| is below 1e-9 here, while eigh's e1 - e0 is not
     drive = ["--set", "params.drive.eps0=-0.999999999584903",
@@ -345,7 +369,7 @@ def test_failing_point_in_a_later_block_is_named_by_its_grid_index(capsys):
     assert rc == 3
     assert capsys.readouterr().err.splitlines() == [
         "geopump: running sweep-eps0",
-        "geopump: compute error: sweep-eps0: gap closed at measurement time at 1 grid "
+        "geopump: compute error: sweep-eps0: gap closed at the start time at 1 grid "
         f"point(s); first failing grid index {i}: k=0.0, eps0=-1.0, a_ph=0.1"]
 
 

@@ -10,6 +10,7 @@ import math
 import pathlib
 import re
 import runpy
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -254,14 +255,18 @@ def test_degenerate_measurement_basis_raises():
 
 
 def test_degenerate_start_basis_raises_on_every_route():
-    # gap closed at t = 0 only: the measurement basis a quarter cycle later is sound
+    # gap closed at t = 0: at offset 0.25 the measurement basis a quarter cycle
+    # later is sound; at offset 0 it is closed too, and every route names the
+    # start instant, which it checks first
     p = DriveParams(eps0=-1.0, a_ph=0.1, k=0.0)
-    cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2, measure_offset=0.25)
-    for call in (lambda: propagator.evolve(p, cfg),
-                 lambda: propagator.unitarity_report(p, cfg),
-                 lambda: propagator.p_g_numeric_grid(p.k, p.eps0, p.a_ph, p.omega, cfg)):
-        with pytest.raises(DegenerateMeasurementBasis, match="^gap closed at the start time"):
-            call()
+    for offset in (0.25, 0.0):
+        cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2, measure_offset=offset)
+        for call in (lambda: propagator.evolve(p, cfg),
+                     lambda: propagator.unitarity_report(p, cfg),
+                     lambda: propagator.p_g_numeric_grid(p.k, p.eps0, p.a_ph, p.omega, cfg)):
+            with pytest.raises(DegenerateMeasurementBasis,
+                               match="^gap closed at the start time"):
+                call()
 
 
 # 2|d| is below 1e-9 here, while eigh's e1 - e0 is not
@@ -269,10 +274,11 @@ GAP_EDGE_DRIVE = DriveParams(k=2.7873736105752915e-10, eps0=-0.999999999584903, 
 
 
 def test_a_drive_on_the_gap_threshold_is_rejected_by_both_routes():
+    # at offset 0 the start instant is the measurement instant, checked first
     p, cfg = GAP_EDGE_DRIVE, TrotterConfig(steps_per_cycle=100, n_cycles=2)
     for call in (lambda: propagator.evolve(p, cfg),
                  lambda: propagator.p_g_numeric_grid(p.k, p.eps0, p.a_ph, p.omega, cfg)):
-        with pytest.raises(DegenerateMeasurementBasis, match="^gap closed at measurement time"):
+        with pytest.raises(DegenerateMeasurementBasis, match="^gap closed at the start time"):
             call()
 
 
@@ -354,8 +360,8 @@ def test_every_d3_outside_the_fold_takes_bloch_d3(monkeypatch):
     monkeypatch.setattr(propagator, "bloch_d3", spy)
     cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2, measure_offset=0.3)
     propagator.evolve(TPT_POINT, cfg)
-    (meas, s_meas), start, fold = calls
-    assert (meas, start, fold) == ((), ((), 0.0), ((100,), (100,)))
+    start, (meas, s_meas), fold = calls
+    assert (start, meas, fold) == (((), 0.0), (), ((100,), (100,)))
     calls.clear()
     propagator.p_g_numeric_grid(np.array([0.02, 0.03]), -0.95, 0.1, TPT_POINT.omega, cfg)
     assert calls == [((2,), 0.0), ((2,), s_meas)]  # start and measurement instants
@@ -435,6 +441,62 @@ def test_grid_and_point_runs_report_one_taylor_defect(n_cycles, offset):
     with pytest.raises(NonUnitaryEvolution) as stack:
         propagator.evolve(p, cfg, initial=np.array([g0, g1, g0]))
     assert (str(stack.value), stack.value.indices) == (str(point.value), ())  # no state's
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_evolve_reads_the_largest_taylor_defect_of_every_cycle(order, offset):
+    # the first and the last measurement bound the defect (_check_defects)
+    cfg = TrotterConfig(steps_per_cycle=200, taylor_order=order, mode="taylor",
+                        n_cycles=40, measure_offset=offset)
+    _, defect = _per_row_evolution(TPT_POINT, cfg)
+    assert propagator.evolve(TPT_POINT, cfg).unitarity_defect == defect
+
+
+@pytest.mark.parametrize("n_cycles", [3, 50])
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_an_overflowing_taylor_defect_is_every_cycle_largest(n_cycles, offset):
+    # the drive of test_grid_and_point_runs_report_one_taylor_defect: past 1e186
+    # by cycle 3 and NaN by cycle 50, as the literal maximum has it
+    p = DriveParams(eps0=0.5, a_ph=0.1, k=0.02)
+    cfg = TrotterConfig(steps_per_cycle=100, taylor_order=2, mode="taylor",
+                        n_cycles=n_cycles, measure_offset=offset)
+    with pytest.raises(NonUnitaryEvolution) as info:
+        propagator.evolve(p, cfg)
+    _, defect = _per_row_evolution(p, cfg)
+    assert str(info.value) == (f"unitarity defect {defect:.3e} exceeds budget "
+                               f"{propagator.UNITARITY_BUDGET}")
+
+
+def test_committed_unitarity_report_equals_per_row_evolutions():
+    # the committed config, whose per-row evolutions take every cycle's defect
+    cfg = TrotterConfig(mode="taylor", n_cycles=100)
+    report = propagator.unitarity_report(TPT_POINT, cfg, [1, 2, 4], [2000, 20000])
+    for (order, n), result in report.items():
+        expected = _per_row_report(TPT_POINT, replace(cfg, taylor_order=order,
+                                                      steps_per_cycle=n))
+        assert np.array(result).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("n_cycles", [1, 2, 50])
+def test_every_route_reads_the_defect_twice_whatever_n_cycles(n_cycles, monkeypatch):
+    # at the first and the last measurement, whatever the number of chains
+    calls = []
+
+    def spy(u):
+        calls.append(u)
+        return defect(u)
+
+    defect = su2.unitarity_defect
+    monkeypatch.setattr(su2, "unitarity_defect", spy)
+    cfg = TrotterConfig(steps_per_cycle=100, taylor_order=4, mode="taylor", n_cycles=n_cycles)
+    for run in (lambda: propagator.evolve(TPT_POINT, cfg),
+                lambda: propagator.unitarity_report(TPT_POINT, cfg, [2, 3, 4]),
+                lambda: propagator.p_g_numeric_grid(TPT_POINT.k, TPT_POINT.eps0,
+                                                    TPT_POINT.a_ph, TPT_POINT.omega, cfg)):
+        calls.clear()
+        run()
+        assert len(calls) == 2
 
 
 def test_both_routes_share_the_probability_rule():
@@ -587,10 +649,9 @@ def test_step_coefficients_equal_reference(mode, order):
     for x in (r, np.array(0.0), np.array(0.7)):
         expected = _reference_coeffs(x, dt, mode, order)
         out = (np.empty_like(x), np.empty_like(x))
-        for got in (propagator._step_coeffs(x, dt, mode, order),
-                    propagator._step_coeffs(x, dt, mode, order, out=out)):
-            for a, b in zip(got, expected):
-                assert np.array_equal(a, b, equal_nan=True)
+        got = propagator._step_coeffs(x, dt, mode, order, out)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b, equal_nan=True)
         assert got[0] is out[0] and got[1] is out[1]
 
 
@@ -667,9 +728,9 @@ def test_stacked_fold_builds_blocks_of_block_steps_over_c(n_chains, monkeypatch)
 
 def _per_row_evolution(p, cfg, states=None):
     """(p_n, defect) of _evolve_impl as it was before stacked folds and
-    stacked measurements: one chain, the one-chain fold, each start state of
-    `states` (default: the ground state) measured on its own, no budget gate.
-    p_n has a leading state axis."""
+    stacked measurements: one chain, the one-chain fold, the defect of every
+    cycle, each start state of `states` (default: the ground state) measured
+    on its own, no budget gate. p_n has a leading state axis."""
     dt, extra = propagator._step_grid(p.tau_cycle, cfg)
     n1 = propagator.band_basis(p, extra * dt, "measurement time")[1]
     if states is None:
@@ -808,16 +869,16 @@ def _per_step_columns(d2, c3, a_ph, omega, dt, extra, cfg):
     return u, q
 
 
-def _slab_steps(points, steps):
-    return max(1, min(propagator._BLOCK_POINTS // points, steps))
+def _slab_steps(points):
+    return max(1, min(propagator._BLOCK_POINTS // points, propagator._SLAB_ROWS))
 
 
 _B = propagator._BLOCK_POINTS
 
 
-# steps_per_cycle = 203 is a multiple of no slab size below but 203 itself;
-# B + 52 steps give a one-point grid a slab of B steps and one of 52, and
-# B // 2, B // 2 + 1 and B points sit on both sides of the one-step slab
+# steps_per_cycle = 203 is a multiple of no slab size below but 1; B + 52 steps
+# end a one-point grid's last slab of _SLAB_ROWS steps early, and B // 2,
+# B // 2 + 1 and B points sit on both sides of the one-step slab
 @pytest.mark.parametrize("points, steps", sorted({
     (1, 203), (1, 2100), (1, _B + 52), (101, 203), (401, 203), (1024, 203), (1025, 203),
     (2048, 203), (_B // 2, 203), (_B // 2 + 1, 203), (_B, 203)}))
@@ -829,7 +890,7 @@ def test_step_slabs_equal_per_step_columns(points, steps):
     a_ph = rng.uniform(0.02, 0.06, points)
     omega = TPT_POINT.omega
     dt = 2.0 * math.pi / omega / steps
-    b = _slab_steps(points, steps)
+    b = _slab_steps(points)
     # no prefix, a prefix that ends a slab, one that ends inside a slab, the last step
     extras = sorted({0, b * (steps // b // 2) or b, b * (steps // b // 2) + b // 2 + 1, steps})
     for mode, order in [("exact", 4), ("taylor", 2), ("taylor", 3), ("taylor", 4)]:
@@ -875,15 +936,29 @@ def test_step_slab_stays_within_block_points(points, monkeypatch):
     build = propagator._step_coeffs
     monkeypatch.setattr(propagator, "_step_coeffs", step_coeffs)
     steps = 2003
-    b = _slab_steps(points, steps)
+    b = _slab_steps(points)
     propagator.p_g_numeric_grid(np.linspace(0.01, 0.5, points), -0.95, 0.1,
                                 TPT_POINT.omega, TrotterConfig(steps_per_cycle=steps,
                                                                n_cycles=2))
     # one coefficient build per slab of b steps, over b * points <= _BLOCK_POINTS
     assert len(shapes) == -(-steps // b)
     assert set(shapes) == {(b, points)}
-    assert b * points <= propagator._BLOCK_POINTS
+    assert b * points <= propagator._BLOCK_POINTS and b <= propagator._SLAB_ROWS
     assert (b == 1) == (points > propagator._BLOCK_POINTS // 2)
+
+
+def test_a_few_point_grid_binds_a_bounded_slab():
+    # one point at 20000 steps: _SLAB_ROWS step appliers, not one per step
+    grid = (np.array([TPT_POINT.k]), TPT_POINT.eps0, TPT_POINT.a_ph, TPT_POINT.omega,
+            TrotterConfig(steps_per_cycle=20000, n_cycles=2))
+    propagator.p_g_numeric_grid(*grid)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        propagator.p_g_numeric_grid(*grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_steps_and_band_states_take_the_norm_and_the_phase_from_su2(monkeypatch):
@@ -917,10 +992,10 @@ def test_steps_and_band_states_take_the_norm_and_the_phase_from_su2(monkeypatch)
     assert called(lambda: propagator.trotter_step(TPT_POINT, 0.0, 0.01, 2)) == ["_fill_steps"]
     assert called(lambda: propagator._cycle_unitaries(TPT_POINT, [cfg, cfg])) == [
         "_fill_steps"] * 2
-    # one point: a single slab of all 100 steps
+    # one point: 100 steps in a slab of _SLAB_ROWS and a partial one
     assert called(lambda: propagator._grid_columns(d[None, 1], d[None, 2], 0.1,
                                                    TPT_POINT.omega, 0.01, 0, cfg)) == [
-        "_fill_steps"]
+        "_fill_steps"] * 2
 
 
 def test_grid_kernels_and_the_cycle_map_take_their_su2_algebra_from_su2(monkeypatch):
@@ -939,20 +1014,21 @@ def test_grid_kernels_and_the_cycle_map_take_their_su2_algebra_from_su2(monkeypa
 
     d = bloch_vector(TPT_POINT, 0.0)
     cfg = TrotterConfig(steps_per_cycle=100, n_cycles=2, measure_offset=0.5)
-    # one point: one slab of 100 rows, each bound once
+    # one point: one slab of _SLAB_ROWS rows, each bound once
+    rows = propagator._SLAB_ROWS
     assert called(lambda: propagator._grid_columns(d[None, 1], d[None, 2], 0.1,
                                                    TPT_POINT.omega, 0.01, 0, cfg)) == [
-        "stack_applier"] * 100
+        "stack_applier"] * rows
     # the fold, u and q from their first columns, the two band states, then
     # the cycle product and its prefix bound once for all cycles
     grid = (np.array([TPT_POINT.k]), TPT_POINT.eps0, TPT_POINT.a_ph, TPT_POINT.omega)
     assert called(lambda: propagator.p_g_numeric_grid(*grid, cfg)) == (
-        ["stack_applier"] * 100 + ["from_column"] * 2 + ["planar_band_state"] * 2
+        ["stack_applier"] * rows + ["from_column"] * 2 + ["planar_band_state"] * 2
         + ["stack_applier"] * 2)
     # no offset: no prefix, so u alone
     assert called(lambda: propagator.p_g_numeric_grid(
         *grid, replace(cfg, measure_offset=0.0))) == (
-        ["stack_applier"] * 100 + ["from_column"] + ["planar_band_state"] * 2
+        ["stack_applier"] * rows + ["from_column"] + ["planar_band_state"] * 2
         + ["stack_applier"])
     assert called(lambda: cyclemap.p_series_mean_grid([1.0], [0.5], 3)) == [
         "from_column", "stack_applier"]
