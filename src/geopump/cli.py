@@ -5,14 +5,14 @@ then a JSON config file, then --set overrides). `run` validates it in one pass
 before any computation starts: DEFAULTS is the schema, so every leaf must have
 its default's type; every experiment's grid must hold no more than
 MAX_SWEEP_POINTS points, checked from the axis counts before any axis is
-built, which alone bounds a thermo sweep; then the experiment's plan applies
-every range rule, the library's own (a constructor, or a rule function of the
-module that owns the field), with each grid axis at its min and at its max,
-and from the objects those rules built caps a propagator, cycle-map or
-ensemble experiment's work at MAX_WORK and its output rows at
-MAX_SWEEP_POINTS. The runner takes what the plan built and returns one
-rectangular result table, held as one float64 array per column. Execution is
-serial; the propagator kernel walks its grid in blocks and names a failing
+built, which alone bounds a thermo sweep. Then `run` calls the experiment's
+one function. It first applies every range rule, the library's own (a
+constructor, or a rule function of the module that owns the field), with each
+grid axis at its min and at its max, and from the objects those rules built
+caps a propagator, cycle-map or ensemble experiment's work at MAX_WORK and its
+output rows at MAX_SWEEP_POINTS. Only then does it compute, with those
+objects, and return one rectangular result table, held as one float64 array
+per column. Execution is serial; the propagator grid kernel names a failing
 grid point, and a point run names its drive; `run` reports these, like every
 other failure of a checked config's computation, as a ComputeError.
 `emit_chunks` serializes a table as CSV or JSON a chunk of rows at a time, so
@@ -326,7 +326,7 @@ def _taylor_step_cost(order):
     return 1 + order // 2
 
 
-def _plan_sweep(c, states=1):
+def _trotter(c, states=1) -> TrotterConfig:
     """DriveParams at the ends of the swept drive axes and the TrotterConfig
     under evolve's own rule; then the work cap: every grid point steps one
     cycle, a taylor step costing _taylor_step_cost, and measures `states`
@@ -338,7 +338,7 @@ def _plan_sweep(c, states=1):
     cost = _taylor_step_cost(t.taylor_order) if t.mode == "taylor" else 1
     _check_work(" and ".join(["params.trotter", *axes]),
                 _grid_points(c) * (t.steps_per_cycle * cost + states * t.n_cycles))
-    return t,
+    return t
 
 
 def _start_states(drive, weights):
@@ -354,67 +354,8 @@ def _start_states(drive, weights):
         np.array([math.sqrt(w0) * g0 + math.sqrt(w1) * g1 for w0, w1 in weights]))
 
 
-def _plan_initial_states(c):
-    """_plan_sweep with one state per weight pair, the size cap on the table
-    (one row per cycle), then the start states: the one computation a plan
-    makes, so a degenerate start basis (DegenerateMeasurementBasis, which run
-    reports as a compute error) cannot hide a broken cap."""
-    weights = c["params"]["initial_weights"]
-    trotter, = _plan_sweep(c, states=len(weights))
-    _check_size("params.trotter.n_cycles", trotter.n_cycles, "output rows")
-    drive = DriveParams(**c["params"]["drive"])
-    return drive, trotter, _checked("params.initial_weights", _start_states, drive, weights)
-
-
-def _plan_ensemble(c):
-    """The EnsembleConfig; then the work cap, n_systems + 1 member values at
-    each time of ensemble_average's grid, and the size cap on its one row per
-    time."""
-    config = _checked("params.ensemble", _ensemble_config, **c["params"]["ensemble"])
-    _, n_t = ensemble.time_grid(config.tau_cycle, config.t_max)
-    _check_work("params.ensemble.t_max and params.ensemble.n_systems",
-                float(n_t) * (config.n_systems + 1), "ensemble", "member values")
-    _check_size("params.ensemble.t_max and params.ensemble.tau_cycle", n_t, "output rows")
-    return config,
-
-
-def _plan_verify_cyclemap(c):
-    _at_ends("grid.theta and grid.phi", CycleParams, c)
-    n_cycles = _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])
-    _check_work("grid.theta, grid.phi and params.n_cycles", _grid_points(c) * n_cycles,
-                "cycle-map series", "point-cycles")
-    return n_cycles,
-
-
-def _plan_thermal(c):
-    model = _checked("params.thermo", ThermalModel, **c["params"]["thermo"])
-    _at_ends("grid.T", thermo.checked_temperature, c)
-    return model,
-
-
-def _plan_fluence(c):
-    p = c["params"]
-    return (_checked("params.thermo", ThermalModel, **p["thermo"]),
-            _checked("params.T", thermo.checked_temperature, p["T"]),
-            _checked("params.delta_nu", bandmodel.checked_winding_change, p["delta_nu"]),
-            _checked("grid.F", thermo.checked_fluences, c["grid"]["F"]))
-
-
-def _plan_unitarity_report(c):
-    """The DriveParams and the taylor TrotterConfig at the ends of the axes;
-    then the work cap: each distinct step count folds one exact reference and
-    every distinct order, a step of which costs _taylor_step_cost."""
-    where = "params.n_cycles, grid.taylor_order and grid.steps_per_cycle"
-    drive = _checked("params.drive", DriveParams, **c["params"]["drive"])
-    _at_ends(where, TrotterConfig, c, mode="taylor", n_cycles=c["params"]["n_cycles"])
-    orders = set(c["grid"]["taylor_order"].tolist())
-    steps = set(c["grid"]["steps_per_cycle"].tolist())
-    _check_work(where, (1 + sum(map(_taylor_step_cost, orders))) * sum(steps)
-                + (len(orders) + 1) * len(steps) * c["params"]["n_cycles"])
-    return drive,
-
-
-def _run_sweep_k(c, trotter):
+def _sweep_k(c):
+    trotter = _trotter(c)
     drive, ks = c["params"]["drive"], c["grid"]["k"]
     p_g = propagator.p_g_numeric_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"], trotter)
     stats = bandmodel.gap_stats_grid(ks, drive["eps0"], drive["a_ph"], drive["omega"])
@@ -422,7 +363,8 @@ def _run_sweep_k(c, trotter):
             (ks, p_g, stats.delta_int, stats.delta_min, stats.delta_avg), 1)
 
 
-def _run_sweep_eps0(c, trotter):
+def _sweep_eps0(c):
+    trotter = _trotter(c)
     drive, eps0s, ks = c["params"]["drive"], c["grid"]["eps0"], c["grid"]["k"]
     p_g = propagator.p_g_numeric_grid(ks[None, :], eps0s[:, None], drive["a_ph"],
                                       drive["omega"], trotter)
@@ -431,15 +373,24 @@ def _run_sweep_eps0(c, trotter):
     return ("eps0", "p_g_max", "delta_min_k0"), (eps0s, p_max, stats.delta_min), 1
 
 
-def _run_sweep_amplitude(c, trotter):
+def _sweep_amplitude(c):
+    trotter = _trotter(c)
     drive = c["params"]["drive"]
     amesh, kmesh = np.meshgrid(c["grid"]["a_ph"], c["grid"]["k"], indexing="ij")
     p_g = propagator.p_g_numeric_grid(kmesh, drive["eps0"], amesh, drive["omega"], trotter)
     return ("k", "a_ph", "p_g"), (kmesh.ravel(), amesh.ravel(), p_g), 2
 
 
-def _run_initial_states(c, drive, trotter, states):
+def _initial_states(c):
+    """_trotter with one state per weight pair and the size cap on the table
+    (one row per cycle); then the start states, after the caps because they
+    take the band basis at t = 0 (a degenerate one is a compute error), and
+    one evolution of their stack."""
     weights = c["params"]["initial_weights"]
+    trotter = _trotter(c, states=len(weights))
+    _check_size("params.trotter.n_cycles", trotter.n_cycles, "output rows")
+    drive = DriveParams(**c["params"]["drive"])
+    states = _checked("params.initial_weights", _start_states, drive, weights)
     try:
         p_n = propagator.evolve(drive, trotter, initial=states).p_n
     except propagator.EvolutionError as exc:  # run names the drive
@@ -448,16 +399,28 @@ def _run_initial_states(c, drive, trotter, states):
         raise type(exc)(f"{exc} at weights {tuple(weights[exc.indices[0]])}",
                         exc.indices) from exc
     columns = ["cycle"] + [f"p_n_w{w_g:g}" for w_g, _ in weights]
-    return tuple(columns), (np.arange(1.0, p_n.shape[1] + 1.0), *p_n), 1
+    return columns, (np.arange(1.0, p_n.shape[1] + 1.0), *p_n), 1
 
 
-def _run_ensemble(c, config):
+def _ensemble(c):
+    """The EnsembleConfig; then the work cap, n_systems + 1 member values at
+    each time of ensemble_average's grid, and the size cap on its one row per
+    time."""
+    config = _checked("params.ensemble", _ensemble_config, **c["params"]["ensemble"])
+    _, n_t = ensemble.time_grid(config.tau_cycle, config.t_max)
+    _check_work("params.ensemble.t_max and params.ensemble.n_systems",
+                float(n_t) * (config.n_systems + 1), "ensemble", "member values")
+    _check_size("params.ensemble.t_max and params.ensemble.tau_cycle", n_t, "output rows")
     trace = ensemble.ensemble_average(config)
     return (("t", "p_ens", "entropy", "p_first"),
             (trace.times, trace.p_ens, trace.entropy, trace.p_first), 1)
 
 
-def _run_verify_cyclemap(c, n_cycles):
+def _verify_cyclemap(c):
+    _at_ends("grid.theta and grid.phi", CycleParams, c)
+    n_cycles = _checked("params.n_cycles", cyclemap.checked_cycles, c["params"]["n_cycles"])
+    _check_work("grid.theta, grid.phi and params.n_cycles", _grid_points(c) * n_cycles,
+                "cycle-map series", "point-cycles")
     tmesh, pmesh = np.meshgrid(c["grid"]["theta"], c["grid"]["phi"], indexing="ij")
     tflat, pflat = tmesh.ravel(), pmesh.ravel()
     series = cyclemap.p_series_mean_grid(tflat, pflat, n_cycles)
@@ -467,46 +430,62 @@ def _run_verify_cyclemap(c, n_cycles):
             (tflat, pflat, closed, series, np.abs(closed - series)), 2)
 
 
-def _run_thermal(c, model):
+def _thermal(c):
+    model = _checked("params.thermo", ThermalModel, **c["params"]["thermo"])
+    _at_ends("grid.T", thermo.checked_temperature, c)
     curve = thermo.temperature_sweep(model, c["grid"]["T"],
                                      closable_gap=c["params"]["closable_gap"])
     return ("T", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr), 1
 
 
-def _run_fluence(c, model, T, delta_nu, F):
+def _fluence(c):
+    p = c["params"]
+    model = _checked("params.thermo", ThermalModel, **p["thermo"])
+    T = _checked("params.T", thermo.checked_temperature, p["T"])
+    delta_nu = _checked("params.delta_nu", bandmodel.checked_winding_change, p["delta_nu"])
+    F = _checked("grid.F", thermo.checked_fluences, c["grid"]["F"])
     curve = thermo.fluence_sweep(model, T, F, delta_nu=delta_nu)
     return ("F", "q_gp", "q_fgr"), (curve.abscissa, curve.q_gp, curve.q_fgr), 1
 
 
-def _run_unitarity_report(c, drive):
+def _unitarity_report(c):
+    """The DriveParams and the taylor TrotterConfig at the ends of the axes;
+    then the work cap: each distinct step count folds one exact reference and
+    every distinct order, a step of which costs _taylor_step_cost."""
+    where = "params.n_cycles, grid.taylor_order and grid.steps_per_cycle"
+    n_cycles = c["params"]["n_cycles"]
+    drive = _checked("params.drive", DriveParams, **c["params"]["drive"])
+    _at_ends(where, TrotterConfig, c, mode="taylor", n_cycles=n_cycles)
     orders = c["grid"]["taylor_order"].tolist()
     steps = c["grid"]["steps_per_cycle"].tolist()
+    _check_work(where, (1 + sum(map(_taylor_step_cost, set(orders)))) * sum(set(steps))
+                + (len(set(orders)) + 1) * len(set(steps)) * n_cycles)
     report = propagator.unitarity_report(
-        drive, TrotterConfig(mode="taylor", n_cycles=c["params"]["n_cycles"]), orders, steps)
+        drive, TrotterConfig(mode="taylor", n_cycles=n_cycles), orders, steps)
     rows = np.array([(o, n, *report[o, n]) for o in orders for n in steps], dtype=float)
     return ("taylor_order", "steps_per_cycle", "defect_taylor", "max_dev_vs_exact"), rows.T, 2
 
 
-# Each experiment's plan and runner. A plan sees the config with its grid axes
-# built, each of at most MAX_SWEEP_POINTS points, still before any compute. It
+# Each experiment's one function. It sees the config with its grid axes built,
+# each of at most MAX_SWEEP_POINTS points, still before any compute, and first
 # applies the library's rules through _checked and _at_ends: the constructors
-# of the objects an experiment builds and the checked_* functions of the
-# modules that own the fields. Each rule on a swept field is an interval, so
-# checking it at both ends of every axis covers the axis (the fluence rule
-# reads the whole axis). From what those rules built it then checks the work
-# cap and any output rows beyond the grid's, and returns the arguments its
-# runner takes after the config. A runner returns the column names, one array
-# per column, and how many leading columns name a row.
+# of the objects it builds and the checked_* functions of the modules that own
+# the fields. Each rule on a swept field is an interval, so checking it at both
+# ends of every axis covers the axis (the fluence rule reads the whole axis).
+# From what those rules built it checks the work cap and any output rows
+# beyond the grid's. Only then does it compute, with those objects, and return
+# the column names, one array per column, and how many leading columns name a
+# row.
 _EXPERIMENTS = {
-    "sweep-k": (_plan_sweep, _run_sweep_k),
-    "sweep-eps0": (_plan_sweep, _run_sweep_eps0),
-    "sweep-amplitude": (_plan_sweep, _run_sweep_amplitude),
-    "initial-states": (_plan_initial_states, _run_initial_states),
-    "ensemble": (_plan_ensemble, _run_ensemble),
-    "verify-cyclemap": (_plan_verify_cyclemap, _run_verify_cyclemap),
-    "thermal": (_plan_thermal, _run_thermal),
-    "fluence": (_plan_fluence, _run_fluence),
-    "unitarity-report": (_plan_unitarity_report, _run_unitarity_report),
+    "sweep-k": _sweep_k,
+    "sweep-eps0": _sweep_eps0,
+    "sweep-amplitude": _sweep_amplitude,
+    "initial-states": _initial_states,
+    "ensemble": _ensemble,
+    "verify-cyclemap": _verify_cyclemap,
+    "thermal": _thermal,
+    "fluence": _fluence,
+    "unitarity-report": _unitarity_report,
 }
 
 
@@ -570,9 +549,8 @@ def run(config: dict) -> ResultTable:
     metadata = copy.deepcopy(config)
     if drive is not None:  # echo the resolved omega
         metadata["params"]["drive"]["omega"] = drive["omega"]
-    plan, runner = _EXPERIMENTS[name]
     try:
-        columns, data, keys = runner(cfg, *plan(cfg))
+        columns, data, keys = _EXPERIMENTS[name](cfg)
         return ResultTable(tuple(columns), tuple(data), metadata, keys)
     except (propagator.EvolutionError, InvalidDensityMatrix, ArithmeticError, ValueError,
             MemoryError) as exc:

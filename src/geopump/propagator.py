@@ -329,9 +329,9 @@ def evolve(p: DriveParams, cfg: TrotterConfig, initial: np.ndarray | None = None
     Raises DegenerateMeasurementBasis when the default start state's basis at
     t = 0 or, checked next, the measurement basis is ill-defined; in taylor
     mode, NonUnitaryEvolution when the truncation defect exceeds the module
-    budget; NonUnitaryEvolution
-    for probabilities outside [0, 1] names the failing states of a stack in
-    `indices`. taylor mode requires taylor_order >= 2 here (checked_trotter).
+    budget; and NonUnitaryEvolution for probabilities outside [0, 1], whose
+    `indices` name the failing states of a stack. taylor mode requires
+    taylor_order >= 2 here (checked_trotter).
     """
     checked_trotter(cfg)
     stacked = np.ndim(initial) == 2

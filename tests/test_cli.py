@@ -527,17 +527,23 @@ def test_taylor_sweep_overflow_is_compute_error(capsys):
     assert "unitarity defect" in capsys.readouterr().err
 
 
+# Every kernel an experiment computes with, as (module, name). Each
+# experiment applies its checks and only then calls these, so a test that
+# replaces them all sees whether a check came first.
+COMPUTE = ((propagator, "p_g_numeric_grid"), (propagator, "evolve"),
+           (propagator, "unitarity_report"), (cli.bandmodel, "gap_stats_grid"),
+           (cli.ensemble, "ensemble_average"), (cli.cyclemap, "p_series_mean_grid"),
+           (cli.cyclemap, "p_g_closed"), (cli.thermo, "temperature_sweep"),
+           (cli.thermo, "fluence_sweep"))
+
+
 def _forbid_compute(monkeypatch):
     """Make every experiment's computation fail the test if it starts."""
     def no_compute(*args, **kwargs):
         raise AssertionError("computation started")
 
-    for name in ("p_g_numeric_grid", "evolve", "unitarity_report"):
-        monkeypatch.setattr(propagator, name, no_compute)
-    monkeypatch.setattr(cli.ensemble, "ensemble_average", no_compute)
-    monkeypatch.setattr(cli.cyclemap, "p_series_mean_grid", no_compute)
-    for name in ("temperature_sweep", "fluence_sweep"):
-        monkeypatch.setattr(cli.thermo, name, no_compute)
+    for module, name in COMPUTE:
+        monkeypatch.setattr(module, name, no_compute)
 
 
 @pytest.mark.parametrize("path, value, named", [
@@ -945,12 +951,8 @@ def test_committed_configs_stay_under_the_work_cap(root, monkeypatch):
     def started(*args, **kwargs):
         raise _ComputeStarted
 
-    for name in ("p_g_numeric_grid", "evolve", "unitarity_report"):
-        monkeypatch.setattr(propagator, name, started)
-    monkeypatch.setattr(cli.ensemble, "ensemble_average", started)
-    monkeypatch.setattr(cli.cyclemap, "p_series_mean_grid", started)
-    for name in ("temperature_sweep", "fluence_sweep"):
-        monkeypatch.setattr(cli.thermo, name, started)
+    for module, name in COMPUTE:
+        monkeypatch.setattr(module, name, started)
     capped, sized = {}, {}
     cap, size_cap = cli._check_work, cli._check_size
 
@@ -1032,11 +1034,7 @@ def test_grid_points_and_output_rows_are_capped(argv, message, monkeypatch, caps
     def no_build(*args, **kwargs):
         raise AssertionError("a grid or a result was built")
 
-    for module, name in ((cli.np, "meshgrid"), (cli.np, "linspace"),
-                         (propagator, "p_g_numeric_grid"), (propagator, "evolve"),
-                         (cli.ensemble, "ensemble_average"),
-                         (cli.cyclemap, "p_series_mean_grid"),
-                         (cli.thermo, "temperature_sweep"), (cli.thermo, "fluence_sweep")):
+    for module, name in ((cli.np, "meshgrid"), (cli.np, "linspace"), *COMPUTE):
         monkeypatch.setattr(module, name, no_build)
     assert cli.main(argv + ["--out", "-"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"geopump: config error: {message}"
@@ -1111,3 +1109,17 @@ def test_reproduce_all_prints_its_usage_and_rejects_an_unknown_option(tmp_path,
     assert info.value.code == 2
     assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_loads_only_the_standard_library_and_numpy():
+    # every CLI run starts with this import, so a heavy dependency of any
+    # module would add to the setup time of each one
+    code = ("import sys; before = set(sys.modules); import geopump.cli; "
+            "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'numpy', 'geopump'}))")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
